@@ -13,16 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from coherence_forge import (
-    QubitParams,
-    TWO_QUBIT_SPECTRUM,
-    coherence,
-    mean_energy,
-    mixed_qubit_product,
-    mixed_scan,
-    plateau_threshold,
-)
-from coherence_forge.cli import _SCAN_HEADER, _fmt
+from coherence_forge import mixed_scan, plateau_threshold
+from coherence_forge.cli import write_scan_csv
 
 
 def main() -> None:
@@ -39,24 +31,10 @@ def main() -> None:
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
-    lines = [_SCAN_HEADER]
+    rows = []
     for eta in etas:
         points = mixed_scan(eta, p_values)
-        for pt in points:
-            state = mixed_qubit_product(QubitParams(p=pt.p, eta=eta), 2)
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(pt.p),
-                        _fmt(eta),
-                        _fmt(pt.coherence),
-                        _fmt(pt.mean_energy),
-                        _fmt(pt.b_opt),
-                        _fmt(coherence(state)),
-                        _fmt(mean_energy(state, TWO_QUBIT_SPECTRUM)),
-                    ]
-                )
-            )
+        rows.extend((eta, pt) for pt in points)
         plateau = [pt for pt in points if pt.b_opt < 1 - 1e-6]
         if plateau and eta > 0:
             threshold = plateau_threshold(eta)
@@ -66,7 +44,7 @@ def main() -> None:
             )
         else:
             print(f"eta = {eta:g}: no interior optimum in the scanned range")
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_scan_csv(out_path, rows)
     print(f"wrote {out_path}")
 
 

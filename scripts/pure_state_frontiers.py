@@ -20,7 +20,7 @@ from coherence_forge import (
     product_pure_state,
     trace_frontier,
 )
-from coherence_forge.cli import _FRONTIER_HEADER, _frontier_rows
+from coherence_forge.cli import write_frontier_csv
 from coherence_forge.svgplot import line_plot
 
 
@@ -43,8 +43,7 @@ def main() -> None:
             state, TWO_QUBIT_SPECTRUM, target, FilterFamily.FACTORIZED, grid=args.grid
         )
         csv_path = out_dir / f"frontier_{target.value}_p{args.p:g}.csv"
-        lines = [_FRONTIER_HEADER, *_frontier_rows(optimal), *_frontier_rows(factorized)]
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_frontier_csv(csv_path, optimal + factorized)
 
         measure = (
             (lambda pt: pt.mean_energy)

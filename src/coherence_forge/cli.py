@@ -5,7 +5,7 @@ validate against the brute-force oracle.
 Exit codes: 0 success, 1 usage error, 2 domain/precondition error, 3 I/O
 error. Flags override values read from an optional flat key=value config
 file. CSV output uses 12 significant digits and is byte-deterministic for
-identical flags and seed.
+identical flags.
 """
 
 from __future__ import annotations
@@ -14,17 +14,18 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import optics, oracle, synthesis
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 from .iterative import KrausSet, compose_iteration, sequential_povm, simulate_sequential
 from .statecore import (
     DiagonalFilter,
     EnergySpectrum,
+    QState,
     QubitParams,
     apply_filter,
     coherence,
@@ -35,7 +36,7 @@ from .statecore import (
     qstate_from_text,
 )
 from .svgplot import line_plot
-from .synthesis import FilterFamily, FilterTarget
+from .synthesis import FilterFamily, FilterTarget, FrontierPoint, MixedScanPoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,25 +63,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Shared run parameters resolved from flags, config file and environment."""
-
-    log_base: str = "e"
-    threads: int = 1
-    seed: int = 0
-    config_path: str | None = None
-    outputs: list[str] = field(default_factory=list)
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _default_threads() -> int:
+def _check_threads_env() -> None:
+    """``--threads`` and its environment fallback are accepted and ignored
+    (every computation runs serially), but a malformed value is still an error."""
     env = os.environ.get(THREADS_ENV)
     if env is not None:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise _UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def _parse_spectrum(text: str) -> EnergySpectrum:
@@ -93,6 +91,13 @@ def _parse_spectrum(text: str) -> EnergySpectrum:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _require_spectrum_dim(state: QState, spectrum: EnergySpectrum) -> None:
+    if state.dim != spectrum.dim:
+        raise DimensionMismatch(
+            f"spectrum has {spectrum.dim} levels but the state has dimension {state.dim}"
+        )
 
 
 def _coherence_report(value_nats: float, log_base: str) -> str:
@@ -131,6 +136,57 @@ def _splice_config(argv: list[str]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# CSV writers (shared with the experiment scripts)
+# ---------------------------------------------------------------------------
+
+_FRONTIER_HEADER = "p_success,coherence_nats,mean_energy,a,b,family"
+_SCAN_HEADER = "p,eta,coherence_nats,mean_energy,b_opt,input_coherence,input_energy"
+
+
+def _write_csv(path: str | Path, header: str, rows: Iterable[Iterable[str]]) -> None:
+    lines = [header, *(",".join(row) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_frontier_csv(path: str | Path, points: Iterable[FrontierPoint]) -> None:
+    """Frontier CSV: the header, then one row per point in the given order."""
+    _write_csv(
+        path,
+        _FRONTIER_HEADER,
+        (
+            [
+                _fmt(pt.p_success),
+                _fmt(pt.coherence),
+                _fmt(pt.mean_energy),
+                _fmt(pt.filter.coeffs[0].real),
+                _fmt(pt.filter.coeffs[1].real),
+                pt.family.value,
+            ]
+            for pt in points
+        ),
+    )
+
+
+def write_scan_csv(path: str | Path, points: Iterable[tuple[float, MixedScanPoint]]) -> None:
+    """Scan CSV: the header, then one row per (eta, point) pair in the given
+    order, with the coherence and mean energy of the unfiltered input."""
+
+    def row(eta: float, pt: MixedScanPoint) -> list[str]:
+        state = mixed_qubit_product(QubitParams(p=pt.p, eta=eta), 2)
+        return [
+            _fmt(pt.p),
+            _fmt(eta),
+            _fmt(pt.coherence),
+            _fmt(pt.mean_energy),
+            _fmt(pt.b_opt),
+            _fmt(coherence(state)),
+            _fmt(mean_energy(state, synthesis.TWO_QUBIT_SPECTRUM)),
+        ]
+
+    _write_csv(path, _SCAN_HEADER, (row(eta, pt) for eta, pt in points))
+
+
+# ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
@@ -147,10 +203,11 @@ def _describe_filter(filt: DiagonalFilter) -> str:
     return "m = [" + ", ".join(_fmt(v.real) for v in c) + "]"
 
 
-def _cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_filter(args: argparse.Namespace) -> int:
     target = _TARGETS[args.target]
     spectrum = _parse_spectrum(args.spectrum)
     state = product_pure_state(args.p, 2)
+    _require_spectrum_dim(state, spectrum)
     if args.mode == "closed-form":
         if target is FilterTarget.COHERENCE_TSALLIS:
             raise DomainError("no closed form for the tsallis target; use --mode tsallis")
@@ -165,7 +222,7 @@ def _cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
     out, p_s = apply_filter(state, filt)
     print(_describe_filter(filt))
     print(f"P_S achieved = {_fmt(p_s)}")
-    print(f"output coherence = {_coherence_report(coherence(out), cfg.log_base)}")
+    print(f"output coherence = {_coherence_report(coherence(out), args.log_base)}")
     print(f"output mean energy = {_fmt(mean_energy(out, spectrum))}")
     if args.out:
         Path(args.out).write_text(filter_to_text(filt), encoding="utf-8")
@@ -173,29 +230,7 @@ def _cmd_filter(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_FRONTIER_HEADER = "p_success,coherence_nats,mean_energy,a,b,family"
-
-
-def _frontier_rows(points: list[synthesis.FrontierPoint]) -> list[str]:
-    rows = []
-    for pt in points:
-        c = pt.filter.coeffs
-        rows.append(
-            ",".join(
-                [
-                    _fmt(pt.p_success),
-                    _fmt(pt.coherence),
-                    _fmt(pt.mean_energy),
-                    _fmt(c[0].real),
-                    _fmt(c[1].real),
-                    pt.family.value,
-                ]
-            )
-        )
-    return rows
-
-
-def _cmd_frontier(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_frontier(args: argparse.Namespace) -> int:
     target = _TARGETS[args.target]
     spectrum = _parse_spectrum(args.spectrum)
     state = product_pure_state(args.p, 2)
@@ -205,15 +240,10 @@ def _cmd_frontier(args: argparse.Namespace, cfg: RunConfig) -> int:
         else [FilterFamily(args.family)]
     )
     traced = {
-        fam: synthesis.trace_frontier(
-            state, spectrum, target, fam, grid=args.grid, threads=cfg.threads
-        )
+        fam: synthesis.trace_frontier(state, spectrum, target, fam, grid=args.grid)
         for fam in families
     }
-    lines = [_FRONTIER_HEADER]
-    for fam in families:
-        lines.extend(_frontier_rows(traced[fam]))
-    Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_frontier_csv(args.out_csv, [pt for fam in families for pt in traced[fam]])
     print(f"{sum(len(v) for v in traced.values())} rows written to {args.out_csv}")
     if args.out_svg:
         measure = (
@@ -238,37 +268,17 @@ def _cmd_frontier(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_SCAN_HEADER = "p,eta,coherence_nats,mean_energy,b_opt,input_coherence,input_energy"
-
-
-def _cmd_mixed_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_mixed_scan(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise _UsageError("--steps must be at least 2")
-    spectrum = synthesis.TWO_QUBIT_SPECTRUM
     p_values = np.linspace(args.p_min, args.p_max, args.steps)
-    points = synthesis.mixed_scan(args.eta, list(p_values), threads=cfg.threads)
-    lines = [_SCAN_HEADER]
-    for pt in points:
-        state = mixed_qubit_product(QubitParams(p=pt.p, eta=args.eta), 2)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(pt.p),
-                    _fmt(args.eta),
-                    _fmt(pt.coherence),
-                    _fmt(pt.mean_energy),
-                    _fmt(pt.b_opt),
-                    _fmt(coherence(state)),
-                    _fmt(mean_energy(state, spectrum)),
-                ]
-            )
-        )
-    Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    points = synthesis.mixed_scan(args.eta, list(p_values))
+    write_scan_csv(args.out_csv, [(args.eta, pt) for pt in points])
     print(f"{len(points)} rows written to {args.out_csv}")
     return EXIT_OK
 
 
-def _cmd_iterate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_iterate(args: argparse.Namespace) -> int:
     if args.stages not in (1, 2):
         raise _UsageError("--stages must be 1 or 2")
     stage = synthesis.TwoQubitFilterParams(a=args.a, b=args.b).to_filter()
@@ -289,14 +299,13 @@ def _cmd_iterate(args: argparse.Namespace, cfg: RunConfig) -> int:
         FilterTarget.COHERENCE,
         p_total,
         grid_step=args.grid_step,
-        threads=cfg.threads,
     )
     report = [
         f"stages = {args.stages}, per-stage filter a = {_fmt(args.a)}, b = {_fmt(args.b)}",
         f"total success probability = {_fmt(p_total)}",
-        f"iterative output coherence = {_coherence_report(iter_coh, cfg.log_base)}",
+        f"iterative output coherence = {_coherence_report(iter_coh, args.log_base)}",
         "single-copy optimal coherence at equal P_S = "
-        + _coherence_report(best.objective, cfg.log_base),
+        + _coherence_report(best.objective, args.log_base),
         f"sequential-equivalence residual (max element) = {residual:.3e}",
     ]
     ok = residual <= 1e-10 and iter_coh <= best.objective + 1e-6
@@ -308,7 +317,7 @@ def _cmd_iterate(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_choi(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_choi(args: argparse.Namespace) -> int:
     params = synthesis.TwoQubitFilterParams(a=args.a, b=args.b)
     filt = params.to_filter()
     ideal = optics.choi_of_filter(filt)
@@ -330,7 +339,7 @@ def _cmd_choi(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> int:
     target = _TARGETS[args.target]
     spectrum = _parse_spectrum(args.spectrum)
     if (args.p is None) == (args.state is None):
@@ -339,10 +348,7 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
         state = qstate_from_text(Path(args.state).read_text(encoding="utf-8"))
     else:
         state = product_pure_state(args.p, 2)
-    if state.dim != spectrum.dim:
-        raise DomainError(
-            f"spectrum has {spectrum.dim} levels but the state has dimension {state.dim}"
-        )
+    _require_spectrum_dim(state, spectrum)
     result = oracle.grid_search(
         state,
         spectrum,
@@ -350,7 +356,6 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
         args.ps,
         grid_step=args.grid_step,
         tolerance=args.tolerance,
-        threads=cfg.threads,
     )
     if target is FilterTarget.ENERGY:
         synth = synthesis.energy_optimal_filter(state, spectrum, args.ps)
@@ -376,8 +381,9 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file; flags override it")
     sub.add_argument("--log-base", choices=("e", "2"), default="e")
-    sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--threads", type=_thread_count, default=None, help="accepted and ignored; runs are serial"
+    )
 
 
 def build_parser() -> _Parser:
@@ -460,13 +466,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = _splice_config(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
-        cfg = RunConfig(
-            log_base=args.log_base,
-            threads=args.threads if args.threads is not None else _default_threads(),
-            seed=args.seed,
-            config_path=getattr(args, "config", None),
-        )
-        return _HANDLERS[args.command](args, cfg)
+        if args.threads is None:
+            _check_threads_env()
+        return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

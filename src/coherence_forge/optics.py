@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, StateValidationError
-from .statecore import DiagonalFilter, QState
+from .statecore import DiagonalFilter, QState, _complex_fields, _complex_values, _read_dim_text
 
 _PATTERN_TOL = 1e-12
 
@@ -78,6 +78,8 @@ class ChoiMatrix:
         d = int(self.input_dim)
         if m.shape != (d * d, d * d):
             raise DimensionMismatch("process matrix must be d^2 x d^2")
+        if not np.isfinite(m).all():
+            raise StateValidationError("process matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise StateValidationError("process matrix is not Hermitian")
         if np.min(np.linalg.eigvalsh(m)) < -1e-10:
@@ -224,20 +226,12 @@ def choi_to_text(chi: ChoiMatrix) -> str:
     d2 = chi.input_dim * chi.input_dim
     lines = [f"dim {d2}", f"input_dim {chi.input_dim}"]
     for row in chi.matrix:
-        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
+        lines.append(_complex_fields(row))
     return "\n".join(lines) + "\n"
 
 
 def choi_from_text(text: str) -> ChoiMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    head, sub = lines[0].split(), lines[1].split()
-    if head[0] != "dim" or sub[0] != "input_dim":
-        raise StateValidationError("process file must start with dim / input_dim lines")
-    d2, d = int(head[1]), int(sub[1])
-    if d2 != d * d or len(lines) != 2 + d2:
+    (d2, d), rows = _read_dim_text(text, "process", ("dim", "input_dim"))
+    if d2 != d * d or len(rows) != d2 or any(len(row) != 2 * d2 for row in rows):
         raise StateValidationError("process file has inconsistent dimensions")
-    rows = []
-    for ln in lines[2:]:
-        vals = np.asarray([float(t) for t in ln.split()], dtype=float)
-        rows.append(vals[0::2] + 1j * vals[1::2])
-    return ChoiMatrix(matrix=np.vstack(rows), input_dim=d)
+    return ChoiMatrix(matrix=np.vstack([_complex_values(row) for row in rows]), input_dim=d)

@@ -10,7 +10,6 @@ true optimum; a synthesizer passes when the oracle cannot beat it.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,7 +228,6 @@ def grid_search(
     p_success: float,
     grid_step: float = 0.02,
     tolerance: float | None = None,
-    threads: int = 1,
 ) -> OracleResult:
     """Best filter on the intensity grid within the success-probability band.
 
@@ -268,15 +266,10 @@ def grid_search(
     heads = list(itertools.product(*([axis.tolist()] * n_head))) or [()]
     pops_head = pops[:n_head]
 
-    def run(head: tuple[float, ...]):
-        return _search_chunk(head, tail, tail_ps, pops_head, objective, p_success, tolerance)
-
-    if threads > 1 and len(heads) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, heads))
-    else:
-        results = [run(h) for h in heads]
-
+    results = (
+        _search_chunk(head, tail, tail_ps, pops_head, objective, p_success, tolerance)
+        for head in heads
+    )
     winners = [res for res in results if res is not None]
     if not winners:
         raise InfeasibleGrid(
@@ -287,7 +280,7 @@ def grid_search(
     # Banded candidates are only comparable after exact projection: a lower
     # actual P_S inside the band would otherwise inflate the objective.
     start: tuple[np.ndarray, float] | None = None
-    for _, cand, _ in winners:  # submission order keeps ties lexicographic
+    for _, cand, _ in winners:  # head order keeps ties lexicographic
         snapped = _snap_to_constraint(cand, objective, pops, p_success)
         if snapped is not None and (start is None or snapped[1] > start[1]):
             start = snapped
@@ -322,7 +315,6 @@ def verify_frontier(
     grid_step: float = 0.05,
     tolerance: float | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> FrontierReport:
     """Re-run the oracle at sampled frontier points and report the worst
     objective shortfall of the synthesized filters. Passes when the oracle
@@ -344,7 +336,6 @@ def verify_frontier(
             point.p_success,
             grid_step=grid_step,
             tolerance=tolerance,
-            threads=threads,
         )
         shortfall = res.objective - synth
         worst = max(worst, shortfall)

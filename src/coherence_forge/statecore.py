@@ -12,6 +12,7 @@ logarithm throughout (nats).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -81,9 +82,13 @@ class QState:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StateValidationError("density matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
+            # a NaN or infinite entry also makes the residual non-finite
+            if not np.isfinite(m).all():
+                raise StateValidationError("density matrix entries must be finite")
             raise StateValidationError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+        trace = np.trace(m)
+        if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
             raise StateValidationError("density matrix trace must equal 1")
         if np.min(np.linalg.eigvalsh(m)) < EIGENVALUE_FLOOR:
             raise StateValidationError("density matrix has a negative eigenvalue")
@@ -125,7 +130,10 @@ class DiagonalFilter:
         c = np.array(self.coeffs, dtype=complex).reshape(-1)
         if c.size < 1:
             raise StateValidationError("filter needs at least one coefficient")
-        if np.max(np.abs(c)) > 1.0 + 1e-12:
+        if not np.max(np.abs(c)) <= 1.0 + 1e-12:
+            # a NaN or infinite coefficient also fails the bound
+            if not np.isfinite(c).all():
+                raise StateValidationError("filter coefficients must be finite")
             raise StateValidationError("filter coefficients must satisfy |m| <= 1")
         object.__setattr__(self, "coeffs", _frozen(c))
 
@@ -271,11 +279,53 @@ def _complex_fields(values: np.ndarray) -> str:
     return " ".join(f"{z.real:.17g} {z.imag:.17g}" for z in values)
 
 
-def _parse_complex_fields(tokens: list[str]) -> np.ndarray:
-    if len(tokens) % 2 != 0:
+def _complex_values(fields: list[float]) -> np.ndarray:
+    if len(fields) % 2 != 0:
         raise StateValidationError("expected an even number of re/im fields")
-    vals = np.asarray([float(t) for t in tokens], dtype=float)
+    vals = np.asarray(fields, dtype=float)
     return vals[0::2] + 1j * vals[1::2]
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+def _read_dim_text(
+    text: str, kind: str, keys: tuple[str, ...] = ("dim",)
+) -> tuple[list[int], list[list[float]]]:
+    """Read the ``dim``-header format shared by state, filter and process files.
+
+    Blank lines and ``#`` comment lines are skipped. The first lines hold one
+    ``<key> <positive integer>`` pair for each of ``keys``, in order; every
+    later line holds finite numeric fields. Returns the header values and
+    the fields of each later line.
+    """
+    lines = [
+        ln.split() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+    header = " / ".join(f"'{key} <d>'" for key in keys)
+    if len(lines) < len(keys):
+        raise StateValidationError(f"{kind} file is empty; it must start with {header}")
+    values = []
+    for key, tokens in zip(keys, lines):
+        if len(tokens) != 2 or tokens[0] != key:
+            raise StateValidationError(f"{kind} file must start with {header}")
+        value = int(tokens[1]) if tokens[1].isdecimal() else 0
+        if value < 1:
+            raise StateValidationError(f"'{key}' needs a positive integer, got {tokens[1]!r}")
+        values.append(value)
+    rows = []
+    for tokens in lines[len(keys) :]:
+        try:
+            rows.append([_finite_float(t) for t in tokens])
+        except ValueError:
+            raise StateValidationError(
+                f"{kind} file has a non-numeric or non-finite field in {' '.join(tokens)!r}"
+            ) from None
+    return values, rows
 
 
 def qstate_to_text(state: QState) -> str:
@@ -286,18 +336,12 @@ def qstate_to_text(state: QState) -> str:
 
 
 def qstate_from_text(text: str) -> QState:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "dim":
-        raise StateValidationError("state file must start with a 'dim <d>' line")
-    d = int(head[1])
-    if len(lines) != 1 + d:
-        raise StateValidationError(f"expected {d} matrix rows, found {len(lines) - 1}")
-    rows = [_parse_complex_fields(ln.split()) for ln in lines[1:]]
-    m = np.vstack(rows)
-    if m.shape != (d, d):
+    (d,), rows = _read_dim_text(text, "state")
+    if len(rows) != d:
+        raise StateValidationError(f"expected {d} matrix rows, found {len(rows)}")
+    if any(len(row) != 2 * d for row in rows):
         raise StateValidationError("matrix rows do not match the declared dimension")
-    return QState(m)
+    return QState(np.vstack([_complex_values(row) for row in rows]))
 
 
 def filter_to_text(filt: DiagonalFilter) -> str:
@@ -305,12 +349,8 @@ def filter_to_text(filt: DiagonalFilter) -> str:
 
 
 def filter_from_text(text: str) -> DiagonalFilter:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "dim":
-        raise StateValidationError("filter file must start with a 'dim <d>' line")
-    d = int(head[1])
-    coeffs = _parse_complex_fields(" ".join(lines[1:]).split())
+    (d,), rows = _read_dim_text(text, "filter")
+    coeffs = _complex_values([x for row in rows for x in row])
     if coeffs.size != d:
         raise StateValidationError("coefficient count does not match the declared dimension")
     return DiagonalFilter(coeffs)

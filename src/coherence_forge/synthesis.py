@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DimensionMismatch, DomainError, UnreachableSuccessProbability
 from .statecore import (
@@ -95,6 +93,23 @@ class MixedScanPoint:
     b_opt: float
 
 
+def _check_success_range(
+    p_success: float,
+    lo: float,
+    below: str,
+    above: str = "P_S exceeds 1",
+    open_lower: bool = False,
+) -> None:
+    """Reject a non-finite P_S or one outside the reachable [lo, 1] by more
+    than round-off; ``open_lower`` also rejects P_S <= lo itself."""
+    if not math.isfinite(p_success):
+        raise UnreachableSuccessProbability(f"P_S must be a finite number, got {p_success!r}")
+    if p_success > 1.0 + _RANGE_TOL:
+        raise UnreachableSuccessProbability(above)
+    if p_success < lo - _RANGE_TOL or (open_lower and p_success <= lo):
+        raise UnreachableSuccessProbability(below)
+
+
 # ---------------------------------------------------------------------------
 # Energy-optimal family
 # ---------------------------------------------------------------------------
@@ -112,15 +127,12 @@ def energy_optimal_filter(
     """
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
-    if p_success > 1.0 + _RANGE_TOL:
-        raise UnreachableSuccessProbability("P_S exceeds 1")
     pops = np.clip(state.populations, 0.0, None)
     classes = spectrum.degeneracy_classes(DEGENERACY_TOL)
     top_pop = float(pops[classes[-1]].sum())
-    if p_success < top_pop - _RANGE_TOL:
-        raise UnreachableSuccessProbability(
-            f"P_S below the population {top_pop:.6g} of the highest-energy class"
-        )
+    _check_success_range(
+        p_success, top_pop, f"P_S below the population {top_pop:.6g} of the highest-energy class"
+    )
 
     amplitudes = np.ones(state.dim)
     to_remove = max(1.0 - min(p_success, 1.0), 0.0)
@@ -182,14 +194,9 @@ def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFi
     active = pops >= ZERO_POPULATION
     if int(active.sum()) < 2:
         raise DomainError("state must populate at least two levels")
-    if p_success > 1.0 + _RANGE_TOL:
-        raise UnreachableSuccessProbability("P_S exceeds 1")
     act = pops[active]
     ps_min = float(np.minimum(act.min(), act).sum())
-    if p_success < ps_min - _RANGE_TOL:
-        raise UnreachableSuccessProbability(
-            f"P_S below the full-equalization minimum {ps_min:.6g}"
-        )
+    _check_success_range(p_success, ps_min, f"P_S below the full-equalization minimum {ps_min:.6g}")
     k = _waterfill_level(act, min(p_success, 1.0))
     amplitudes = np.ones(state.dim)
     amplitudes[active] = np.sqrt(np.minimum(k / act, 1.0))
@@ -244,18 +251,14 @@ def two_qubit_closed_form(
         raise DomainError("closed forms require 0 < p < 0.5")
     if target is FilterTarget.COHERENCE_TSALLIS:
         raise DomainError("no closed form for the Tsallis objective; use tsallis_optimal_filter")
-    if p_success > 1.0 + _RANGE_TOL:
-        raise UnreachableSuccessProbability("P_S exceeds 1")
     p_th = success_threshold(p)
     if target is FilterTarget.ENERGY:
-        if p_success < p * p - _RANGE_TOL:
-            raise UnreachableSuccessProbability(f"P_S below p^2 = {p * p:.6g}")
+        _check_success_range(p_success, p * p, f"P_S below p^2 = {p * p:.6g}")
         if p_success >= p_th:
             return energy_upper_branch(p, p_success)
         return energy_lower_branch(p, p_success)
     junction = p_th + p * (1.0 - p)
-    if p_success < 4.0 * p * p - _RANGE_TOL:
-        raise UnreachableSuccessProbability(f"P_S below 4p^2 = {4.0 * p * p:.6g}")
+    _check_success_range(p_success, 4.0 * p * p, f"P_S below 4p^2 = {4.0 * p * p:.6g}")
     if p_success >= junction:
         return coherence_upper_branch(p, p_success)
     return coherence_lower_branch(p, p_success)
@@ -329,8 +332,8 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
     inputs the optimum reduces to the same water-filling structure as
     :func:`coherence_optimal_filter_pure`.
     """
-    if not 0.0 < p_success <= 1.0 + _RANGE_TOL:
-        raise UnreachableSuccessProbability("P_S must lie in (0, 1]")
+    message = "P_S must lie in (0, 1]"
+    _check_success_range(p_success, 0.0, message, above=message, open_lower=True)
     p_success = min(p_success, 1.0)
     m = state.matrix
     off = m - np.diag(np.diag(m))
@@ -357,6 +360,71 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
             "no feasible filter attains the requested success probability"
         )
     return DiagonalFilter(np.sqrt(best).astype(complex))
+
+
+# ---------------------------------------------------------------------------
+# Scalar root finding
+# ---------------------------------------------------------------------------
+
+
+def _brent_root(
+    fn: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int = 300,
+) -> float:
+    """Root of ``fn`` in the bracket [xa, xb] by Brent's method.
+
+    Step for step the classic ``brentq`` iteration: inverse quadratic
+    extrapolation or secant interpolation when the step is short enough,
+    bisection otherwise, converged once half the bracket is below
+    (xtol + rtol*|x|)/2. An endpoint where ``fn`` is exactly 0 is returned
+    as is.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(fn(xpre)), float(fn(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):
+        raise DomainError("root finder: the function does not change sign on the bracket")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(fn(xcur))
+    raise DomainError(f"root finder did not converge in {maxiter} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +464,7 @@ def solve_inverse_temperature(spectrum: EnergySpectrum, target_energy: float) ->
         if gap(hi) < 0.0:
             break
         hi *= 2.0
-    return float(brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300))
+    return _brent_root(gap, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def thermal_benchmark_state(spectrum: EnergySpectrum, target_energy: float) -> QState:
@@ -432,10 +500,8 @@ def factorized_filter(state: QState, p_success: float) -> DiagonalFilter:
     n = _qubit_count(state.dim)
     pops = state.populations
     lo = float(pops[-1])
-    if p_success < lo - _RANGE_TOL or p_success > 1.0 + _RANGE_TOL:
-        raise UnreachableSuccessProbability(
-            f"factorized family reaches only [{lo:.6g}, 1]"
-        )
+    message = f"factorized family reaches only [{lo:.6g}, 1]"
+    _check_success_range(p_success, lo, message, above=message)
     # success probability is a polynomial in b^2: sum_i pops[i] * (b^2)^(#zeros in i)
     zero_counts = np.array(
         [n - bin(i).count("1") for i in range(state.dim)], dtype=int
@@ -449,7 +515,7 @@ def factorized_filter(state: QState, p_success: float) -> DiagonalFilter:
     elif gap(0.0) > 0.0:
         b = 0.0
     else:
-        b = float(brentq(gap, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=300))
+        b = _brent_root(gap, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
     return factorized_single_qubit(b, n)
 
 
@@ -476,20 +542,12 @@ def reachable_success_range(
     return 0.0, 1.0
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def trace_frontier(
     state: QState,
     spectrum: EnergySpectrum,
     target: FilterTarget,
     family: FilterFamily,
     grid: int = 200,
-    threads: int = 1,
 ) -> list[FrontierPoint]:
     """Sample a family's trade-off curve uniformly in success probability.
 
@@ -530,7 +588,7 @@ def trace_frontier(
             family=family,
         )
 
-    return _map_ordered(build, list(ps_values), threads)
+    return [build(ps) for ps in ps_values]
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +631,7 @@ def _scan_coherence(state: QState, b: float) -> float:
     return coherence(out)
 
 
-def mixed_scan(
-    eta: float, p_values: Sequence[float], threads: int = 1
-) -> list[MixedScanPoint]:
+def mixed_scan(eta: float, p_values: Sequence[float]) -> list[MixedScanPoint]:
     """Optimize b in the ground-removing filter diag(0, b, b, 1) for each
     two-qubit mixed product state, maximizing output coherence.
 
@@ -599,7 +655,7 @@ def mixed_scan(
             b_opt=b_opt,
         )
 
-    return _map_ordered(scan_one, list(p_values), threads)
+    return [scan_one(p) for p in p_values]
 
 
 def plateau_threshold(

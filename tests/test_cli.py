@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import coherence_forge
 from coherence_forge import (
     TWO_QUBIT_SPECTRUM,
     TwoQubitFilterParams,
@@ -456,3 +462,85 @@ class TestConfigAndEnvironment:
             str(csv),
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_threads_below_one_exit_1(self, capsys, value):
+        code, out, _ = run(
+            capsys, "filter", "--p", "0.1", "--ps", "0.04", "--target", "coherence",
+            "--threads", value,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_threads_flag_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "filter", "--p", "0.1", "--ps", "0.04", "--target", "coherence",
+            "--threads", "3",
+        )
+        assert code == EXIT_OK
+        assert "b = 0.333333333333" in out
+
+    def test_seed_flag_is_gone(self, capsys):
+        code, _, _ = run(
+            capsys, "filter", "--p", "0.1", "--ps", "0.04", "--target", "coherence",
+            "--seed", "1",
+        )
+        assert code == EXIT_USAGE
+
+
+class TestBadInputs:
+    """Every malformed input ends in a documented exit code, with nothing
+    printed to stdout and no traceback."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "# comment only\n\n",
+            "dim x\n1 0 0 0\n0 0 0 0\n",
+            "dim 2\n1 0 0 0\n",
+            "dim 2\n1 0 0 0\n0 0 zero 0\n",
+            "dim 2\nnan 0 0 0\n0 0 0 0\n",
+        ],
+    )
+    def test_malformed_state_file_exits_2(self, capsys, tmp_path, text):
+        state_path = tmp_path / "state.txt"
+        state_path.write_text(text)
+        code, out, err = run(
+            capsys, "oracle", "--state", str(state_path), "--ps", "0.5", "--target", "energy"
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("ps", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mode", ["closed-form", "general", "tsallis"])
+    def test_non_finite_ps_exits_2(self, capsys, ps, mode):
+        code, out, err = run(
+            capsys, "filter", "--p", "0.1", f"--ps={ps}", "--target", "coherence", "--mode", mode
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "finite" in err
+
+    def test_wrong_spectrum_size_prints_nothing(self, capsys):
+        code, out, err = run(
+            capsys, "filter", "--p", "0.1", "--ps", "0.5", "--target", "energy",
+            "--spectrum", "0,1,2",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "3 levels" in err
+
+
+def test_import_loads_neither_scipy_nor_thread_pools():
+    code = (
+        "import sys, coherence_forge, coherence_forge.cli\n"
+        "print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))"
+    )
+    src = Path(coherence_forge.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

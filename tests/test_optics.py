@@ -154,6 +154,24 @@ class TestChoi:
         assert np.allclose(again.matrix, chi.matrix, atol=0)
         assert again.input_dim == 4
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "# comment only\n",
+            "dim 4\n",
+            "dim 4\ninput_dim x\n",
+            "input_dim 2\ndim 4\n",
+            "dim 5\ninput_dim 2\n",
+            "dim 1\ninput_dim 1\n1 0 0\n",
+            "dim 1\ninput_dim 1\none 0\n",
+            "dim 1\ninput_dim 1\nnan 0\n",
+        ],
+    )
+    def test_text_rejects_malformed(self, text):
+        with pytest.raises(DomainError):
+            choi_from_text(text)
+
 
 class TestProcessMetrics:
     def test_self_comparison_is_perfect(self):

@@ -56,12 +56,6 @@ def test_deterministic_repeat():
     assert a.objective == b.objective
 
 
-def test_threaded_matches_serial():
-    a = grid_search(STATE, SPECTRUM, FilterTarget.ENERGY, 0.4, grid_step=0.05)
-    b = grid_search(STATE, SPECTRUM, FilterTarget.ENERGY, 0.4, grid_step=0.05, threads=4)
-    assert np.array_equal(a.filter.coeffs, b.filter.coeffs)
-
-
 def test_rejects_high_dimensions_and_bad_grid():
     big = product_pure_state(0.2, 3)  # dimension 8
     with pytest.raises(DomainError):

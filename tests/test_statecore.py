@@ -318,3 +318,60 @@ class TestSerialization:
     def test_qstate_text_rejects_bad_header(self):
         with pytest.raises(StateValidationError):
             qstate_from_text("rows 2\n1 0 0 0\n0 0 0 0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n\n",
+            "# only a comment\n  # indented comment\n",
+            "dim x\n1 0 0 0\n0 0 0 0\n",
+            "dim 2.0\n1 0 0 0\n0 0 0 0\n",
+            "dim 0\n",
+            "dim -2\n",
+            "dim 2 3\n1 0 0 0\n0 0 0 0\n",
+            "dim 2\n1 0 0 0\n",
+            "dim 2\n1 0 0 0\n0 0 zero 0\n",
+            "dim 2\n1 0 0 0\n0 0 0 0 0 0\n",
+            "dim 2\n1 0 0\n0 0 0 0\n",
+            "dim 2\nnan 0 0 0\n0 0 0 0\n",
+            "dim 2\n1 0 0 0\n0 0 inf 0\n",
+        ],
+    )
+    def test_qstate_text_rejects_malformed(self, text):
+        with pytest.raises(StateValidationError):
+            qstate_from_text(text)
+
+    def test_qstate_text_skips_comments_and_blanks(self):
+        s = product_pure_state(0.1, 1)
+        text = "# header comment\n\n" + qstate_to_text(s).replace("\n", "\n# between rows\n", 1)
+        assert np.array_equal(qstate_from_text(text).matrix, s.matrix)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "# nothing\n", "dim two\n1 0\n", "dim 2\n1 0 1\n", "dim 2\n1 0\n", "dim 1\nnan 0\n"],
+    )
+    def test_filter_text_rejects_malformed(self, text):
+        with pytest.raises(StateValidationError):
+            filter_from_text(text)
+
+    def test_filter_text_coefficients_may_span_lines(self):
+        filt = filter_from_text("dim 2\n0.5 0\n1 0\n")
+        assert np.array_equal(filt.coeffs, np.array([0.5, 1.0], dtype=complex))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_qstate_rejects(self, bad):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(StateValidationError):
+            QState(m)
+        with pytest.raises(StateValidationError):
+            QState(np.diag([bad, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_filter_rejects(self, bad):
+        with pytest.raises(StateValidationError):
+            DiagonalFilter(np.array([0.5, bad], dtype=complex))

@@ -30,6 +30,7 @@ from coherence_forge import (
 )
 from coherence_forge.oracle import grid_search, objective_value
 from coherence_forge.synthesis import (
+    _brent_root,
     coherence_lower_branch,
     coherence_upper_branch,
     energy_lower_branch,
@@ -399,24 +400,6 @@ class TestFrontier:
         assert abs(gaps[0]) < 1e-9
         assert abs(gaps[-1]) < 1e-9
 
-    def test_threaded_run_is_deterministic(self):
-        s = product_pure_state(0.1, 2)
-        serial = trace_frontier(
-            s, TWO_QUBIT_SPECTRUM, FilterTarget.COHERENCE, FilterFamily.OPTIMAL, grid=15
-        )
-        threaded = trace_frontier(
-            s,
-            TWO_QUBIT_SPECTRUM,
-            FilterTarget.COHERENCE,
-            FilterFamily.OPTIMAL,
-            grid=15,
-            threads=4,
-        )
-        for a, b in zip(serial, threaded):
-            assert a.p_success == b.p_success
-            assert a.coherence == b.coherence
-            assert np.array_equal(a.filter.coeffs, b.filter.coeffs)
-
     def test_rejects_tiny_grid(self):
         s = product_pure_state(0.1, 2)
         with pytest.raises(DomainError):
@@ -505,3 +488,87 @@ class TestMixedScan:
             mixed_scan(1.2, [0.1])
         with pytest.raises(DomainError):
             mixed_scan(0.5, [0.0])
+
+
+class TestRootFinderPins:
+    """Root-finder results pinned to the exact floats of the reference
+    Brent implementation; any change in the iteration shows up in the last
+    bit and, through the frontier CSVs, in the printed digits."""
+
+    @pytest.mark.parametrize(
+        "p, n_qubits, ps, b",
+        [
+            (0.1, 2, 0.01, 0.0),
+            (0.1, 2, 1.0, 1.0),
+            (0.1, 2, 0.5, 0.6745630902072749),
+            (0.3, 3, 0.4, 0.4929311684706571),
+            (0.25, 1, 0.6, 0.683130051063973),
+        ],
+    )
+    def test_factorized_b(self, p, n_qubits, ps, b):
+        filt = factorized_filter(product_pure_state(p, n_qubits), ps)
+        assert repr(float(filt.coeffs[0].real)) == repr(b)
+
+    def test_factorized_b_four_qubits(self):
+        state = QState.pure(np.linspace(1.0, 2.5, 16))
+        b = float(factorized_filter(state, 0.3).coeffs[0].real)
+        assert repr(b) == "0.13011180223961535"
+
+    def test_factorized_lower_edge_is_exact_zero(self):
+        # P_S equal to the last population makes the bracket endpoint an exact root
+        state = product_pure_state(0.1, 2)
+        filt = factorized_filter(state, float(state.populations[-1]))
+        assert filt.coeffs[0].real == 0.0
+        assert filt.coeffs[-1].real == 1.0
+
+    @pytest.mark.parametrize(
+        "levels, energy, beta",
+        [
+            ([0.0, 1.0, 1.0, 2.0], 0.2, 2.1972245773362205),
+            ([0.0, 1.0, 1.0, 2.0], 1.5, -1.09861228866811),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], 0.7, 0.8229011492722286),
+            ([-1.0, 0.5, 2.0], 1.9, -1.8413454024899625),
+        ],
+    )
+    def test_inverse_temperature(self, levels, energy, beta):
+        got = solve_inverse_temperature(EnergySpectrum(levels), energy)
+        assert repr(got) == repr(beta)
+
+    def test_brent_root_endpoints_and_failures(self):
+        assert _brent_root(lambda x: x, 0.0, 1.0, 1e-15, 8.9e-16) == 0.0
+        assert _brent_root(lambda x: x - 1.0, 0.0, 1.0, 1e-15, 8.9e-16) == 1.0
+        assert _brent_root(lambda x: x * x - 0.25, 0.0, 1.0, 1e-15, 8.9e-16) == pytest.approx(0.5)
+        with pytest.raises(DomainError):
+            _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16)
+        with pytest.raises(DomainError):
+            _brent_root(lambda x: float("nan"), -1.0, 1.0, 1e-15, 8.9e-16)
+        with pytest.raises(DomainError):
+            _brent_root(lambda x: x**3 - 0.3, 0.0, 1.0, 1e-15, 8.9e-16, maxiter=2)
+
+
+class TestNonFiniteSuccessProbability:
+    @pytest.mark.parametrize("ps", [float("nan"), float("inf"), float("-inf")])
+    def test_every_synthesizer_rejects(self, ps):
+        state = product_pure_state(0.1, 2)
+        calls = [
+            lambda: energy_optimal_filter(state, TWO_QUBIT_SPECTRUM, ps),
+            lambda: coherence_optimal_filter_pure(state, ps),
+            lambda: tsallis_optimal_filter(state, ps),
+            lambda: factorized_filter(state, ps),
+            lambda: two_qubit_closed_form(0.1, ps, FilterTarget.ENERGY),
+            lambda: two_qubit_closed_form(0.1, ps, FilterTarget.COHERENCE),
+        ]
+        for call in calls:
+            with pytest.raises(UnreachableSuccessProbability):
+                call()
+
+    def test_range_messages_kept(self):
+        state = product_pure_state(0.1, 2)
+        with pytest.raises(UnreachableSuccessProbability, match="exceeds 1"):
+            coherence_optimal_filter_pure(state, 1.5)
+        with pytest.raises(UnreachableSuccessProbability, match=r"\(0, 1\]"):
+            tsallis_optimal_filter(state, 0.0)
+        with pytest.raises(UnreachableSuccessProbability, match="reaches only"):
+            factorized_filter(state, 1.5)
+        with pytest.raises(UnreachableSuccessProbability, match="below 4p"):
+            two_qubit_closed_form(0.1, 0.01, FilterTarget.COHERENCE)
