@@ -81,12 +81,16 @@ def _check_threads_env() -> None:
             raise _UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
 
 
-def _parse_spectrum(text: str) -> EnergySpectrum:
+def _parse_floats(text: str, what: str) -> np.ndarray:
+    """Comma-separated numbers; empty fields are skipped."""
     try:
-        levels = [float(tok) for tok in text.split(",") if tok.strip()]
+        return np.asarray([float(tok) for tok in text.split(",") if tok.strip()])
     except ValueError:
-        raise _UsageError(f"cannot parse spectrum {text!r}")
-    return EnergySpectrum(np.asarray(levels))
+        raise _UsageError(f"cannot parse {what} {text!r}")
+
+
+def _parse_spectrum(text: str) -> EnergySpectrum:
+    return EnergySpectrum(_parse_floats(text, "spectrum"))
 
 
 def _fmt(x: float) -> str:
@@ -191,6 +195,15 @@ def write_scan_csv(path: str | Path, points: Iterable[tuple[float, MixedScanPoin
 # ---------------------------------------------------------------------------
 
 
+def _input_state(args: argparse.Namespace) -> QState:
+    """The two-qubit product state of ``--p`` or the state file of ``--state``."""
+    if (args.p is None) == (args.state is None):
+        raise _UsageError("give exactly one of --p or --state")
+    if args.state is not None:
+        return qstate_from_text(Path(args.state).read_text(encoding="utf-8"))
+    return product_pure_state(args.p, 2)
+
+
 def _describe_filter(filt: DiagonalFilter) -> str:
     c = filt.coeffs
     if (
@@ -206,9 +219,11 @@ def _describe_filter(filt: DiagonalFilter) -> str:
 def _cmd_filter(args: argparse.Namespace) -> int:
     target = _TARGETS[args.target]
     spectrum = _parse_spectrum(args.spectrum)
-    state = product_pure_state(args.p, 2)
+    state = _input_state(args)
     _require_spectrum_dim(state, spectrum)
     if args.mode == "closed-form":
+        if args.p is None:
+            raise _UsageError("--mode closed-form needs --p")
         if target is FilterTarget.COHERENCE_TSALLIS:
             raise DomainError("no closed form for the tsallis target; use --mode tsallis")
         params = synthesis.two_qubit_closed_form(args.p, args.ps, target)
@@ -322,9 +337,7 @@ def _cmd_choi(args: argparse.Namespace) -> int:
     filt = params.to_filter()
     ideal = optics.choi_of_filter(filt)
     if args.phases:
-        phases = optics.PhaseProfile(
-            phases=np.asarray([float(t) for t in args.phases.split(",")])
-        )
+        phases = optics.PhaseProfile(phases=_parse_floats(args.phases, "phases"))
         chi = optics.choi_of_filter(filt, phases)
     else:
         chi = ideal
@@ -342,12 +355,7 @@ def _cmd_choi(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     target = _TARGETS[args.target]
     spectrum = _parse_spectrum(args.spectrum)
-    if (args.p is None) == (args.state is None):
-        raise _UsageError("give exactly one of --p or --state")
-    if args.state is not None:
-        state = qstate_from_text(Path(args.state).read_text(encoding="utf-8"))
-    else:
-        state = product_pure_state(args.p, 2)
+    state = _input_state(args)
     _require_spectrum_dim(state, spectrum)
     result = oracle.grid_search(
         state,
@@ -391,7 +399,8 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_filter = subs.add_parser("filter", help="synthesize one optimal filter")
-    p_filter.add_argument("--p", type=float, required=True)
+    p_filter.add_argument("--p", type=float)
+    p_filter.add_argument("--state", help="QState text file (instead of --p)")
     p_filter.add_argument("--ps", type=float, required=True)
     p_filter.add_argument("--target", choices=tuple(_TARGETS), required=True)
     p_filter.add_argument(

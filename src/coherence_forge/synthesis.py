@@ -9,6 +9,11 @@ linear stationarity system). Closed forms for a symmetric two-qubit
 product state, a thermal maximum-coherence benchmark, frontier tracing and
 the restricted mixed-state scan complete the surface.
 
+The purity-based optimum is exact and exponential: for n populated levels
+it solves all 3^n assignments of the levels to 0, 1 or free, in batches
+that share 2^n pseudo-inverses (one per free set), and it rejects states
+with more than ``TSALLIS_MAX_LEVELS`` = 12 populated levels.
+
 All synthesized filters carry nonnegative real coefficients; phases are
 irrelevant to every scalar measure and belong to the optics layer.
 """
@@ -269,60 +274,86 @@ def two_qubit_closed_form(
 # ---------------------------------------------------------------------------
 
 
+TSALLIS_MAX_LEVELS = 12
+
+
 def _tsallis_candidates(
     pops: np.ndarray, overlap: np.ndarray, active: np.ndarray, p_success: float
-):
-    """Yield intensity vectors satisfying the stationarity/boundary structure.
+) -> np.ndarray:
+    """Intensity vectors satisfying the stationarity/boundary structure.
 
-    Every index is assigned 0, 1, or "free"; free indices solve the linear
-    system from the quadratic objective's stationarity condition, with the
-    multiplier eliminated exactly through the success-probability constraint
-    (both are affine in the multiplier for a fixed assignment).
+    Every populated level is assigned 0, 1, or "free"; free levels solve the
+    linear system from the quadratic objective's stationarity condition, with
+    the multiplier eliminated exactly through the success-probability
+    constraint (both are affine in the multiplier for a fixed assignment).
+
+    For a free set F the block ``overlap[F, F]``, its pseudo-inverse ``G``,
+    ``u = G b_F / 2`` and ``u . b_F`` depend on F alone; a 0/1 choice of the
+    other levels moves only the coupling ``c`` (linear in the ones) and the
+    P_S they carry. So the free sets of one size share one stacked
+    pseudo-inverse, and all their 0/1 choices are solved in one batch: 2^n
+    pseudo-inverses for the 3^n assignments of n populated levels.
+
+    Returns the feasible candidates, one per row, in the order of their
+    assignments read as base-3 numbers (digit 0, 1 or 2 = free per populated
+    level, the first level most significant).
     """
     d = pops.size
     act_idx = np.flatnonzero(active)
-    inact_idx = np.flatnonzero(~active)
-    for assign in itertools.product((0, 1, 2), repeat=act_idx.size):
-        m = np.zeros(d)
-        m[inact_idx] = 1.0  # zero-population levels never affect any objective
-        ones = act_idx[[a == 1 for a in assign]]
-        free = act_idx[[a == 2 for a in assign]]
-        m[ones] = 1.0
-        fixed_ps = float(pops[ones].sum())
-        if free.size == 0:
-            if abs(p_success - fixed_ps) <= 1e-12:
-                yield m
-            continue
-        if free.size == 1:
-            j = int(free[0])
-            val = (p_success - fixed_ps) / pops[j]
-            if -1e-12 <= val <= 1.0 + 1e-12:
-                m[j] = min(max(val, 0.0), 1.0)
-                yield m
-            continue
-        a_blk = overlap[np.ix_(free, free)]
-        b_vec = pops[free]
-        fixed_idx = np.concatenate([ones, inact_idx]).astype(int)
-        c_vec = (
-            overlap[np.ix_(free, fixed_idx)].sum(axis=1)
-            if fixed_idx.size
-            else np.zeros(free.size)
-        )
-        pinv = np.linalg.pinv(a_blk)
-        u = pinv @ (b_vec / 2.0)
-        v = -pinv @ c_vec
-        den = float(u @ b_vec)
-        if abs(den) < 1e-14:
-            continue
-        lam = (p_success - fixed_ps - float(v @ b_vec)) / den
-        m_free = lam * u + v
-        # pinv may fabricate a pseudo-solution when the block is singular
-        if np.max(np.abs(a_blk @ m_free - (lam * b_vec / 2.0 - c_vec))) > 1e-8:
-            continue
-        if np.any(m_free < -1e-12) or np.any(m_free > 1.0 + 1e-12):
-            continue
-        m[free] = np.clip(m_free, 0.0, 1.0)
-        yield m
+    n = act_idx.size
+    digit = 3 ** np.arange(n - 1, -1, -1)
+    base = (~active).astype(float)  # zero-population levels never affect any objective
+    codes, cands = [], []
+    for k in range(n + 1):
+        free_pos = np.array(list(itertools.combinations(range(n), k)), dtype=int)
+        if k >= 2:
+            free = act_idx[free_pos]
+            a_blk = overlap[free[:, :, None], free[:, None, :]]
+            b_vec = pops[free]
+            pinv = np.linalg.pinv(a_blk)
+            u = (pinv @ (b_vec / 2.0)[:, :, None])[:, :, 0]
+            den = (u * b_vec).sum(axis=1)
+            keep = ~(np.abs(den) < 1e-14)
+            free_pos, a_blk, b_vec, pinv, u, den = (
+                x[keep] for x in (free_pos, a_blk, b_vec, pinv, u, den)
+            )
+        sets = free_pos.shape[0]
+        rest_mask = np.ones((sets, n), dtype=bool)
+        rest_mask[np.arange(sets)[:, None], free_pos] = False
+        rest_pos = np.nonzero(rest_mask)[1].reshape(sets, n - k)
+        bits = (np.arange(2 ** (n - k))[:, None] >> np.arange(n - k)) & 1
+        free, rest = act_idx[free_pos], act_idx[rest_pos]
+        # one row per (free set, 0/1 choice): the ones plus the untouched levels
+        rows = (np.arange(sets)[:, None, None], np.arange(bits.shape[0])[None, :, None])
+        m = np.broadcast_to(base, (sets, bits.shape[0], d)).copy()
+        m[rows + (rest[:, None, :],)] = bits[None, :, :]
+        code = 2 * digit[free_pos].sum(axis=1)[:, None] + digit[rest_pos] @ bits.T
+        fixed_ps = pops[rest] @ bits.T
+        if k == 0:
+            ok = np.abs(p_success - fixed_ps) <= 1e-12
+            m_free = np.zeros(ok.shape + (0,))
+        elif k == 1:
+            val = (p_success - fixed_ps) / pops[free]
+            ok = (val >= -1e-12) & (val <= 1.0 + 1e-12)
+            m_free = val[:, :, None]
+        else:
+            c_vec = m @ overlap[free].transpose(0, 2, 1)
+            v = -(c_vec @ pinv.transpose(0, 2, 1))
+            lam = (p_success - fixed_ps - (v * b_vec[:, None, :]).sum(axis=2)) / den[:, None]
+            m_free = lam[:, :, None] * u[:, None, :] + v
+            # pinv may fabricate a pseudo-solution when the block is singular
+            resid = m_free @ a_blk.transpose(0, 2, 1) - (
+                lam[:, :, None] * b_vec[:, None, :] / 2.0 - c_vec
+            )
+            ok = ~(
+                (np.abs(resid).max(axis=2) > 1e-8)
+                | np.any(m_free < -1e-12, axis=2)
+                | np.any(m_free > 1.0 + 1e-12, axis=2)
+            )
+        m[rows + (free[:, None, :],)] = np.clip(m_free, 0.0, 1.0)
+        codes.append(code[ok])
+        cands.append(m[ok])
+    return np.concatenate(cands)[np.argsort(np.concatenate(codes))]
 
 
 def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
@@ -331,7 +362,22 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
     Works for arbitrary (mixed) states with nonzero coherence. For pure
     inputs the optimum reduces to the same water-filling structure as
     :func:`coherence_optimal_filter_pure`.
+
+    The optimum is exact: every 0/1/free assignment of the n populated
+    levels is solved (3^n candidates, in batches that share 2^n
+    pseudo-inverses) and the best feasible one wins, ties going to the
+    lexicographically smallest intensity vector. The cost still grows
+    exponentially, so a state with more than ``TSALLIS_MAX_LEVELS`` = 12
+    populated levels raises :class:`DomainError` before any work.
     """
+    pops = np.clip(state.populations, 0.0, None)
+    active = pops >= ZERO_POPULATION
+    levels = int(active.sum())
+    if levels > TSALLIS_MAX_LEVELS:
+        raise DomainError(
+            f"the Tsallis synthesizer enumerates 3^n assignments and is limited to "
+            f"{TSALLIS_MAX_LEVELS} populated levels; the state has {levels}"
+        )
     message = "P_S must lie in (0, 1]"
     _check_success_range(p_success, 0.0, message, above=message, open_lower=True)
     p_success = min(p_success, 1.0)
@@ -339,15 +385,14 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
     off = m - np.diag(np.diag(m))
     if np.max(np.abs(off)) < 1e-14:
         raise DomainError("diagonal input has no coherence to enhance")
-    pops = np.clip(state.populations, 0.0, None)
-    active = pops >= ZERO_POPULATION
     overlap = np.abs(m) ** 2
     np.fill_diagonal(overlap, 0.0)
 
+    cands = _tsallis_candidates(pops, overlap, active, p_success)
+    gains = ((cands @ overlap) * cands).sum(axis=1)
     best_gain = -1.0
     best: np.ndarray | None = None
-    for cand in _tsallis_candidates(pops, overlap, active, p_success):
-        gain = float(cand @ overlap @ cand)
+    for cand, gain in zip(cands, gains.tolist()):
         if gain > best_gain + 1e-15 or (
             best is not None
             and abs(gain - best_gain) <= 1e-15

@@ -9,10 +9,13 @@ import pytest
 import coherence_forge
 from coherence_forge import (
     TWO_QUBIT_SPECTRUM,
+    QState,
+    QubitParams,
     TwoQubitFilterParams,
     apply_filter,
     coherence,
     mean_energy,
+    mixed_qubit_product,
     product_pure_state,
 )
 from coherence_forge.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -79,6 +82,16 @@ class TestFilterCommand:
         assert code == EXIT_OK
         written = filter_from_text(path.read_text())
         assert np.allclose(written.coeffs, [1 / 3, 1, 1, 1], atol=1e-12)
+
+    def test_tsallis_mode_reads_a_state_file(self, capsys, tmp_path):
+        state_path = tmp_path / "mixed.txt"
+        state_path.write_text(qstate_to_text(mixed_qubit_product(QubitParams(p=0.2, eta=0.75), 2)))
+        code, out, _ = run(
+            capsys, "filter", "--state", str(state_path), "--ps", "0.3",
+            "--target", "tsallis", "--mode", "tsallis",
+        )
+        assert code == EXIT_OK
+        assert "P_S achieved = 0.3" in out
 
     def test_log_base_2_leads_with_bits(self, capsys):
         code, out, _ = run(
@@ -341,6 +354,23 @@ class TestChoiCommand:
         assert code == EXIT_OK
         assert "purity = 1" in out
 
+    @pytest.mark.parametrize(
+        "phases, expected",
+        [("0,x", EXIT_USAGE), ("0,nan,0,0", EXIT_DOMAIN), ("0,0.2", EXIT_DOMAIN)],
+    )
+    def test_bad_phases_exit_cleanly(self, capsys, tmp_path, phases, expected):
+        out_path = tmp_path / "chi.txt"
+        code, out, err = run(
+            capsys, "choi", "--a", "0.5", "--b", "0.5", f"--phases={phases}",
+            "--out", str(out_path),
+        )
+        assert code == expected
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not out_path.exists()
+        if expected == EXIT_USAGE:
+            assert "cannot parse phases" in err
+
 
 class TestOracleCommand:
     def test_energy_check_passes(self, capsys):
@@ -522,6 +552,35 @@ class TestBadInputs:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert "finite" in err
+
+    def test_tsallis_state_above_level_limit_exits_2(self, capsys, tmp_path):
+        state_path = tmp_path / "state13.txt"
+        state_path.write_text(qstate_to_text(QState.pure(np.ones(13))))
+        code, out, err = run(
+            capsys, "filter", "--state", str(state_path), "--ps", "0.5",
+            "--target", "tsallis", "--mode", "tsallis",
+            "--spectrum", ",".join(str(k) for k in range(13)),
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "12 populated levels" in err
+
+    def test_filter_needs_exactly_one_state_source(self, capsys, tmp_path):
+        state_path = tmp_path / "state.txt"
+        state_path.write_text(qstate_to_text(product_pure_state(0.1, 2)))
+        code, _, _ = run(capsys, "filter", "--ps", "0.5", "--target", "tsallis")
+        assert code == EXIT_USAGE
+        code, _, err = run(
+            capsys, "filter", "--p", "0.1", "--state", str(state_path), "--ps", "0.5",
+            "--target", "tsallis",
+        )
+        assert code == EXIT_USAGE
+        assert "exactly one of --p or --state" in err
+        code, _, err = run(
+            capsys, "filter", "--state", str(state_path), "--ps", "0.5", "--target", "energy"
+        )
+        assert code == EXIT_USAGE
+        assert "closed-form needs --p" in err
 
     def test_wrong_spectrum_size_prints_nothing(self, capsys):
         code, out, err = run(
