@@ -5,17 +5,33 @@ restricted to a tolerance band around the requested success probability,
 followed by constraint-projected coordinate descent. The search space is a
 subset of the feasible filters, so the oracle objective never exceeds the
 true optimum; a synthesizer passes when the oracle cannot beat it.
+
+Every objective is evaluated on numpy batches of intensity vectors. For a
+mixed input and the relative-entropy target the filtered density matrices
+of a batch are built, checked as ``apply_filter`` and ``QState`` check them
+and diagonalized with one stacked ``eigvalsh``, in slices of at most
+``_BATCH_ROWS`` rows so memory stays bounded at d = 5-6 or with a wide
+tolerance. The P_S band of each grid head is read off the tail block sorted
+by success probability, and each refinement sweep evaluates its trial moves
+in one batch. Candidates, their order and the first-improvement order are
+those of a one-candidate-at-a-time search, so results match it bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleGrid
+from .errors import AnnihilatedState, DomainError, InfeasibleGrid, StateValidationError
 from .statecore import (
+    _ANNIHILATION_TOL,
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
+    TRACE_TOL,
+    ZERO_EIGENVALUE,
     DiagonalFilter,
     EnergySpectrum,
     QState,
@@ -24,9 +40,15 @@ from .statecore import (
     coherence_tsallis,
     mean_energy,
 )
-from .synthesis import FilterTarget, FrontierPoint
+from .synthesis import FilterTarget, FrontierPoint, _check_success_range
 
 _REFINE_FLOOR = 1e-6
+# Rows per slice of the mixed-state objective: a slice holds a few d x d
+# complex arrays per row, about 10 MB at d = 6.
+_BATCH_ROWS = 2048
+# Slack on the sorted-P_S window of a grid head, far above the round-off of
+# tail P_S + head P_S; the exact band test is applied inside the window.
+_BAND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,10 +111,63 @@ class _Objective:
                 terms = np.where(q > 1e-14, -q * np.log(np.where(q > 1e-14, q, 1.0)), 0.0)
             return terms.sum(axis=1)
         out = np.empty(m.shape[0])
-        for i in range(m.shape[0]):
-            filt = DiagonalFilter(np.sqrt(np.clip(m[i], 0.0, 1.0)).astype(complex))
-            out[i] = coherence(apply_filter(self.state, filt)[0])
+        for lo in range(0, m.shape[0], _BATCH_ROWS):
+            rows = slice(lo, lo + _BATCH_ROWS)
+            out[rows] = _filtered_coherence(self.state, m[rows])
         return out
+
+
+def _row_entropy(values: np.ndarray) -> np.ndarray:
+    """``statecore._entropy`` of each row. A dropped entry adds an exact 0.0
+    in its place, so each row sums the kept terms as the 1-D version does."""
+    keep = values > ZERO_EIGENVALUE
+    return -np.where(keep, values * np.log(np.where(keep, values, 1.0)), 0.0).sum(axis=1)
+
+
+def _filtered_coherence(state: QState, m: np.ndarray) -> np.ndarray:
+    """``coherence(apply_filter(state, DiagonalFilter(sqrt(clip(m))))[0])`` for
+    each row of ``m``, with the same arithmetic, checks and exceptions. A
+    batch raises what the first failing row would raise."""
+    c = np.sqrt(np.clip(m, 0.0, 1.0)).astype(complex)
+    magnitude = np.abs(c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p_s = (magnitude**2 * state.populations).sum(axis=1)
+        rho = state.matrix * (c[:, :, None] * c.conj()[:, None, :]) / p_s[:, None, None]
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        skew = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        trace = np.trace(rho, axis1=1, axis2=2)
+    big = ~(magnitude.max(axis=1) <= 1.0 + 1e-12)
+    finite_c = np.isfinite(c).all(axis=1)
+    skewed = ~(skew <= HERMITICITY_TOL)
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    checks = (
+        (big & ~finite_c, StateValidationError, "filter coefficients must be finite"),
+        (big & finite_c, StateValidationError, "filter coefficients must satisfy |m| <= 1"),
+        (
+            p_s < _ANNIHILATION_TOL,
+            AnnihilatedState,
+            "filter annihilates the state (success probability 0)",
+        ),
+        (skewed & ~finite, StateValidationError, "density matrix entries must be finite"),
+        (skewed & finite, StateValidationError, "density matrix is not Hermitian"),
+        (
+            (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL),
+            StateValidationError,
+            "density matrix trace must equal 1",
+        ),
+    )
+    failed = np.array([mask for mask, _, _ in checks])
+    bad_rows = np.flatnonzero(failed.any(axis=0))
+    n_ok = int(bad_rows[0]) if bad_rows.size else len(m)
+    # rows before the first failure reach the eigenvalue floor check
+    eigenvalues = np.linalg.eigvalsh(rho[:n_ok])
+    if (eigenvalues.min(axis=1) < EIGENVALUE_FLOOR).any():
+        raise StateValidationError("density matrix has a negative eigenvalue")
+    if bad_rows.size:
+        _, error, message = checks[int(np.flatnonzero(failed[:, n_ok])[0])]
+        raise error(message)
+    gap = _row_entropy(rho.diagonal(axis1=1, axis2=2).real) - _row_entropy(eigenvalues)
+    return np.where(gap < 0.0, 0.0, gap)
 
 
 def _grid_axis(grid_step: float) -> np.ndarray:
@@ -107,16 +182,24 @@ def _search_chunk(
     head: tuple[float, ...],
     tail: np.ndarray,
     tail_ps: np.ndarray,
+    tail_order: np.ndarray,
+    sorted_ps: np.ndarray,
     pops_head: np.ndarray,
     objective: _Objective,
     p_success: float,
     tolerance: float,
 ) -> tuple[float, np.ndarray, float] | None:
-    ps = tail_ps + float(np.dot(head, pops_head))
+    """Best banded candidate under one head. Only the tail rows inside the
+    head's window of ``sorted_ps`` are tested, in their original order."""
+    offset = float(np.dot(head, pops_head))
+    reach = tolerance + _BAND_MARGIN
+    lo, hi = np.searchsorted(sorted_ps, (p_success - offset - reach, p_success - offset + reach))
+    rows = np.sort(tail_order[lo:hi])
+    ps = tail_ps[rows] + offset
     mask = (np.abs(ps - p_success) <= tolerance) & (ps > 1e-12)
     if not mask.any():
         return None
-    cand_tail = tail[mask]
+    cand_tail = tail[rows[mask]]
     cand_ps = ps[mask]
     full = np.concatenate(
         [np.broadcast_to(head, (cand_tail.shape[0], len(head))), cand_tail], axis=1
@@ -162,17 +245,21 @@ def _snap_to_constraint(
         _fractional(m, pops),
         [int(j) for j in np.flatnonzero(pops > 1e-14)],
     ):
-        best: tuple[np.ndarray, float] | None = None
-        for comp in compensators:
-            snapped = _project(m, comp, pops, p_success)
-            if snapped is None:
-                continue
-            val = float(objective(snapped[None, :], np.array([p_success]))[0])
-            if best is None or val > best[1]:
-                best = (snapped, val)
-        if best is not None:
-            return best
+        snapped = [
+            vec
+            for vec in (_project(m, comp, pops, p_success) for comp in compensators)
+            if vec is not None
+        ]
+        if snapped:
+            vals = objective(np.array(snapped), np.full(len(snapped), p_success))
+            best = int(np.argmax(vals))
+            return snapped[best], float(vals[best])
     return None
+
+
+def _values(objective: _Objective, rows: list[np.ndarray], pops: np.ndarray) -> np.ndarray:
+    """Objective of each intensity vector at its own success probability."""
+    return objective(np.array(rows), np.array([float(np.dot(vec, pops)) for vec in rows]))
 
 
 def _refine(
@@ -187,35 +274,44 @@ def _refine(
     The boundary pattern (coordinates at 0 or 1) found by the grid is kept;
     a designated fractional coordinate re-absorbs each trial move so the
     success probability stays exactly on target.
+
+    A sweep tries the moves (j, comp, sign) in a fixed order and takes the
+    first that improves. The moves left in the sweep are built from the
+    current ``m`` and evaluated in one batch; after an improvement the moves
+    that follow it are rebuilt from the new ``m``.
     """
     m = m.copy()
     frac = _fractional(m, pops)
     if not frac:
         return m
+    moves = [(j, comp, sign) for j in frac for comp in frac if comp != j for sign in (1.0, -1.0)]
 
-    def value(vec: np.ndarray) -> float:
-        return float(objective(vec[None, :], np.array([float(np.dot(vec, pops))]))[0])
-
-    best_val = value(m)
+    best_val = float(_values(objective, [m], pops)[0])
     step = grid_step
     while step > _REFINE_FLOOR:
         improved = False
-        for j in frac:
-            for comp in frac:
-                if comp == j:
+        start = 0
+        while start < len(moves):
+            trials, after = [], []
+            for k in range(start, len(moves)):
+                j, comp, sign = moves[k]
+                trial = m.copy()
+                trial[j] += sign * step
+                if not 0.0 <= trial[j] <= 1.0:
                     continue
-                for sign in (1.0, -1.0):
-                    trial = m.copy()
-                    trial[j] += sign * step
-                    if not 0.0 <= trial[j] <= 1.0:
-                        continue
-                    trial = _project(trial, comp, pops, p_success)
-                    if trial is None:
-                        continue
-                    val = value(trial)
-                    if val > best_val + 1e-15:
-                        m, best_val = trial, val
-                        improved = True
+                trial = _project(trial, comp, pops, p_success)
+                if trial is not None:
+                    trials.append(trial)
+                    after.append(k + 1)
+            if not trials:
+                break
+            vals = _values(objective, trials, pops)
+            better = np.flatnonzero(vals > best_val + 1e-15)
+            if not better.size:
+                break
+            i = int(better[0])
+            m, best_val, start = trials[i], float(vals[i]), after[i]
+            improved = True
         if not improved:
             step *= 0.5
     return m
@@ -242,10 +338,11 @@ def grid_search(
         raise DomainError("oracle enumeration is limited to dimension <= 6")
     if not 0.0 < grid_step <= 0.5:
         raise DomainError("grid_step must lie in (0, 0.5]")
+    _check_success_range(p_success, 0.0, "P_S must be positive", open_lower=True)
     if tolerance is None:
         tolerance = grid_step
-    if tolerance <= 0.0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be a positive finite number, got {tolerance!r}")
     if state.dim != spectrum.dim:
         raise DomainError("state and spectrum dimensions differ")
 
@@ -263,11 +360,15 @@ def grid_search(
         else np.zeros((1, 0))
     )
     tail_ps = tail @ pops[n_head:]
+    tail_order = np.argsort(tail_ps, kind="stable")
+    sorted_ps = tail_ps[tail_order]
     heads = list(itertools.product(*([axis.tolist()] * n_head))) or [()]
     pops_head = pops[:n_head]
 
     results = (
-        _search_chunk(head, tail, tail_ps, pops_head, objective, p_success, tolerance)
+        _search_chunk(
+            head, tail, tail_ps, tail_order, sorted_ps, pops_head, objective, p_success, tolerance
+        )
         for head in heads
     )
     winners = [res for res in results if res is not None]
@@ -321,6 +422,8 @@ def verify_frontier(
     never beats a sampled point by more than 1e-3."""
     if not points:
         raise DomainError("frontier is empty")
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     count = min(samples, len(points))
     idx = sorted(rng.choice(len(points), size=count, replace=False).tolist())

@@ -90,9 +90,12 @@ class QState:
         trace = np.trace(m)
         if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
             raise StateValidationError("density matrix trace must equal 1")
-        if np.min(np.linalg.eigvalsh(m)) < EIGENVALUE_FLOOR:
+        eigenvalues = np.linalg.eigvalsh(m)
+        if np.min(eigenvalues) < EIGENVALUE_FLOOR:
             raise StateValidationError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", _frozen(m))
+        # the spectrum of the frozen matrix, kept for ``coherence``
+        object.__setattr__(self, "_eigenvalues", _frozen(eigenvalues))
 
     @property
     def dim(self) -> int:
@@ -200,7 +203,7 @@ def coherence(state: QState) -> float:
     of the populations. Tiny negative round-off is clamped to 0.
     """
     s_diag = _entropy(state.populations)
-    s_full = _entropy(np.linalg.eigvalsh(state.matrix))
+    s_full = _entropy(state._eigenvalues)
     return max(s_diag - s_full, 0.0)
 
 

@@ -553,6 +553,27 @@ class TestBadInputs:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--ps", "nan", "P_S must be a finite number"),
+            ("--ps", "1.5", "P_S exceeds 1"),
+            ("--ps", "0", "P_S must be positive"),
+            ("--tolerance", "nan", "tolerance must be a positive finite number"),
+            ("--tolerance", "inf", "tolerance must be a positive finite number"),
+            ("--tolerance", "0", "tolerance must be a positive finite number"),
+        ],
+    )
+    def test_bad_oracle_band_exits_2(self, capsys, option, value, message):
+        args = {"--ps": "0.5", "--tolerance": "0.02", option: value}
+        code, out, err = run(
+            capsys, "oracle", "--p", "0.1", "--target", "energy",
+            "--ps", args["--ps"], "--tolerance", args["--tolerance"],
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert message in err
+
     def test_tsallis_state_above_level_limit_exits_2(self, capsys, tmp_path):
         state_path = tmp_path / "state13.txt"
         state_path.write_text(qstate_to_text(QState.pure(np.ones(13))))

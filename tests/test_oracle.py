@@ -75,6 +75,24 @@ def test_infeasible_tolerance_raises():
         grid_search(STATE, SPECTRUM, FilterTarget.ENERGY, 0.155, grid_step=0.5, tolerance=1e-6)
 
 
+@pytest.mark.parametrize(
+    "ps, tolerance, message",
+    [
+        (float("nan"), None, "P_S must be a finite number"),
+        (1.5, None, "P_S exceeds 1"),
+        (0.0, None, "P_S must be positive"),
+        (-0.2, 0.5, "P_S must be positive"),
+        (0.5, float("nan"), "tolerance must be a positive finite number"),
+        (0.5, float("inf"), "tolerance must be a positive finite number"),
+        (0.5, -0.1, "tolerance must be a positive finite number"),
+    ],
+)
+def test_rejects_bad_band_before_enumerating(ps, tolerance, message):
+    with pytest.raises(DomainError, match=message) as info:
+        grid_search(STATE, SPECTRUM, FilterTarget.ENERGY, ps, grid_step=0.02, tolerance=tolerance)
+    assert not isinstance(info.value, InfeasibleGrid)
+
+
 def test_two_level_search_matches_synthesizer():
     state = product_pure_state(0.2, 1)
     spectrum = _spectrum_for(2)
@@ -126,3 +144,12 @@ def test_verify_frontier_deterministic_sampling():
     a = verify_frontier(pts, STATE, SPECTRUM, FilterTarget.COHERENCE, samples=3, seed=0)
     b = verify_frontier(pts, STATE, SPECTRUM, FilterTarget.COHERENCE, samples=3, seed=0)
     assert a == b
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_frontier_rejects_no_samples(samples):
+    pts = trace_frontier(
+        STATE, SPECTRUM, FilterTarget.COHERENCE, FilterFamily.OPTIMAL, grid=5
+    )
+    with pytest.raises(DomainError, match="samples must be at least 1"):
+        verify_frontier(pts, STATE, SPECTRUM, FilterTarget.COHERENCE, samples=samples)

@@ -1,0 +1,312 @@
+"""The batched oracle against the one-candidate-at-a-time search it replaced.
+
+``_reference_grid_search`` keeps that search verbatim: the mixed-state
+relative-entropy objective builds a ``DiagonalFilter`` and a filtered
+``QState`` per candidate, every grid head masks the whole tail block, and
+refinement and constraint snapping evaluate one vector at a time. The
+unchanged helpers (``_grid_axis``, ``_fractional``, ``_project`` and the
+other objectives) are shared.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from coherence_forge import (
+    AnnihilatedState,
+    DiagonalFilter,
+    EnergySpectrum,
+    FilterTarget,
+    QState,
+    QubitParams,
+    StateValidationError,
+    TWO_QUBIT_SPECTRUM,
+    apply_filter,
+    coherence,
+    mixed_qubit_product,
+    product_pure_state,
+)
+from coherence_forge.errors import InfeasibleGrid
+from coherence_forge.oracle import (
+    _REFINE_FLOOR,
+    _Objective,
+    _fractional,
+    _grid_axis,
+    _project,
+    grid_search,
+)
+
+
+class _ReferenceObjective(_Objective):
+    def __call__(self, m: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        if self.target is not FilterTarget.COHERENCE or self.pure:
+            return super().__call__(m, ps)
+        m = np.atleast_2d(m)
+        out = np.empty(m.shape[0])
+        for i in range(m.shape[0]):
+            filt = DiagonalFilter(np.sqrt(np.clip(m[i], 0.0, 1.0)).astype(complex))
+            out[i] = coherence(apply_filter(self.state, filt)[0])
+        return out
+
+
+def _search_chunk(
+    head: tuple[float, ...],
+    tail: np.ndarray,
+    tail_ps: np.ndarray,
+    pops_head: np.ndarray,
+    objective: _Objective,
+    p_success: float,
+    tolerance: float,
+) -> tuple[float, np.ndarray, float] | None:
+    ps = tail_ps + float(np.dot(head, pops_head))
+    mask = (np.abs(ps - p_success) <= tolerance) & (ps > 1e-12)
+    if not mask.any():
+        return None
+    cand_tail = tail[mask]
+    cand_ps = ps[mask]
+    full = np.concatenate(
+        [np.broadcast_to(head, (cand_tail.shape[0], len(head))), cand_tail], axis=1
+    )
+    vals = objective(full, cand_ps)
+    i = int(np.argmax(vals))
+    return float(vals[i]), full[i].copy(), float(cand_ps[i])
+
+
+def _snap_to_constraint(
+    m: np.ndarray, objective: _Objective, pops: np.ndarray, p_success: float
+) -> tuple[np.ndarray, float] | None:
+    if abs(float(np.dot(m, pops)) - p_success) <= 1e-12:
+        return m.copy(), float(objective(m[None, :], np.array([p_success]))[0])
+    for compensators in (
+        _fractional(m, pops),
+        [int(j) for j in np.flatnonzero(pops > 1e-14)],
+    ):
+        best: tuple[np.ndarray, float] | None = None
+        for comp in compensators:
+            snapped = _project(m, comp, pops, p_success)
+            if snapped is None:
+                continue
+            val = float(objective(snapped[None, :], np.array([p_success]))[0])
+            if best is None or val > best[1]:
+                best = (snapped, val)
+        if best is not None:
+            return best
+    return None
+
+
+def _refine(
+    m: np.ndarray,
+    objective: _Objective,
+    pops: np.ndarray,
+    p_success: float,
+    grid_step: float,
+) -> np.ndarray:
+    m = m.copy()
+    frac = _fractional(m, pops)
+    if not frac:
+        return m
+
+    def value(vec: np.ndarray) -> float:
+        return float(objective(vec[None, :], np.array([float(np.dot(vec, pops))]))[0])
+
+    best_val = value(m)
+    step = grid_step
+    while step > _REFINE_FLOOR:
+        improved = False
+        for j in frac:
+            for comp in frac:
+                if comp == j:
+                    continue
+                for sign in (1.0, -1.0):
+                    trial = m.copy()
+                    trial[j] += sign * step
+                    if not 0.0 <= trial[j] <= 1.0:
+                        continue
+                    trial = _project(trial, comp, pops, p_success)
+                    if trial is None:
+                        continue
+                    val = value(trial)
+                    if val > best_val + 1e-15:
+                        m, best_val = trial, val
+                        improved = True
+        if not improved:
+            step *= 0.5
+    return m
+
+
+def _reference_grid_search(state, spectrum, target, p_success, grid_step, tolerance=None):
+    """(objective, coeffs, p_success) of the per-candidate search."""
+    d = state.dim
+    if tolerance is None:
+        tolerance = grid_step
+    pops = np.clip(state.populations, 0.0, None)
+    objective = _ReferenceObjective(state, spectrum, target)
+    axis = _grid_axis(grid_step)
+
+    n_tail = min(d, 3)
+    n_head = d - n_tail
+    tail = (
+        np.stack(
+            np.meshgrid(*([axis] * n_tail), indexing="ij"), axis=-1
+        ).reshape(-1, n_tail)
+        if n_tail
+        else np.zeros((1, 0))
+    )
+    tail_ps = tail @ pops[n_head:]
+    heads = list(itertools.product(*([axis.tolist()] * n_head))) or [()]
+    pops_head = pops[:n_head]
+
+    results = (
+        _search_chunk(head, tail, tail_ps, pops_head, objective, p_success, tolerance)
+        for head in heads
+    )
+    winners = [res for res in results if res is not None]
+    if not winners:
+        raise InfeasibleGrid("no grid point satisfies the success-probability tolerance")
+
+    start: tuple[np.ndarray, float] | None = None
+    for _, cand, _ in winners:
+        snapped = _snap_to_constraint(cand, objective, pops, p_success)
+        if snapped is not None and (start is None or snapped[1] > start[1]):
+            start = snapped
+    if start is None:
+        raw = max(winners, key=lambda r: r[0])
+        return raw[0], np.sqrt(np.clip(raw[1], 0.0, 1.0)).astype(complex), raw[2]
+
+    refined = _refine(start[0], objective, pops, p_success, grid_step)
+    actual_ps = float(np.dot(refined, pops))
+    value = float(objective(refined[None, :], np.array([actual_ps]))[0])
+    return value, np.sqrt(np.clip(refined, 0.0, 1.0)).astype(complex), actual_ps
+
+
+def _random_ket(rng, d):
+    return QState.pure(rng.normal(size=d) + 1j * rng.normal(size=d))
+
+
+def _random_mixed(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T + 0.05 * np.eye(d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return QState(rho / np.trace(rho).real)
+
+
+def _spectrum(d):
+    return TWO_QUBIT_SPECTRUM if d == 4 else EnergySpectrum(np.arange(d, dtype=float))
+
+
+_TARGETS = tuple(FilterTarget)
+
+
+def _cases():
+    rng = np.random.default_rng(20211)
+    cases = []
+    case = pytest.param
+    pure = [product_pure_state(0.1, 2), _random_ket(rng, 4), _random_ket(rng, 4)]
+    for i, state in enumerate(pure):
+        for step in (0.02, 0.04):
+            for target in _TARGETS:
+                ps = float(rng.uniform(0.15, 0.85))
+                name = f"pure{i}-{step}-{target.value}"
+                cases.append(case(state, target, ps, step, None, id=name))
+    mixed = [
+        mixed_qubit_product(QubitParams(p=0.27, eta=0.75), 2),
+        mixed_qubit_product(QubitParams(p=0.4, eta=0.3), 2),
+    ]
+    for i, state in enumerate(mixed):
+        for target in _TARGETS:
+            ps = float(rng.uniform(0.3, 0.8))
+            cases.append(case(state, target, ps, 0.1, None, id=f"mixed{i}-{target.value}"))
+    cases += [
+        case(_random_mixed(rng, 3), FilterTarget.COHERENCE, 0.55, 0.05, None, id="d3-mixed"),
+        case(_random_ket(rng, 3), FilterTarget.COHERENCE, 0.35, 0.02, None, id="d3-pure"),
+        case(_random_mixed(rng, 5), FilterTarget.COHERENCE, 0.45, 0.2, None, id="d5-mixed"),
+        case(_random_ket(rng, 5), FilterTarget.COHERENCE_TSALLIS, 0.6, 0.1, None, id="d5-pure"),
+        case(mixed[0], FilterTarget.COHERENCE, 0.5, 0.1, 0.03, id="mixed-tolerance"),
+        case(pure[1], FilterTarget.ENERGY, 0.4, 0.04, 0.25, id="pure-wide-tolerance"),
+        # an incoherent input ties every candidate at 0: the pick is the
+        # first banded grid point in enumeration order
+        case(
+            mixed_qubit_product(QubitParams(p=0.3, eta=0.0), 2),
+            FilterTarget.COHERENCE_TSALLIS,
+            0.5,
+            0.1,
+            None,
+            id="all-tied",
+        ),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("state, target, ps, step, tolerance", _cases())
+def test_matches_reference_search(state, target, ps, step, tolerance):
+    spectrum = _spectrum(state.dim)
+    res = grid_search(state, spectrum, target, ps, grid_step=step, tolerance=tolerance)
+    ref_obj, ref_coeffs, ref_ps = _reference_grid_search(
+        state, spectrum, target, ps, step, tolerance
+    )
+    assert res.objective == ref_obj
+    assert np.array_equal(res.filter.coeffs, ref_coeffs)
+    assert res.p_success == ref_ps
+
+
+def _objectives(state):
+    return (
+        _Objective(state, TWO_QUBIT_SPECTRUM, FilterTarget.COHERENCE),
+        _ReferenceObjective(state, TWO_QUBIT_SPECTRUM, FilterTarget.COHERENCE),
+    )
+
+
+def _raised(objective, rows):
+    with pytest.raises(Exception) as info:
+        objective(np.array(rows), np.ones(len(rows)))
+    return type(info.value), str(info.value)
+
+
+MIXED = mixed_qubit_product(QubitParams(p=0.3, eta=0.7), 2)
+GOOD = [0.9, 0.5, 0.2, 1.0]
+
+
+def test_mixed_objective_matches_on_a_large_batch():
+    rows = np.random.default_rng(7).uniform(0.0, 1.0, size=(5000, 4))
+    rows[:7, 1:] = 0.0  # rank-one outputs: every zero eigenvalue is dropped
+    new, ref = _objectives(MIXED)
+    assert np.array_equal(new(rows, np.ones(len(rows))), ref(rows, np.ones(len(rows))))
+
+
+def test_mixed_objective_normalizes_by_unclipped_populations():
+    block = _random_mixed(np.random.default_rng(3), 3).matrix
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[:3, :3] = block * (1.0 + 1e-13)
+    rho[3, 3] = -1e-13  # within the eigenvalue floor; the oracle clips it to 0
+    state = QState(rho)
+    rows = np.random.default_rng(4).uniform(0.0, 1.0, size=(300, 4))
+    new, ref = _objectives(state)
+    assert np.array_equal(new(rows, np.ones(300)), ref(rows, np.ones(300)))
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([GOOD, [0.0] * 4, [np.nan] * 4], AnnihilatedState),
+        ([GOOD, [np.nan, 0.5, 0.5, 0.5], [0.0] * 4], StateValidationError),
+    ],
+    ids=["annihilated-first", "non-finite-first"],
+)
+def test_mixed_objective_raises_for_the_first_bad_row(rows, error):
+    new, ref = _objectives(MIXED)
+    raised = _raised(new, rows)
+    assert raised == _raised(ref, rows)
+    assert raised[0] is error
+
+
+def test_mixed_objective_keeps_the_eigenvalue_floor():
+    state = mixed_qubit_product(QubitParams(p=0.5, eta=0.5), 2)
+    bad = np.full((4, 4), 0.01, dtype=complex)
+    np.fill_diagonal(bad, 0.25)
+    bad[0, 3] = bad[3, 0] = 0.6  # Hermitian, unit trace, one eigenvalue -0.35
+    object.__setattr__(state, "matrix", bad)
+    new, ref = _objectives(state)
+    for rows in ([[1.0] * 4, [0.0] * 4], [[0.0] * 4, [1.0] * 4]):
+        assert _raised(new, rows) == _raised(ref, rows)
+    assert _raised(new, [[1.0] * 4])[1] == "density matrix has a negative eigenvalue"
