@@ -20,8 +20,7 @@ from coherence_forge import (
     product_pure_state,
     trace_frontier,
 )
-from coherence_forge.cli import write_frontier_csv
-from coherence_forge.svgplot import line_plot
+from coherence_forge.cli import write_frontier_csv, write_frontier_svg
 
 
 def main() -> None:
@@ -36,42 +35,20 @@ def main() -> None:
     state = product_pure_state(args.p, 2)
 
     for target in (FilterTarget.COHERENCE, FilterTarget.ENERGY):
-        optimal = trace_frontier(
-            state, TWO_QUBIT_SPECTRUM, target, FilterFamily.OPTIMAL, grid=args.grid
-        )
-        factorized = trace_frontier(
-            state, TWO_QUBIT_SPECTRUM, target, FilterFamily.FACTORIZED, grid=args.grid
-        )
+        traced = {
+            fam: trace_frontier(state, TWO_QUBIT_SPECTRUM, target, fam, grid=args.grid)
+            for fam in FilterFamily
+        }
         csv_path = out_dir / f"frontier_{target.value}_p{args.p:g}.csv"
-        write_frontier_csv(csv_path, optimal + factorized)
-
-        measure = (
-            (lambda pt: pt.mean_energy)
-            if target is FilterTarget.ENERGY
-            else (lambda pt: pt.coherence)
-        )
+        write_frontier_csv(csv_path, [pt for pts in traced.values() for pt in pts])
         svg_path = out_dir / f"frontier_{target.value}_p{args.p:g}.svg"
-        svg_path.write_text(
-            line_plot(
-                [
-                    ("optimal", [q.p_success for q in optimal], [measure(q) for q in optimal]),
-                    (
-                        "factorized",
-                        [q.p_success for q in factorized],
-                        [measure(q) for q in factorized],
-                    ),
-                ],
-                "success probability",
-                "mean energy" if target is FilterTarget.ENERGY else "coherence (nats)",
-                title=f"{target.value} frontier, p = {args.p:g}",
-            ),
-            encoding="utf-8",
-        )
+        write_frontier_svg(svg_path, traced, target, f"{target.value} frontier, p = {args.p:g}")
+        factorized = traced[FilterFamily.FACTORIZED]
         fact_ps = np.array([q.p_success for q in factorized])
-        fact_val = np.array([measure(q) for q in factorized])
+        fact_val = np.array([q.measure(target) for q in factorized])
         gaps = [
-            (pt.p_success, measure(pt) - float(np.interp(pt.p_success, fact_ps, fact_val)))
-            for pt in optimal
+            (pt.p_success, pt.measure(target) - float(np.interp(pt.p_success, fact_ps, fact_val)))
+            for pt in traced[FilterFamily.OPTIMAL]
         ]
         ps, gap = max(gaps, key=lambda t: t[1])
         print(f"{target.value}: wrote {csv_path} and {svg_path}")

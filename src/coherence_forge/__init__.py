@@ -42,6 +42,7 @@ from .synthesis import (
     energy_optimal_filter,
     factorized_filter,
     mixed_scan,
+    optimal_filter,
     plateau_threshold,
     thermal_benchmark_state,
     trace_frontier,

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,14 +42,6 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_IO = 3
 
-THREADS_ENV = "COHERENCE_FORGE_THREADS"
-
-_TARGETS = {
-    "energy": FilterTarget.ENERGY,
-    "coherence": FilterTarget.COHERENCE,
-    "tsallis": FilterTarget.COHERENCE_TSALLIS,
-}
-
 
 class _UsageError(Exception):
     pass
@@ -61,24 +52,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         raise _UsageError(message)
-
-
-def _thread_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _check_threads_env() -> None:
-    """``--threads`` and its environment fallback are accepted and ignored
-    (every computation runs serially), but a malformed value is still an error."""
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            int(env)
-        except ValueError:
-            raise _UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
@@ -140,7 +113,7 @@ def _splice_config(argv: list[str]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# CSV writers (shared with the experiment scripts)
+# CSV and SVG writers (shared with the experiment scripts)
 # ---------------------------------------------------------------------------
 
 _FRONTIER_HEADER = "p_success,coherence_nats,mean_energy,a,b,family"
@@ -190,6 +163,24 @@ def write_scan_csv(path: str | Path, points: Iterable[tuple[float, MixedScanPoin
     _write_csv(path, _SCAN_HEADER, (row(eta, pt) for eta, pt in points))
 
 
+def write_frontier_svg(
+    path: str | Path,
+    traced: Mapping[FilterFamily, Sequence[FrontierPoint]],
+    target: FilterTarget,
+    title: str,
+) -> None:
+    """Frontier plot: one series per family in the given order, the mean
+    energy for the energy target and the coherence otherwise."""
+    series = [
+        (fam.value, [pt.p_success for pt in pts], [pt.measure(target) for pt in pts])
+        for fam, pts in traced.items()
+    ]
+    ylabel = "mean energy" if target is FilterTarget.ENERGY else "coherence (nats)"
+    Path(path).write_text(
+        line_plot(series, "success probability", ylabel, title=title), encoding="utf-8"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -217,7 +208,7 @@ def _describe_filter(filt: DiagonalFilter) -> str:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    target = _TARGETS[args.target]
+    target = FilterTarget(args.target)
     spectrum = _parse_spectrum(args.spectrum)
     state = _input_state(args)
     _require_spectrum_dim(state, spectrum)
@@ -228,12 +219,10 @@ def _cmd_filter(args: argparse.Namespace) -> int:
             raise DomainError("no closed form for the tsallis target; use --mode tsallis")
         params = synthesis.two_qubit_closed_form(args.p, args.ps, target)
         filt = params.to_filter()
-    elif args.mode == "tsallis" or target is FilterTarget.COHERENCE_TSALLIS:
+    elif args.mode == "tsallis":
         filt = synthesis.tsallis_optimal_filter(state, args.ps)
-    elif target is FilterTarget.ENERGY:
-        filt = synthesis.energy_optimal_filter(state, spectrum, args.ps)
     else:
-        filt = synthesis.coherence_optimal_filter_pure(state, args.ps)
+        filt = synthesis.optimal_filter(state, spectrum, target, args.ps)
     out, p_s = apply_filter(state, filt)
     print(_describe_filter(filt))
     print(f"P_S achieved = {_fmt(p_s)}")
@@ -246,39 +235,18 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
-    target = _TARGETS[args.target]
+    target = FilterTarget(args.target)
     spectrum = _parse_spectrum(args.spectrum)
     state = product_pure_state(args.p, 2)
-    families = (
-        [FilterFamily.OPTIMAL, FilterFamily.FACTORIZED]
-        if args.family == "both"
-        else [FilterFamily(args.family)]
-    )
+    families = list(FilterFamily) if args.family == "both" else [FilterFamily(args.family)]
     traced = {
         fam: synthesis.trace_frontier(state, spectrum, target, fam, grid=args.grid)
         for fam in families
     }
-    write_frontier_csv(args.out_csv, [pt for fam in families for pt in traced[fam]])
+    write_frontier_csv(args.out_csv, [pt for pts in traced.values() for pt in pts])
     print(f"{sum(len(v) for v in traced.values())} rows written to {args.out_csv}")
     if args.out_svg:
-        measure = (
-            (lambda pt: pt.mean_energy)
-            if target is FilterTarget.ENERGY
-            else (lambda pt: pt.coherence)
-        )
-        ylabel = "mean energy" if target is FilterTarget.ENERGY else "coherence (nats)"
-        series = [
-            (
-                fam.value,
-                [pt.p_success for pt in traced[fam]],
-                [measure(pt) for pt in traced[fam]],
-            )
-            for fam in families
-        ]
-        Path(args.out_svg).write_text(
-            line_plot(series, "success probability", ylabel, title=f"p = {args.p:g}"),
-            encoding="utf-8",
-        )
+        write_frontier_svg(args.out_svg, traced, target, f"p = {args.p:g}")
         print(f"plot written to {args.out_svg}")
     return EXIT_OK
 
@@ -353,7 +321,7 @@ def _cmd_choi(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    target = _TARGETS[args.target]
+    target = FilterTarget(args.target)
     spectrum = _parse_spectrum(args.spectrum)
     state = _input_state(args)
     _require_spectrum_dim(state, spectrum)
@@ -365,12 +333,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         grid_step=args.grid_step,
         tolerance=args.tolerance,
     )
-    if target is FilterTarget.ENERGY:
-        synth = synthesis.energy_optimal_filter(state, spectrum, args.ps)
-    elif target is FilterTarget.COHERENCE:
-        synth = synthesis.coherence_optimal_filter_pure(state, args.ps)
-    else:
-        synth = synthesis.tsallis_optimal_filter(state, args.ps)
+    synth = synthesis.optimal_filter(state, spectrum, target, args.ps)
     synth_obj = oracle.objective_value(state, spectrum, target, synth)
     shortfall = result.objective - synth_obj
     print(f"oracle filter: {_describe_filter(result.filter)}")
@@ -389,9 +352,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file; flags override it")
     sub.add_argument("--log-base", choices=("e", "2"), default="e")
-    sub.add_argument(
-        "--threads", type=_thread_count, default=None, help="accepted and ignored; runs are serial"
-    )
 
 
 def build_parser() -> _Parser:
@@ -402,7 +362,7 @@ def build_parser() -> _Parser:
     p_filter.add_argument("--p", type=float)
     p_filter.add_argument("--state", help="QState text file (instead of --p)")
     p_filter.add_argument("--ps", type=float, required=True)
-    p_filter.add_argument("--target", choices=tuple(_TARGETS), required=True)
+    p_filter.add_argument("--target", choices=[t.value for t in FilterTarget], required=True)
     p_filter.add_argument(
         "--mode", choices=("closed-form", "general", "tsallis"), default="closed-form"
     )
@@ -412,7 +372,7 @@ def build_parser() -> _Parser:
 
     p_front = subs.add_parser("frontier", help="trace a trade-off frontier to CSV/SVG")
     p_front.add_argument("--p", type=float, required=True)
-    p_front.add_argument("--target", choices=tuple(_TARGETS), default="coherence")
+    p_front.add_argument("--target", choices=[t.value for t in FilterTarget], default="coherence")
     p_front.add_argument(
         "--family", choices=("optimal", "factorized", "both"), default="both"
     )
@@ -450,7 +410,7 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--p", type=float)
     p_oracle.add_argument("--state", help="QState text file")
     p_oracle.add_argument("--ps", type=float, required=True)
-    p_oracle.add_argument("--target", choices=tuple(_TARGETS), required=True)
+    p_oracle.add_argument("--target", choices=[t.value for t in FilterTarget], required=True)
     p_oracle.add_argument("--grid-step", type=float, default=0.02)
     p_oracle.add_argument("--tolerance", type=float, default=None)
     p_oracle.add_argument("--spectrum", default="0,1,1,2")
@@ -475,8 +435,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = _splice_config(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
-        if args.threads is None:
-            _check_threads_env()
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,10 @@ _BATCH_ROWS = 2048
 # Slack on the sorted-P_S window of a grid head, far above the round-off of
 # tail P_S + head P_S; the exact band test is applied inside the window.
 _BAND_MARGIN = 1e-9
+# Rows of the tail block (every grid value of the last min(d, 3)
+# intensities), built whole before the search: 24 MB of float64 at the limit,
+# which admits grid_step 0.01 (101^3 rows).
+MAX_TAIL_ROWS = 2**20
 
 
 @dataclass(frozen=True)
@@ -170,43 +175,19 @@ def _filtered_coherence(state: QState, m: np.ndarray) -> np.ndarray:
     return np.where(gap < 0.0, 0.0, gap)
 
 
+def _grid_axis_length(grid_step: float) -> float:
+    """``len(_grid_axis(grid_step))`` without building the axis; inf when
+    ``1 / grid_step`` overflows."""
+    n = float(np.ceil((1.0 + 0.5 * grid_step) / grid_step))  # np.arange's length
+    return n + (min((n - 1.0) * grid_step, 1.0) < 1.0 - 1e-12)
+
+
 def _grid_axis(grid_step: float) -> np.ndarray:
     axis = np.arange(0.0, 1.0 + 0.5 * grid_step, grid_step)
     axis = np.minimum(axis, 1.0)
     if axis[-1] < 1.0 - 1e-12:
         axis = np.append(axis, 1.0)
     return axis
-
-
-def _search_chunk(
-    head: tuple[float, ...],
-    tail: np.ndarray,
-    tail_ps: np.ndarray,
-    tail_order: np.ndarray,
-    sorted_ps: np.ndarray,
-    pops_head: np.ndarray,
-    objective: _Objective,
-    p_success: float,
-    tolerance: float,
-) -> tuple[float, np.ndarray, float] | None:
-    """Best banded candidate under one head. Only the tail rows inside the
-    head's window of ``sorted_ps`` are tested, in their original order."""
-    offset = float(np.dot(head, pops_head))
-    reach = tolerance + _BAND_MARGIN
-    lo, hi = np.searchsorted(sorted_ps, (p_success - offset - reach, p_success - offset + reach))
-    rows = np.sort(tail_order[lo:hi])
-    ps = tail_ps[rows] + offset
-    mask = (np.abs(ps - p_success) <= tolerance) & (ps > 1e-12)
-    if not mask.any():
-        return None
-    cand_tail = tail[rows[mask]]
-    cand_ps = ps[mask]
-    full = np.concatenate(
-        [np.broadcast_to(head, (cand_tail.shape[0], len(head))), cand_tail], axis=1
-    )
-    vals = objective(full, cand_ps)
-    i = int(np.argmax(vals))
-    return float(vals[i]), full[i].copy(), float(cand_ps[i])
 
 
 def _fractional(m: np.ndarray, pops: np.ndarray) -> list[int]:
@@ -332,6 +313,8 @@ def grid_search(
     target measure of the normalized output, then refines with step halving
     down to 1e-6 while projected on the exact constraint. Ties go to the
     lexicographically smallest filter; the search is fully deterministic.
+    A grid whose tail block (the last min(d, 3) intensities) has more than
+    ``MAX_TAIL_ROWS`` rows is rejected before anything is built.
     """
     d = state.dim
     if d > 6:
@@ -345,13 +328,18 @@ def grid_search(
         raise DomainError(f"tolerance must be a positive finite number, got {tolerance!r}")
     if state.dim != spectrum.dim:
         raise DomainError("state and spectrum dimensions differ")
+    n_tail = min(d, 3)
+    n_head = d - n_tail
+    tail_rows = _grid_axis_length(grid_step) ** n_tail
+    if tail_rows > MAX_TAIL_ROWS:
+        raise DomainError(
+            f"grid_step {grid_step!r} needs {tail_rows:.0f} tail rows at dimension {d}; "
+            f"the limit is {MAX_TAIL_ROWS}"
+        )
 
     pops = np.clip(state.populations, 0.0, None)
     objective = _Objective(state, spectrum, target)
     axis = _grid_axis(grid_step)
-
-    n_tail = min(d, 3)
-    n_head = d - n_tail
     tail = (
         np.stack(
             np.meshgrid(*([axis] * n_tail), indexing="ij"), axis=-1
@@ -362,16 +350,27 @@ def grid_search(
     tail_ps = tail @ pops[n_head:]
     tail_order = np.argsort(tail_ps, kind="stable")
     sorted_ps = tail_ps[tail_order]
-    heads = list(itertools.product(*([axis.tolist()] * n_head))) or [()]
     pops_head = pops[:n_head]
-
-    results = (
-        _search_chunk(
-            head, tail, tail_ps, tail_order, sorted_ps, pops_head, objective, p_success, tolerance
+    reach = tolerance + _BAND_MARGIN
+    # Best banded candidate under each head. Only the tail rows inside the
+    # head's window of sorted_ps are tested, in their original order.
+    winners = []
+    for head in itertools.product(*([axis.tolist()] * n_head)):
+        offset = float(np.dot(head, pops_head))
+        lo, hi = np.searchsorted(sorted_ps, (p_success - offset - reach, p_success - offset + reach))
+        rows = np.sort(tail_order[lo:hi])
+        ps = tail_ps[rows] + offset
+        mask = (np.abs(ps - p_success) <= tolerance) & (ps > 1e-12)
+        if not mask.any():
+            continue
+        cand_tail = tail[rows[mask]]
+        cand_ps = ps[mask]
+        full = np.concatenate(
+            [np.broadcast_to(head, (cand_tail.shape[0], n_head)), cand_tail], axis=1
         )
-        for head in heads
-    )
-    winners = [res for res in results if res is not None]
+        vals = objective(full, cand_ps)
+        i = int(np.argmax(vals))
+        winners.append((float(vals[i]), full[i].copy(), float(cand_ps[i])))
     if not winners:
         raise InfeasibleGrid(
             "no grid point satisfies the success-probability tolerance; "
@@ -422,8 +421,8 @@ def verify_frontier(
     never beats a sampled point by more than 1e-3."""
     if not points:
         raise DomainError("frontier is empty")
-    if samples < 1:
-        raise DomainError(f"samples must be at least 1, got {samples}")
+    if not isinstance(samples, numbers.Integral) or samples < 1:
+        raise DomainError(f"samples must be at least 1 and an integer, got {samples!r}")
     rng = np.random.default_rng(seed)
     count = min(samples, len(points))
     idx = sorted(rng.choice(len(points), size=count, replace=False).tolist())

@@ -70,6 +70,11 @@ class FrontierPoint:
     filter: DiagonalFilter
     family: FilterFamily
 
+    def measure(self, target: FilterTarget) -> float:
+        """The measure a frontier for ``target`` plots: the mean energy for the
+        energy target, the relative-entropy coherence otherwise."""
+        return self.mean_energy if target is FilterTarget.ENERGY else self.coherence
+
 
 @dataclass(frozen=True)
 class TwoQubitFilterParams:
@@ -407,6 +412,19 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
     return DiagonalFilter(np.sqrt(best).astype(complex))
 
 
+def optimal_filter(
+    state: QState, spectrum: EnergySpectrum, target: FilterTarget, p_success: float
+) -> DiagonalFilter:
+    """The synthesizer of ``target`` at the given success probability:
+    :func:`energy_optimal_filter`, :func:`coherence_optimal_filter_pure` (pure
+    states only) or :func:`tsallis_optimal_filter`."""
+    if target is FilterTarget.ENERGY:
+        return energy_optimal_filter(state, spectrum, p_success)
+    if target is FilterTarget.COHERENCE:
+        return coherence_optimal_filter_pure(state, p_success)
+    return tsallis_optimal_filter(state, p_success)
+
+
 # ---------------------------------------------------------------------------
 # Scalar root finding
 # ---------------------------------------------------------------------------
@@ -605,15 +623,6 @@ def trace_frontier(
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
 
-    if family is FilterFamily.FACTORIZED:
-        synthesize: Callable[[float], DiagonalFilter] = lambda ps: factorized_filter(state, ps)
-    elif target is FilterTarget.ENERGY:
-        synthesize = lambda ps: energy_optimal_filter(state, spectrum, ps)
-    elif target is FilterTarget.COHERENCE:
-        synthesize = lambda ps: coherence_optimal_filter_pure(state, ps)
-    else:
-        synthesize = lambda ps: tsallis_optimal_filter(state, ps)
-
     lo, hi = reachable_success_range(state, spectrum, target, family)
     if target is FilterTarget.COHERENCE_TSALLIS and family is FilterFamily.OPTIMAL:
         ps_values = np.linspace(0.0, 1.0, grid + 1)[1:]
@@ -623,7 +632,10 @@ def trace_frontier(
         ps_values = np.linspace(lo, hi, grid)
 
     def build(ps: float) -> FrontierPoint:
-        filt = synthesize(float(ps))
+        if family is FilterFamily.FACTORIZED:
+            filt = factorized_filter(state, float(ps))
+        else:
+            filt = optimal_filter(state, spectrum, target, float(ps))
         out, actual = apply_filter(state, filt)
         return FrontierPoint(
             p_success=actual,
@@ -703,31 +715,33 @@ def mixed_scan(eta: float, p_values: Sequence[float]) -> list[MixedScanPoint]:
     return [scan_one(p) for p in p_values]
 
 
-def plateau_threshold(
-    eta: float,
-    p_lo: float = 0.05,
-    p_hi: float = 0.995,
-    plateau_tol: float = 1e-8,
-    resolution: float = 1e-5,
-) -> float:
-    """Largest population p at which the optimized a=0 coherence still
-    attains its small-p plateau value.
+# plateau_threshold: the plateau reference population, the search bracket's
+# upper end, the coherence drop that leaves the plateau and the bisection width
+_PLATEAU_P_LO = 0.05
+_PLATEAU_P_HI = 0.995
+_PLATEAU_TOL = 1e-8
+_PLATEAU_RESOLUTION = 1e-5
+
+
+def plateau_threshold(eta: float) -> float:
+    """Largest population p in [0.05, 0.995] at which the optimized a=0
+    coherence still attains its small-p plateau value (within 1e-8), to 1e-5.
 
     The plateau is left quadratically, so the detected threshold converges
-    to the exact one from above (by about sqrt(plateau_tol)); it therefore
-    never underestimates the true threshold.
+    to the exact one from above (by about sqrt(1e-8)); it therefore never
+    underestimates the true threshold.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError("threshold detection needs eta in (0, 1]")
-    ref = mixed_scan(eta, [p_lo])[0].coherence
+    ref = mixed_scan(eta, [_PLATEAU_P_LO])[0].coherence
 
     def on_plateau(p: float) -> bool:
-        return mixed_scan(eta, [p])[0].coherence >= ref - plateau_tol
+        return mixed_scan(eta, [p])[0].coherence >= ref - _PLATEAU_TOL
 
-    if on_plateau(p_hi):
-        return p_hi
-    lo, hi = p_lo, p_hi
-    while hi - lo > resolution:
+    if on_plateau(_PLATEAU_P_HI):
+        return _PLATEAU_P_HI
+    lo, hi = _PLATEAU_P_LO, _PLATEAU_P_HI
+    while hi - lo > _PLATEAU_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if on_plateau(mid):
             lo = mid

@@ -9,6 +9,8 @@ import pytest
 import coherence_forge
 from coherence_forge import (
     TWO_QUBIT_SPECTRUM,
+    FilterFamily,
+    FilterTarget,
     QState,
     QubitParams,
     TwoQubitFilterParams,
@@ -16,9 +18,22 @@ from coherence_forge import (
     coherence,
     mean_energy,
     mixed_qubit_product,
+    objective_value,
+    optimal_filter,
     product_pure_state,
+    trace_frontier,
+    tsallis_optimal_filter,
 )
-from coherence_forge.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from coherence_forge.cli import (
+    EXIT_DOMAIN,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+    write_frontier_csv,
+    write_frontier_svg,
+)
+from coherence_forge.oracle import MAX_TAIL_ROWS
 from coherence_forge.statecore import filter_from_text, qstate_to_text
 
 
@@ -478,20 +493,6 @@ class TestConfigAndEnvironment:
             str(csv),
         )
         assert code == EXIT_OK
-        monkeypatch.setenv("COHERENCE_FORGE_THREADS", "not-a-number")
-        code, _, _ = run(
-            capsys,
-            "frontier",
-            "--p",
-            "0.1",
-            "--family",
-            "optimal",
-            "--grid",
-            "8",
-            "--out-csv",
-            str(csv),
-        )
-        assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_threads_below_one_exit_1(self, capsys, value):
@@ -502,13 +503,13 @@ class TestConfigAndEnvironment:
         assert code == EXIT_USAGE
         assert out == ""
 
-    def test_threads_flag_is_accepted(self, capsys):
+    def test_threads_flag_is_gone(self, capsys):
         code, out, _ = run(
             capsys, "filter", "--p", "0.1", "--ps", "0.04", "--target", "coherence",
             "--threads", "3",
         )
-        assert code == EXIT_OK
-        assert "b = 0.333333333333" in out
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_seed_flag_is_gone(self, capsys):
         code, _, _ = run(
@@ -624,3 +625,64 @@ def test_import_loads_neither_scipy_nor_thread_pools():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+class TestOnePathPerJob:
+    """The CLI reaches the synthesizers through ``optimal_filter`` and writes
+    frontiers through the public writers, for every target."""
+
+    STATE = product_pure_state(0.1, 2)
+
+    @pytest.mark.parametrize("target", [t.value for t in FilterTarget])
+    def test_frontier_files_equal_the_library_writers(self, capsys, tmp_path, target):
+        csv, svg = tmp_path / "cli.csv", tmp_path / "cli.svg"
+        code, _, _ = run(
+            capsys, "frontier", "--p", "0.1", "--target", target, "--family", "both",
+            "--grid", "9", "--out-csv", str(csv), "--out-svg", str(svg),
+        )
+        assert code == EXIT_OK
+        traced = {
+            fam: trace_frontier(
+                self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget(target), fam, grid=9
+            )
+            for fam in FilterFamily
+        }
+        write_frontier_csv(tmp_path / "lib.csv", [pt for pts in traced.values() for pt in pts])
+        write_frontier_svg(tmp_path / "lib.svg", traced, FilterTarget(target), "p = 0.1")
+        assert csv.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert svg.read_bytes() == (tmp_path / "lib.svg").read_bytes()
+
+    @pytest.mark.parametrize("target", [t.value for t in FilterTarget])
+    def test_general_mode_writes_the_optimal_filter(self, capsys, tmp_path, target):
+        out = tmp_path / "filter.txt"
+        code, text, _ = run(
+            capsys, "filter", "--p", "0.1", "--ps", "0.3", "--target", target,
+            "--mode", "general", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        expected = optimal_filter(self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget(target), 0.3)
+        assert np.allclose(filter_from_text(out.read_text()).coeffs, expected.coeffs, atol=1e-15)
+        assert "P_S achieved = 0.3" in text
+
+    def test_oracle_checks_the_tsallis_synthesizer(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "--p", "0.1", "--ps", "0.3", "--target", "tsallis",
+            "--grid-step", "0.05",
+        )
+        assert code == EXIT_OK
+        synth = tsallis_optimal_filter(self.STATE, 0.3)
+        value = objective_value(
+            self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget.COHERENCE_TSALLIS, synth
+        )
+        assert f"synthesized objective = {value:.12g}" in out
+        assert out.rstrip().endswith("PASS")
+
+    def test_oracle_grid_above_the_tail_limit_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--p", "0.1", "--ps", "0.19", "--target", "energy",
+            "--grid-step", "0.001",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert f"needs 1003003001 tail rows at dimension 4; the limit is {MAX_TAIL_ROWS}" in err
+        assert "Traceback" not in err

@@ -4,14 +4,23 @@ import pytest
 from coherence_forge import (
     DiagonalFilter,
     DomainError,
+    EnergySpectrum,
     FilterFamily,
     FilterTarget,
     InfeasibleGrid,
+    QState,
     TWO_QUBIT_SPECTRUM,
     product_pure_state,
     trace_frontier,
 )
-from coherence_forge.oracle import grid_search, objective_value, verify_frontier
+from coherence_forge.oracle import (
+    MAX_TAIL_ROWS,
+    _grid_axis,
+    _grid_axis_length,
+    grid_search,
+    objective_value,
+    verify_frontier,
+)
 from coherence_forge.synthesis import (
     FrontierPoint,
     coherence_optimal_filter_pure,
@@ -146,10 +155,34 @@ def test_verify_frontier_deterministic_sampling():
     assert a == b
 
 
-@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("samples", [0, -1, 2.5])
 def test_verify_frontier_rejects_no_samples(samples):
     pts = trace_frontier(
         STATE, SPECTRUM, FilterTarget.COHERENCE, FilterFamily.OPTIMAL, grid=5
     )
     with pytest.raises(DomainError, match="samples must be at least 1"):
         verify_frontier(pts, STATE, SPECTRUM, FilterTarget.COHERENCE, samples=samples)
+
+
+@pytest.mark.parametrize("step", [0.5, 0.3, 0.07, 0.04, 0.03, 0.02, 0.01, 0.0099, 1 / 3])
+def test_axis_length_without_building_the_axis(step):
+    assert _grid_axis_length(step) == len(_grid_axis(step))
+
+
+@pytest.mark.parametrize(
+    "step, rows", [(0.0099, "1092727"), (0.001, "1003003001"), (5e-324, "inf")]
+)
+def test_rejects_a_tail_block_above_the_limit(step, rows):
+    message = f"needs {rows} tail rows at dimension 4; the limit is {MAX_TAIL_ROWS}"
+    with pytest.raises(DomainError, match=message):
+        grid_search(STATE, SPECTRUM, FilterTarget.ENERGY, 0.19, grid_step=step)
+
+
+def test_tail_limit_admits_step_0_01():
+    assert _grid_axis_length(0.01) ** 3 <= MAX_TAIL_ROWS
+    state = QState.pure(np.sqrt([0.5, 0.3, 0.2]))
+    spectrum = EnergySpectrum(np.array([0.0, 1.0, 2.0]))
+    res = grid_search(state, spectrum, FilterTarget.COHERENCE, 0.6, grid_step=0.01)
+    best = coherence_optimal_filter_pure(state, 0.6)
+    assert res.objective <= objective_value(state, spectrum, FilterTarget.COHERENCE, best) + 1e-9
+    assert res.p_success == pytest.approx(0.6, abs=1e-9)

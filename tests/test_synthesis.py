@@ -20,6 +20,7 @@ from coherence_forge import (
     mean_energy,
     mixed_qubit_product,
     mixed_scan,
+    optimal_filter,
     plateau_threshold,
     product_pure_state,
     success_probability,
@@ -572,3 +573,54 @@ class TestNonFiniteSuccessProbability:
             factorized_filter(state, 1.5)
         with pytest.raises(UnreachableSuccessProbability, match="below 4p"):
             two_qubit_closed_form(0.1, 0.01, FilterTarget.COHERENCE)
+
+
+class TestOptimalFilter:
+    """``optimal_filter`` is the one dispatch from a target to its synthesizer."""
+
+    STATE = product_pure_state(0.1, 2)
+
+    @pytest.mark.parametrize(
+        "target, synthesize",
+        [
+            (FilterTarget.ENERGY, lambda s, ps: energy_optimal_filter(s, TWO_QUBIT_SPECTRUM, ps)),
+            (FilterTarget.COHERENCE, coherence_optimal_filter_pure),
+            (FilterTarget.COHERENCE_TSALLIS, tsallis_optimal_filter),
+        ],
+    )
+    @pytest.mark.parametrize("ps", [0.3, 0.6, 1.0])
+    def test_each_target_reaches_its_synthesizer(self, target, synthesize, ps):
+        got = optimal_filter(self.STATE, TWO_QUBIT_SPECTRUM, target, ps)
+        assert np.array_equal(got.coeffs, synthesize(self.STATE, ps).coeffs)
+
+    def test_mixed_input_needs_the_tsallis_target(self):
+        state = mixed_qubit_product(QubitParams(p=0.3, eta=0.5), 2)
+        with pytest.raises(DomainError, match="not pure"):
+            optimal_filter(state, TWO_QUBIT_SPECTRUM, FilterTarget.COHERENCE, 0.5)
+        filt = optimal_filter(state, TWO_QUBIT_SPECTRUM, FilterTarget.COHERENCE_TSALLIS, 0.5)
+        assert success_probability(state, filt) == pytest.approx(0.5, abs=1e-9)
+
+    def test_tsallis_frontier_samples_the_open_range(self):
+        grid = 6
+        pts = trace_frontier(
+            self.STATE,
+            TWO_QUBIT_SPECTRUM,
+            FilterTarget.COHERENCE_TSALLIS,
+            FilterFamily.OPTIMAL,
+            grid=grid,
+        )
+        requested = np.linspace(0.0, 1.0, grid + 1)[1:]
+        assert len(pts) == grid
+        for pt, ps in zip(pts, requested):
+            expected = tsallis_optimal_filter(self.STATE, float(ps))
+            assert np.array_equal(pt.filter.coeffs, expected.coeffs)
+            assert pt.p_success == pytest.approx(ps, abs=1e-9)
+            assert pt.family is FilterFamily.OPTIMAL
+
+    def test_frontier_measure_follows_the_target(self):
+        pt = trace_frontier(
+            self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget.ENERGY, FilterFamily.OPTIMAL, grid=2
+        )[0]
+        assert pt.measure(FilterTarget.ENERGY) == pt.mean_energy
+        assert pt.measure(FilterTarget.COHERENCE) == pt.coherence
+        assert pt.measure(FilterTarget.COHERENCE_TSALLIS) == pt.coherence
