@@ -7,14 +7,16 @@ subset of the feasible filters, so the oracle objective never exceeds the
 true optimum; a synthesizer passes when the oracle cannot beat it.
 
 Every objective is evaluated on numpy batches of intensity vectors. For a
-mixed input and the relative-entropy target the filtered density matrices
-of a batch are built, checked as ``apply_filter`` and ``QState`` check them
-and diagonalized with one stacked ``eigvalsh``, in slices of at most
-``_BATCH_ROWS`` rows so memory stays bounded at d = 5-6 or with a wide
-tolerance. The P_S band of each grid head is read off the tail block sorted
-by success probability, and each refinement sweep evaluates its trial moves
-in one batch. Candidates, their order and the first-improvement order are
-those of a one-candidate-at-a-time search, so results match it bit for bit.
+mixed input and the relative-entropy target a batch goes through
+``statecore.apply_filter_rows``, which checks each filtered state as
+``apply_filter`` and ``QState`` check it and diagonalizes the batch with one
+stacked ``eigvalsh`` per bounded slice. The P_S band of each grid head is
+read off the tail block sorted by success probability, and each refinement
+sweep evaluates its trial moves in one batch. Candidates, their order and
+the first-improvement order are those of a one-candidate-at-a-time search,
+so results match it bit for bit. A search is rejected before any work when
+its tail block exceeds ``MAX_TAIL_ROWS`` rows or its grid exceeds
+``MAX_GRID_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -26,27 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnnihilatedState, DomainError, InfeasibleGrid, StateValidationError
+from .errors import DomainError, InfeasibleGrid
 from .statecore import (
-    _ANNIHILATION_TOL,
-    EIGENVALUE_FLOOR,
-    HERMITICITY_TOL,
-    TRACE_TOL,
-    ZERO_EIGENVALUE,
     DiagonalFilter,
     EnergySpectrum,
     QState,
     apply_filter,
+    apply_filter_rows,
     coherence,
+    coherence_rows,
     coherence_tsallis,
     mean_energy,
 )
 from .synthesis import FilterTarget, FrontierPoint, _check_success_range
 
 _REFINE_FLOOR = 1e-6
-# Rows per slice of the mixed-state objective: a slice holds a few d x d
-# complex arrays per row, about 10 MB at d = 6.
-_BATCH_ROWS = 2048
 # Slack on the sorted-P_S window of a grid head, far above the round-off of
 # tail P_S + head P_S; the exact band test is applied inside the window.
 _BAND_MARGIN = 1e-9
@@ -54,6 +50,11 @@ _BAND_MARGIN = 1e-9
 # intensities), built whole before the search: 24 MB of float64 at the limit,
 # which admits grid_step 0.01 (101^3 rows).
 MAX_TAIL_ROWS = 2**20
+# Grid points of a whole search (heads x tail rows). The head loop makes one
+# band window and one objective batch per head, so this bounds its time: at
+# the limit a d = 6 energy search (16^6 points, 4096 heads) took 1.3 s on 2
+# cores. It admits d = 4 at grid_step 0.02 (51^4 points) and d = 5 at 0.1.
+MAX_GRID_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -115,64 +116,9 @@ class _Objective:
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = np.where(q > 1e-14, -q * np.log(np.where(q > 1e-14, q, 1.0)), 0.0)
             return terms.sum(axis=1)
-        out = np.empty(m.shape[0])
-        for lo in range(0, m.shape[0], _BATCH_ROWS):
-            rows = slice(lo, lo + _BATCH_ROWS)
-            out[rows] = _filtered_coherence(self.state, m[rows])
-        return out
-
-
-def _row_entropy(values: np.ndarray) -> np.ndarray:
-    """``statecore._entropy`` of each row. A dropped entry adds an exact 0.0
-    in its place, so each row sums the kept terms as the 1-D version does."""
-    keep = values > ZERO_EIGENVALUE
-    return -np.where(keep, values * np.log(np.where(keep, values, 1.0)), 0.0).sum(axis=1)
-
-
-def _filtered_coherence(state: QState, m: np.ndarray) -> np.ndarray:
-    """``coherence(apply_filter(state, DiagonalFilter(sqrt(clip(m))))[0])`` for
-    each row of ``m``, with the same arithmetic, checks and exceptions. A
-    batch raises what the first failing row would raise."""
-    c = np.sqrt(np.clip(m, 0.0, 1.0)).astype(complex)
-    magnitude = np.abs(c)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p_s = (magnitude**2 * state.populations).sum(axis=1)
-        rho = state.matrix * (c[:, :, None] * c.conj()[:, None, :]) / p_s[:, None, None]
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        skew = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        trace = np.trace(rho, axis1=1, axis2=2)
-    big = ~(magnitude.max(axis=1) <= 1.0 + 1e-12)
-    finite_c = np.isfinite(c).all(axis=1)
-    skewed = ~(skew <= HERMITICITY_TOL)
-    finite = np.isfinite(rho).all(axis=(1, 2))
-    checks = (
-        (big & ~finite_c, StateValidationError, "filter coefficients must be finite"),
-        (big & finite_c, StateValidationError, "filter coefficients must satisfy |m| <= 1"),
-        (
-            p_s < _ANNIHILATION_TOL,
-            AnnihilatedState,
-            "filter annihilates the state (success probability 0)",
-        ),
-        (skewed & ~finite, StateValidationError, "density matrix entries must be finite"),
-        (skewed & finite, StateValidationError, "density matrix is not Hermitian"),
-        (
-            (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL),
-            StateValidationError,
-            "density matrix trace must equal 1",
-        ),
-    )
-    failed = np.array([mask for mask, _, _ in checks])
-    bad_rows = np.flatnonzero(failed.any(axis=0))
-    n_ok = int(bad_rows[0]) if bad_rows.size else len(m)
-    # rows before the first failure reach the eigenvalue floor check
-    eigenvalues = np.linalg.eigvalsh(rho[:n_ok])
-    if (eigenvalues.min(axis=1) < EIGENVALUE_FLOOR).any():
-        raise StateValidationError("density matrix has a negative eigenvalue")
-    if bad_rows.size:
-        _, error, message = checks[int(np.flatnonzero(failed[:, n_ok])[0])]
-        raise error(message)
-    gap = _row_entropy(rho.diagonal(axis1=1, axis2=2).real) - _row_entropy(eigenvalues)
-    return np.where(gap < 0.0, 0.0, gap)
+        coeffs = np.sqrt(np.clip(m, 0.0, 1.0)).astype(complex)
+        _, populations, eigenvalues = apply_filter_rows(self.state.matrix, coeffs)
+        return coherence_rows(populations, eigenvalues)
 
 
 def _grid_axis_length(grid_step: float) -> float:
@@ -314,7 +260,8 @@ def grid_search(
     down to 1e-6 while projected on the exact constraint. Ties go to the
     lexicographically smallest filter; the search is fully deterministic.
     A grid whose tail block (the last min(d, 3) intensities) has more than
-    ``MAX_TAIL_ROWS`` rows is rejected before anything is built.
+    ``MAX_TAIL_ROWS`` rows, or whose ``len(axis)**d`` grid points exceed
+    ``MAX_GRID_POINTS``, is rejected before anything is built.
     """
     d = state.dim
     if d > 6:
@@ -335,6 +282,12 @@ def grid_search(
         raise DomainError(
             f"grid_step {grid_step!r} needs {tail_rows:.0f} tail rows at dimension {d}; "
             f"the limit is {MAX_TAIL_ROWS}"
+        )
+    points = _grid_axis_length(grid_step) ** d
+    if points > MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid_step {grid_step!r} needs {points:.0f} grid points at dimension {d}; "
+            f"the limit is {MAX_GRID_POINTS}"
         )
 
     pops = np.clip(state.populations, 0.0, None)

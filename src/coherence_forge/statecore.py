@@ -8,6 +8,15 @@ purity-based (Tsallis) coherence.
 All values are immutable; every operation returns a new object, so states
 and filters are safe to share between threads. Entropies use the natural
 logarithm throughout (nats).
+
+``apply_filter_rows`` is the batched form of ``apply_filter`` that the
+frontier tracer, the mixed-state scans and the oracle share: it filters a
+state (or a stack of states) by many coefficient rows at once, makes every
+check ``DiagonalFilter``, ``apply_filter`` and ``QState`` make for each row,
+and diagonalizes the outputs with one stacked ``eigvalsh`` per bounded
+slice, without building a ``QState`` per row. ``coherence_rows`` turns its
+output into relative-entropy coherences. Both give, row for row, the same
+floats as the one-state functions.
 """
 
 from __future__ import annotations
@@ -182,6 +191,27 @@ def _entropy(values: np.ndarray) -> float:
     return float(-(v * np.log(v)).sum())
 
 
+def _row_entropy(values: np.ndarray) -> np.ndarray:
+    """``_entropy`` of each row, summed as the 1-D version sums its kept terms.
+
+    Every row keeps at least one entry, as the populations and the spectrum
+    of a unit-trace state do. numpy adds fewer than 8 terms from left to
+    right, so in rows shorter than that a dropped entry can stand in place as
+    an exact 0.0. Longer sums are pairwise, so there the kept terms of the
+    rows with equal counts are gathered and summed together.
+    """
+    keep = values > ZERO_EIGENVALUE
+    terms = np.where(keep, values * np.log(np.where(keep, values, 1.0)), 0.0)
+    if values.shape[1] < 8:
+        return -terms.sum(axis=1)
+    counts = keep.sum(axis=1)
+    out = np.empty(len(values))
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        out[rows] = -terms[rows][keep[rows]].reshape(rows.size, k).sum(axis=1)
+    return out
+
+
 def dephase(state: QState) -> QState:
     """Project onto the diagonal: identical populations, zero off-diagonals."""
     return QState(np.diag(np.diag(state.matrix)))
@@ -236,6 +266,88 @@ def apply_filter(state: QState, filt: DiagonalFilter) -> tuple[QState, float]:
     out = scaled / p_s
     out = 0.5 * (out + out.conj().T)
     return QState(out), p_s
+
+
+# Rows per slice of ``apply_filter_rows``: a slice holds a few d x d complex
+# arrays per row, about 10 MB at d = 6.
+_BATCH_ROWS = 2048
+
+
+def apply_filter_rows(
+    matrix: np.ndarray, coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`apply_filter` for every row of a batch of filter coefficients.
+
+    ``matrix`` is the density matrix of a validated :class:`QState`, or a
+    stack of them with one per row of ``coeffs`` (shape (n, d)). Each row is
+    filtered with the arithmetic of ``apply_filter(state, DiagonalFilter(row))``
+    and every check the filter, the filtering and the output ``QState`` make;
+    a batch raises what its first failing row would raise. The outputs are
+    diagonalized with one stacked ``eigvalsh``, in slices of at most
+    ``_BATCH_ROWS`` rows so memory stays bounded.
+
+    Returns each row's success probability, the populations of its filtered
+    state and that state's eigenvalues (ascending): all that
+    :func:`coherence_rows` and the mean energy read.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    matrix = np.asarray(matrix)
+    n, d = coeffs.shape[0], matrix.shape[-1]
+    if n and coeffs.shape[1] != d:
+        DiagonalFilter(coeffs[0])  # the filter's own checks come first
+        raise DimensionMismatch(f"state dimension {d} != filter dimension {coeffs.shape[1]}")
+    if n <= _BATCH_ROWS:
+        return _filter_slice(matrix, coeffs)
+    p_s, populations, eigenvalues = np.empty(n), np.empty((n, d)), np.empty((n, d))
+    for lo in range(0, n, _BATCH_ROWS):
+        rows = slice(lo, lo + _BATCH_ROWS)
+        p_s[rows], populations[rows], eigenvalues[rows] = _filter_slice(
+            matrix if matrix.ndim == 2 else matrix[rows], coeffs[rows]
+        )
+    return p_s, populations, eigenvalues
+
+
+def _filter_slice(
+    matrix: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    magnitude = np.abs(c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p_s = (magnitude**2 * matrix.diagonal(axis1=-2, axis2=-1).real).sum(axis=1)
+        rho = matrix * (c[:, :, None] * c.conj()[:, None, :]) / p_s[:, None, None]
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        skew = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        trace = np.trace(rho, axis1=1, axis2=2)
+    big = ~(magnitude.max(axis=1) <= 1.0 + 1e-12)
+    skewed = ~(skew <= HERMITICITY_TOL)
+    off_trace = (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL)
+    bad = big | (p_s < _ANNIHILATION_TOL) | skewed | off_trace
+    n_ok = int(bad.argmax()) if bad.any() else len(c)
+    # rows before the first failure reach the eigenvalue floor check
+    eigenvalues = np.linalg.eigvalsh(rho[:n_ok])
+    if (eigenvalues.min(axis=1) < EIGENVALUE_FLOOR).any():
+        raise StateValidationError("density matrix has a negative eigenvalue")
+    if n_ok < len(c):
+        # the first failing check of the first failing row, in the order the
+        # filter, ``apply_filter`` and ``QState`` make them
+        if big[n_ok]:
+            if not np.isfinite(c[n_ok]).all():
+                raise StateValidationError("filter coefficients must be finite")
+            raise StateValidationError("filter coefficients must satisfy |m| <= 1")
+        if p_s[n_ok] < _ANNIHILATION_TOL:
+            raise AnnihilatedState("filter annihilates the state (success probability 0)")
+        if skewed[n_ok]:
+            if not np.isfinite(rho[n_ok]).all():
+                raise StateValidationError("density matrix entries must be finite")
+            raise StateValidationError("density matrix is not Hermitian")
+        raise StateValidationError("density matrix trace must equal 1")
+    return p_s, rho.diagonal(axis1=1, axis2=2).real, eigenvalues
+
+
+def coherence_rows(populations: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """:func:`coherence` of each state given by a row of populations and a row
+    of eigenvalues, as :func:`apply_filter_rows` returns them."""
+    gap = _row_entropy(populations) - _row_entropy(eigenvalues)
+    return np.where(gap < 0.0, 0.0, gap)
 
 
 def product_pure_state(p: float, n_qubits: int) -> QState:

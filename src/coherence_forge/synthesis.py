@@ -14,6 +14,16 @@ it solves all 3^n assignments of the levels to 0, 1 or free, in batches
 that share 2^n pseudo-inverses (one per free set), and it rejects states
 with more than ``TSALLIS_MAX_LEVELS`` = 12 populated levels.
 
+The energy cut, the water-fill level and the factorized family are computed
+over a whole vector of success probabilities (the factorized ``b`` by one
+lockstep Brent iteration); each scalar synthesizer is that code on one row.
+``trace_frontier`` synthesizes its grid in one batch and measures it with
+one ``statecore.apply_filter_rows`` call. ``mixed_scan`` runs the
+golden-section searches of all its populations in lockstep, one batch per
+step, and ``plateau_threshold`` scans the midpoints of several bisection
+steps in one such batch. Every result equals the per-point computation bit
+for bit.
+
 All synthesized filters carry nonnegative real coefficients; phases are
 irrelevant to every scalar measure and belong to the optics layer.
 """
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -36,9 +47,8 @@ from .statecore import (
     QState,
     QubitParams,
     ZERO_POPULATION,
-    apply_filter,
-    coherence,
-    mean_energy,
+    apply_filter_rows,
+    coherence_rows,
     mixed_qubit_product,
 )
 
@@ -120,6 +130,15 @@ def _check_success_range(
         raise UnreachableSuccessProbability(below)
 
 
+def _check_success_rows(
+    ps: np.ndarray, lo: float, below: str, above: str = "P_S exceeds 1"
+) -> None:
+    """:func:`_check_success_range` for every P_S in ``ps``; the first bad one raises."""
+    ok = (ps <= 1.0 + _RANGE_TOL) & (ps >= lo - _RANGE_TOL)
+    for value in ps[~ok].tolist()[:1]:
+        _check_success_range(value, lo, below, above)
+
+
 # ---------------------------------------------------------------------------
 # Energy-optimal family
 # ---------------------------------------------------------------------------
@@ -135,37 +154,42 @@ def energy_optimal_filter(
     and passes everything above untouched. Reachable success probabilities
     are bounded below by the population of the highest-energy class.
     """
+    return DiagonalFilter(_energy_rows(state, spectrum, np.array([p_success], dtype=float))[0])
+
+
+def _energy_rows(state: QState, spectrum: EnergySpectrum, ps: np.ndarray) -> np.ndarray:
+    """Coefficients of the energy-optimal filter at each success probability
+    in ``ps``, one row each: the cut is moved down the classes for all rows
+    at once."""
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
     pops = np.clip(state.populations, 0.0, None)
     classes = spectrum.degeneracy_classes(DEGENERACY_TOL)
     top_pop = float(pops[classes[-1]].sum())
-    _check_success_range(
-        p_success, top_pop, f"P_S below the population {top_pop:.6g} of the highest-energy class"
+    _check_success_rows(
+        ps, top_pop, f"P_S below the population {top_pop:.6g} of the highest-energy class"
     )
 
-    amplitudes = np.ones(state.dim)
-    to_remove = max(1.0 - min(p_success, 1.0), 0.0)
+    amplitudes = np.ones((ps.size, state.dim))
+    to_remove = np.maximum(1.0 - np.minimum(ps, 1.0), 0.0)
     for group in classes:
-        if to_remove <= 1e-15:
+        cutting = to_remove > 1e-15  # a row stops at its first class below this
+        if not cutting.any():
             break
         live = group[pops[group] >= ZERO_POPULATION]
         group_pop = float(pops[live].sum())
         if group_pop <= 0.0:
             continue
-        if group_pop <= to_remove:
-            amplitudes[live] = 0.0
-            to_remove -= group_pop
-        else:
-            kept = (group_pop - to_remove) / group_pop
-            # snap round-off at the class boundaries to the crisp pattern
-            if kept < 1e-12:
-                kept = 0.0
-            elif kept > 1.0 - 1e-12:
-                kept = 1.0
-            amplitudes[live] = np.sqrt(kept)
-            to_remove = 0.0
-    return DiagonalFilter(amplitudes.astype(complex))
+        zeroed = cutting & (group_pop <= to_remove)
+        amplitudes[np.ix_(zeroed, live)] = 0.0
+        to_remove[zeroed] -= group_pop
+        cut = cutting & ~zeroed
+        kept = (group_pop - to_remove[cut]) / group_pop
+        # snap round-off at the class boundaries to the crisp pattern
+        kept = np.where(kept < 1e-12, 0.0, np.where(kept > 1.0 - 1e-12, 1.0, kept))
+        amplitudes[np.ix_(cut, live)] = np.sqrt(kept)[:, None]
+        to_remove[cut] = 0.0
+    return amplitudes.astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +197,18 @@ def energy_optimal_filter(
 # ---------------------------------------------------------------------------
 
 
-def _waterfill_level(pops: np.ndarray, p_success: float) -> float:
-    """Solve sum_j min(K, p_j) = p_success for the common output ceiling K."""
+def _waterfill_levels(pops: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Solve sum_j min(K, p_j) = P_S for the common output ceiling K at each
+    P_S in ``ps``: the first sorted segment that holds its K, else the largest
+    population."""
     qs = np.sort(pops)
     prefix = np.concatenate([[0.0], np.cumsum(qs)])
     n = qs.size
-    for i in range(n):
-        lo = 0.0 if i == 0 else qs[i - 1]
-        hi = qs[i]
-        k = (p_success - prefix[i]) / (n - i)
-        if lo - 1e-15 <= k <= hi + 1e-15:
-            return float(k)
-    return float(qs[-1])
+    k = (ps[:, None] - prefix[:n]) / (n - np.arange(n))
+    lo = np.concatenate([[0.0], qs[:-1]])
+    fits = (lo - 1e-15 <= k) & (k <= qs + 1e-15)
+    first = fits.argmax(axis=1)
+    return np.where(fits.any(axis=1), k[np.arange(ps.size), first], qs[-1])
 
 
 def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFilter:
@@ -195,6 +219,12 @@ def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFi
     pass untouched. Reachable down to full equalization of the populated
     levels; mixed inputs are rejected (use :func:`tsallis_optimal_filter`).
     """
+    return DiagonalFilter(_waterfill_rows(state, np.array([p_success], dtype=float))[0])
+
+
+def _waterfill_rows(state: QState, ps: np.ndarray) -> np.ndarray:
+    """Coefficients of the coherence-optimal pure-state filter at each success
+    probability in ``ps``, one row each."""
     if not state.is_pure():
         raise DomainError(
             "input is not pure; the relative-entropy optimum is only "
@@ -206,11 +236,11 @@ def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFi
         raise DomainError("state must populate at least two levels")
     act = pops[active]
     ps_min = float(np.minimum(act.min(), act).sum())
-    _check_success_range(p_success, ps_min, f"P_S below the full-equalization minimum {ps_min:.6g}")
-    k = _waterfill_level(act, min(p_success, 1.0))
-    amplitudes = np.ones(state.dim)
-    amplitudes[active] = np.sqrt(np.minimum(k / act, 1.0))
-    return DiagonalFilter(amplitudes.astype(complex))
+    _check_success_rows(ps, ps_min, f"P_S below the full-equalization minimum {ps_min:.6g}")
+    k = _waterfill_levels(act, np.minimum(ps, 1.0))
+    amplitudes = np.ones((ps.size, state.dim))
+    amplitudes[:, active] = np.sqrt(np.minimum(k[:, None] / act, 1.0))
+    return amplitudes.astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +448,109 @@ def optimal_filter(
     """The synthesizer of ``target`` at the given success probability:
     :func:`energy_optimal_filter`, :func:`coherence_optimal_filter_pure` (pure
     states only) or :func:`tsallis_optimal_filter`."""
+    return DiagonalFilter(
+        _optimal_rows(state, spectrum, target, np.array([p_success], dtype=float))[0]
+    )
+
+
+def _optimal_rows(
+    state: QState, spectrum: EnergySpectrum, target: FilterTarget, ps: np.ndarray
+) -> np.ndarray:
+    """Coefficients of the synthesizer of ``target`` at each P_S in ``ps``,
+    one row each; the Tsallis optimum is solved one P_S at a time."""
     if target is FilterTarget.ENERGY:
-        return energy_optimal_filter(state, spectrum, p_success)
+        return _energy_rows(state, spectrum, ps)
     if target is FilterTarget.COHERENCE:
-        return coherence_optimal_filter_pure(state, p_success)
-    return tsallis_optimal_filter(state, p_success)
+        return _waterfill_rows(state, ps)
+    return np.array([tsallis_optimal_filter(state, p).coeffs for p in ps.tolist()])
 
 
 # ---------------------------------------------------------------------------
 # Scalar root finding
 # ---------------------------------------------------------------------------
+
+
+def _brent_roots(
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    xa: Sequence[float],
+    xb: Sequence[float],
+    xtol: float,
+    rtol: float,
+    maxiter: int = 300,
+) -> np.ndarray:
+    """Roots by Brent's method of one function per row, each in its bracket
+    [xa[i], xb[i]], run in lockstep.
+
+    ``fn(x, rows)`` evaluates the functions of the rows ``rows`` (indices
+    into the brackets) at ``x``. Each row runs, step for step, the classic
+    ``brentq`` iteration: inverse quadratic extrapolation or secant
+    interpolation when the step is short enough, bisection otherwise,
+    converged once half the bracket is below (xtol + rtol*|x|)/2. An
+    endpoint where the function is exactly 0 is returned as is. The rows
+    share every iteration under per-row masks; IEEE arithmetic is the same
+    element by element, so each root is the one a row-by-row run finds.
+    A :class:`DomainError` is raised for the first row that has no sign
+    change on its bracket or does not converge in ``maxiter`` iterations.
+    """
+    xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
+    ids = np.arange(xpre.size)
+    fpre, fcur = fn(xpre, ids), fn(xcur, ids)
+    roots = np.where(fpre == 0.0, xpre, xcur)
+    iterate = (fpre != 0.0) & (fcur != 0.0)
+    bracketed = ((fpre < 0.0) & (0.0 < fcur)) | ((fcur < 0.0) & (0.0 < fpre))
+    unbracketed = np.flatnonzero(iterate & ~bracketed)
+    # the rows after the first unbracketed one are never reached row by row
+    stop = unbracketed[0] if unbracketed.size else xpre.size
+    ids = np.flatnonzero(iterate[:stop])
+    xpre, xcur, fpre, fcur = xpre[ids], xcur[ids], fpre[ids], fcur[ids]
+    xblk, fblk, spre, scur = (np.zeros(ids.size) for _ in range(4))
+    for _ in range(maxiter):
+        if not ids.size:
+            break
+        flip = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + rtol * np.abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[ids[done]] = xcur[done]
+            go = ~done
+            ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[go] for v in (ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            )
+            if not ids.size:
+                break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # interpolate where xpre == xblk, extrapolate elsewhere
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+            )
+        limit = 3.0 * np.abs(sbis) - delta
+        limit = np.where(limit < np.abs(spre), limit, np.abs(spre))
+        short = (
+            (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2.0 * np.abs(stry) < limit)
+        )
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = np.where(
+            np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0.0, delta, -delta)
+        )
+        fcur = fn(xcur, ids)
+    if ids.size:
+        raise DomainError(f"root finder did not converge in {maxiter} iterations")
+    if unbracketed.size:
+        raise DomainError("root finder: the function does not change sign on the bracket")
+    return roots
 
 
 def _brent_root(
@@ -438,56 +561,12 @@ def _brent_root(
     rtol: float,
     maxiter: int = 300,
 ) -> float:
-    """Root of ``fn`` in the bracket [xa, xb] by Brent's method.
-
-    Step for step the classic ``brentq`` iteration: inverse quadratic
-    extrapolation or secant interpolation when the step is short enough,
-    bisection otherwise, converged once half the bracket is below
-    (xtol + rtol*|x|)/2. An endpoint where ``fn`` is exactly 0 is returned
-    as is.
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(fn(xpre)), float(fn(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):
-        raise DomainError("root finder: the function does not change sign on the bracket")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = float(fn(xcur))
-    raise DomainError(f"root finder did not converge in {maxiter} iterations")
+    """Root of ``fn`` in the bracket [xa, xb]: :func:`_brent_roots` on one row."""
+    return float(
+        _brent_roots(
+            lambda x, rows: np.array([float(fn(float(x[0])))]), [xa], [xb], xtol, rtol, maxiter
+        )[0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,35 +630,52 @@ def _qubit_count(dim: int) -> int:
 
 def factorized_single_qubit(b: float, n_qubits: int) -> DiagonalFilter:
     """Tensor power of the single-qubit filter diag(b, 1)."""
-    single = np.array([b, 1.0], dtype=complex)
+    return DiagonalFilter(_factorized_coeffs(np.array([b]), n_qubits)[0])
+
+
+def _factorized_coeffs(b: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Coefficients of the tensor power of diag(b, 1) for each b, one row each."""
+    single = np.stack([b, np.ones_like(b)], axis=1).astype(complex)
     c = single
     for _ in range(n_qubits - 1):
-        c = np.kron(c, single)
-    return DiagonalFilter(c)
+        c = (c[:, :, None] * single[:, None, :]).reshape(b.size, -1)
+    return c
 
 
 def factorized_filter(state: QState, p_success: float) -> DiagonalFilter:
     """Factorized filter whose success probability on ``state`` equals ``p_success``."""
+    return DiagonalFilter(_factorized_rows(state, np.array([p_success], dtype=float))[0])
+
+
+def _factorized_rows(state: QState, ps: np.ndarray) -> np.ndarray:
+    """Coefficients of the factorized filter at each success probability in
+    ``ps``, one row each; the interior b are found by one lockstep Brent."""
     n = _qubit_count(state.dim)
     pops = state.populations
     lo = float(pops[-1])
     message = f"factorized family reaches only [{lo:.6g}, 1]"
-    _check_success_range(p_success, lo, message, above=message)
+    _check_success_rows(ps, lo, message, above=message)
     # success probability is a polynomial in b^2: sum_i pops[i] * (b^2)^(#zeros in i)
     zero_counts = np.array(
         [n - bin(i).count("1") for i in range(state.dim)], dtype=int
     )
 
-    def gap(b: float) -> float:
-        return float((pops * (b * b) ** zero_counts).sum()) - p_success
+    def gap(b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return (pops * (b * b)[:, None] ** zero_counts).sum(axis=1) - ps[rows]
 
-    if gap(1.0) < 0.0:
-        b = 1.0
-    elif gap(0.0) > 0.0:
-        b = 0.0
-    else:
-        b = _brent_root(gap, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-    return factorized_single_qubit(b, n)
+    rows = np.arange(ps.size)
+    above_one = gap(np.ones(ps.size), rows) < 0.0
+    below_zero = gap(np.zeros(ps.size), rows) > 0.0
+    b = np.where(above_one, 1.0, 0.0)
+    inner = np.flatnonzero(~above_one & ~below_zero)
+    b[inner] = _brent_roots(
+        lambda x, r: gap(x, inner[r]),
+        np.zeros(inner.size),
+        np.ones(inner.size),
+        xtol=1e-15,
+        rtol=8.9e-16,
+    )
+    return _factorized_coeffs(b, n)
 
 
 def reachable_success_range(
@@ -616,8 +712,13 @@ def trace_frontier(
 
     Points are sorted by success probability; each point's stored measures
     are recomputed from its own filter, so the frontier invariants hold by
-    construction.
+    construction. The filters of the whole grid are synthesized as one batch
+    and measured with one :func:`statecore.apply_filter_rows` call; the
+    points, equal to what the per-point synthesizer, ``apply_filter``,
+    ``coherence`` and ``mean_energy`` give, are built at the end.
     """
+    if not isinstance(grid, numbers.Integral):
+        raise DomainError(f"grid must be an integer, got {grid!r}")
     if grid < 2:
         raise DomainError("grid must contain at least 2 points")
     if state.dim != spectrum.dim:
@@ -631,21 +732,23 @@ def trace_frontier(
             raise DomainError("empty reachable success-probability range")
         ps_values = np.linspace(lo, hi, grid)
 
-    def build(ps: float) -> FrontierPoint:
-        if family is FilterFamily.FACTORIZED:
-            filt = factorized_filter(state, float(ps))
-        else:
-            filt = optimal_filter(state, spectrum, target, float(ps))
-        out, actual = apply_filter(state, filt)
-        return FrontierPoint(
-            p_success=actual,
-            coherence=coherence(out),
-            mean_energy=mean_energy(out, spectrum),
-            filter=filt,
-            family=family,
+    if family is FilterFamily.FACTORIZED:
+        coeffs = _factorized_rows(state, ps_values)
+    else:
+        coeffs = _optimal_rows(state, spectrum, target, ps_values)
+    p_s, populations, eigenvalues = apply_filter_rows(state.matrix, coeffs)
+    values = zip(
+        p_s.tolist(),
+        coherence_rows(populations, eigenvalues).tolist(),
+        (spectrum.levels * populations).sum(axis=1).tolist(),
+        coeffs,
+    )
+    return [
+        FrontierPoint(
+            p_success=p, coherence=c, mean_energy=e, filter=DiagonalFilter(row), family=family
         )
-
-    return [build(ps) for ps in ps_values]
+        for p, c, e, row in values
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -653,39 +756,66 @@ def trace_frontier(
 # ---------------------------------------------------------------------------
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# points of the coarse scan that brackets each golden-section search
+_SCAN_POINTS = 33
 
 
-def _golden_max(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = GOLDEN_TOL
-) -> float:
-    """Golden-section maximizer with a coarse bracketing pre-scan."""
-    xs = np.linspace(lo, hi, 33)
-    ys = [fn(float(x)) for x in xs]
-    i = int(np.argmax(ys))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, xs.size - 1)])
+def _zero_ground_rows(matrices: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Output populations and spectra of diag(0, b[i], b[i], 1) applied to
+    ``matrices[i]``."""
+    coeffs = np.zeros((b.size, 4), dtype=complex)
+    coeffs[:, 1] = coeffs[:, 2] = b
+    coeffs[:, 3] = 1.0
+    _, populations, eigenvalues = apply_filter_rows(matrices, coeffs)
+    return populations, eigenvalues
+
+
+def _optimal_b(matrices: np.ndarray) -> np.ndarray:
+    """The b in [0, 1] maximizing the output coherence of diag(0, b, b, 1) on
+    each state: golden-section searches, one per state, run in lockstep.
+
+    Every search brackets its maximum with the same coarse scan (one batch for
+    all states) and then takes golden steps until the bracket is narrower
+    than ``GOLDEN_TOL``; each step evaluates the new point of every search
+    still running in one batch.
+    """
+
+    def value(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return coherence_rows(*_zero_ground_rows(matrices[rows], b))
+
+    count = len(matrices)
+    xs = np.linspace(0.0, 1.0, _SCAN_POINTS)
+    scan = value(np.repeat(np.arange(count), xs.size), np.tile(xs, count))
+    i = scan.reshape(count, xs.size).argmax(axis=1)
+    a = xs[np.maximum(i - 1, 0)]
+    b = xs[np.minimum(i + 1, xs.size - 1)]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
+    every = np.arange(count)
+    fc, fd = np.split(value(np.concatenate([every, every]), np.concatenate([c, d])), 2)
+    run = np.flatnonzero(b - a > GOLDEN_TOL)
+    while run.size:
+        left = fc[run] >= fd[run]
+        lt, rt = run[left], run[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - _INV_PHI * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + _INV_PHI * (b[rt] - a[rt])
+        new = value(run, np.where(left, c[run], d[run]))
+        fc[lt], fd[rt] = new[left], new[~left]
+        run = run[b[run] - a[run] > GOLDEN_TOL]
     return 0.5 * (a + b)
 
 
-def _zero_ground_filter(b: float) -> DiagonalFilter:
-    return DiagonalFilter(np.array([0.0, b, b, 1.0], dtype=complex))
-
-
-def _scan_coherence(state: QState, b: float) -> float:
-    out, _ = apply_filter(state, _zero_ground_filter(b))
-    return coherence(out)
+def _scan(eta: float, p_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimized coherence, mean energy and b of the a=0 family for each p."""
+    matrices = np.array(
+        [mixed_qubit_product(QubitParams(p=p, eta=eta), 2).matrix for p in p_values]
+    )
+    b_opt = _optimal_b(matrices)
+    populations, eigenvalues = _zero_ground_rows(matrices, b_opt)
+    energy = (TWO_QUBIT_SPECTRUM.levels * populations).sum(axis=1)
+    return coherence_rows(populations, eigenvalues), energy, b_opt
 
 
 def mixed_scan(eta: float, p_values: Sequence[float]) -> list[MixedScanPoint]:
@@ -694,33 +824,44 @@ def mixed_scan(eta: float, p_values: Sequence[float]) -> list[MixedScanPoint]:
 
     Below a threshold population (at least 0.5) the optimized coherence and
     mean energy are constant in p; above it the optimum saturates at b = 1.
+    The golden-section searches of all p run in lockstep, each step one
+    batch, and give the b of a search run alone.
     """
     if not 0.0 <= eta <= 1.0:
         raise DomainError("eta must lie in [0, 1]")
     for p in p_values:
         if not 0.0 < p < 1.0:
             raise DomainError("populations p must lie in (0, 1)")
-
-    def scan_one(p: float) -> MixedScanPoint:
-        state = mixed_qubit_product(QubitParams(p=p, eta=eta), 2)
-        b_opt = _golden_max(lambda b: _scan_coherence(state, b), 0.0, 1.0)
-        out, _ = apply_filter(state, _zero_ground_filter(b_opt))
-        return MixedScanPoint(
-            p=p,
-            coherence=coherence(out),
-            mean_energy=mean_energy(out, TWO_QUBIT_SPECTRUM),
-            b_opt=b_opt,
-        )
-
-    return [scan_one(p) for p in p_values]
+    if len(p_values) == 0:
+        return []
+    coherences, energies, b_opt = _scan(eta, p_values)
+    return [
+        MixedScanPoint(p=p, coherence=c, mean_energy=e, b_opt=b)
+        for p, c, e, b in zip(p_values, coherences.tolist(), energies.tolist(), b_opt.tolist())
+    ]
 
 
 # plateau_threshold: the plateau reference population, the search bracket's
-# upper end, the coherence drop that leaves the plateau and the bisection width
+# upper end, the coherence drop that leaves the plateau, the bisection width
+# and the bisection steps whose midpoints are scanned in one lockstep batch
 _PLATEAU_P_LO = 0.05
 _PLATEAU_P_HI = 0.995
 _PLATEAU_TOL = 1e-8
 _PLATEAU_RESOLUTION = 1e-5
+_PLATEAU_DEPTH = 3
+
+
+def _bisection_midpoints(lo: float, hi: float, depth: int) -> list[float]:
+    """Every midpoint the next ``depth`` steps of the bisection on [lo, hi]
+    can visit, computed as the bisection computes them."""
+    if depth == 0 or not hi - lo > _PLATEAU_RESOLUTION:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [
+        mid,
+        *_bisection_midpoints(lo, mid, depth - 1),
+        *_bisection_midpoints(mid, hi, depth - 1),
+    ]
 
 
 def plateau_threshold(eta: float) -> float:
@@ -730,20 +871,26 @@ def plateau_threshold(eta: float) -> float:
     The plateau is left quadratically, so the detected threshold converges
     to the exact one from above (by about sqrt(1e-8)); it therefore never
     underestimates the true threshold.
+
+    The bisection is unchanged; the midpoints its next ``_PLATEAU_DEPTH``
+    steps can visit are scanned in one lockstep :func:`mixed_scan` batch,
+    and the bisection then walks them.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError("threshold detection needs eta in (0, 1]")
-    ref = mixed_scan(eta, [_PLATEAU_P_LO])[0].coherence
-
-    def on_plateau(p: float) -> bool:
-        return mixed_scan(eta, [p])[0].coherence >= ref - _PLATEAU_TOL
-
-    if on_plateau(_PLATEAU_P_HI):
-        return _PLATEAU_P_HI
     lo, hi = _PLATEAU_P_LO, _PLATEAU_P_HI
+    # the first batch also scans the reference and the bracket's upper end
+    mids = _bisection_midpoints(lo, hi, _PLATEAU_DEPTH)
+    ref, top, *scanned = _scan(eta, [lo, hi, *mids])[0].tolist()
+    if top >= ref - _PLATEAU_TOL:
+        return _PLATEAU_P_HI
+    on_plateau = {mid: c >= ref - _PLATEAU_TOL for mid, c in zip(mids, scanned)}
     while hi - lo > _PLATEAU_RESOLUTION:
         mid = 0.5 * (lo + hi)
-        if on_plateau(mid):
+        if mid not in on_plateau:
+            mids = _bisection_midpoints(lo, hi, _PLATEAU_DEPTH)
+            on_plateau.update(zip(mids, (_scan(eta, mids)[0] >= ref - _PLATEAU_TOL).tolist()))
+        if on_plateau[mid]:
             lo = mid
         else:
             hi = mid

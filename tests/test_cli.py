@@ -33,7 +33,7 @@ from coherence_forge.cli import (
     write_frontier_csv,
     write_frontier_svg,
 )
-from coherence_forge.oracle import MAX_TAIL_ROWS
+from coherence_forge.oracle import MAX_GRID_POINTS, MAX_TAIL_ROWS
 from coherence_forge.statecore import filter_from_text, qstate_to_text
 
 
@@ -685,4 +685,18 @@ class TestOnePathPerJob:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert f"needs 1003003001 tail rows at dimension 4; the limit is {MAX_TAIL_ROWS}" in err
+        assert "Traceback" not in err
+
+
+class TestGridPointLimit:
+    def test_oracle_grid_above_the_point_limit_exits_2(self, capsys, tmp_path):
+        state_path = tmp_path / "d6.txt"
+        state_path.write_text(qstate_to_text(QState.pure(np.linspace(1.0, 2.0, 6))))
+        code, out, err = run(
+            capsys, "oracle", "--state", str(state_path), "--ps", "0.5", "--target", "energy",
+            "--spectrum", "0,1,2,3,4,5", "--grid-step", "0.05",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert f"needs 85766121 grid points at dimension 6; the limit is {MAX_GRID_POINTS}" in err
         assert "Traceback" not in err

@@ -14,6 +14,7 @@ from coherence_forge import (
     trace_frontier,
 )
 from coherence_forge.oracle import (
+    MAX_GRID_POINTS,
     MAX_TAIL_ROWS,
     _grid_axis,
     _grid_axis_length,
@@ -186,3 +187,28 @@ def test_tail_limit_admits_step_0_01():
     best = coherence_optimal_filter_pure(state, 0.6)
     assert res.objective <= objective_value(state, spectrum, FilterTarget.COHERENCE, best) + 1e-9
     assert res.p_success == pytest.approx(0.6, abs=1e-9)
+
+
+def _random_pure(d):
+    rng = np.random.default_rng(d)
+    return QState.pure(rng.normal(size=d) + 1j * rng.normal(size=d))
+
+
+@pytest.mark.parametrize(
+    "d, step, points",
+    [(6, 0.05, "85766121"), (6, 0.01, "1061520150601"), (5, 0.02, "345025251")],
+)
+def test_rejects_a_grid_above_the_point_limit(d, step, points):
+    # the tail block fits, so only the total bounds the head loop; step 0.01 at
+    # d = 6 would run for hours, so raising at all shows nothing was enumerated
+    assert _grid_axis_length(step) ** 3 <= MAX_TAIL_ROWS
+    message = f"needs {points} grid points at dimension {d}; the limit is {MAX_GRID_POINTS}"
+    spectrum = EnergySpectrum(np.arange(d, dtype=float))
+    with pytest.raises(DomainError, match=message) as info:
+        grid_search(_random_pure(d), spectrum, FilterTarget.ENERGY, 0.5, grid_step=step)
+    assert not isinstance(info.value, InfeasibleGrid)
+
+
+@pytest.mark.parametrize("d, step", [(3, 0.01), (4, 0.02), (4, 0.04), (5, 0.1), (5, 0.2)])
+def test_point_limit_admits_the_documented_steps(d, step):
+    assert _grid_axis_length(step) ** d <= MAX_GRID_POINTS

@@ -624,3 +624,24 @@ class TestOptimalFilter:
         assert pt.measure(FilterTarget.ENERGY) == pt.mean_energy
         assert pt.measure(FilterTarget.COHERENCE) == pt.coherence
         assert pt.measure(FilterTarget.COHERENCE_TSALLIS) == pt.coherence
+
+
+class TestFrontierGridArgument:
+    STATE = product_pure_state(0.1, 2)
+
+    @pytest.mark.parametrize("grid", [2.5, float("nan"), float("inf"), 200.0, "200", None])
+    def test_rejects_a_non_integral_grid(self, grid):
+        with pytest.raises(DomainError, match="grid must be an integer"):
+            trace_frontier(
+                self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget.ENERGY, FilterFamily.OPTIMAL, grid=grid
+            )
+
+    def test_accepts_numpy_integers(self):
+        pts = trace_frontier(
+            self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget.ENERGY, FilterFamily.OPTIMAL,
+            grid=np.int64(7),
+        )
+        assert len(pts) == 7
+
+    def test_empty_mixed_scan(self):
+        assert mixed_scan(0.5, []) == []
