@@ -52,8 +52,11 @@ _BAND_MARGIN = 1e-9
 MAX_TAIL_ROWS = 2**20
 # Grid points of a whole search (heads x tail rows). The head loop makes one
 # band window and one objective batch per head, so this bounds its time: at
-# the limit a d = 6 energy search (16^6 points, 4096 heads) took 1.3 s on 2
-# cores. It admits d = 4 at grid_step 0.02 (51^4 points) and d = 5 at 0.1.
+# the limit a d = 6 search (16^6 points, 4096 heads) took 1.3 s for the
+# energy target and 51 s for the relative entropy of a mixed state, on 2
+# cores. It admits d = 4 at grid_step 0.02 (51^4 points) and d = 5 at 0.1,
+# but not d = 5 at 0.02 (51^5 points: 5-10 s for a pure state, 5 minutes
+# for the relative entropy of a mixed one).
 MAX_GRID_POINTS = 2**24
 
 

@@ -14,15 +14,15 @@ it solves all 3^n assignments of the levels to 0, 1 or free, in batches
 that share 2^n pseudo-inverses (one per free set), and it rejects states
 with more than ``TSALLIS_MAX_LEVELS`` = 12 populated levels.
 
-The energy cut, the water-fill level and the factorized family are computed
-over a whole vector of success probabilities (the factorized ``b`` by one
-lockstep Brent iteration); each scalar synthesizer is that code on one row.
-``trace_frontier`` synthesizes its grid in one batch and measures it with
-one ``statecore.apply_filter_rows`` call. ``mixed_scan`` runs the
-golden-section searches of all its populations in lockstep, one batch per
-step, and ``plateau_threshold`` scans the midpoints of several bisection
-steps in one such batch. Every result equals the per-point computation bit
-for bit.
+The factorized family is computed over a whole vector of success
+probabilities, its ``b`` by one lockstep Brent iteration;
+``factorized_filter`` is that code on one row. ``trace_frontier`` calls the
+closed-form optimal synthesizers once per grid point, takes the factorized
+grid in one batch and measures every filter with one
+``statecore.apply_filter_rows`` call. ``mixed_scan`` runs the golden-section
+searches of its populations in lockstep, one batch per step, and
+``plateau_threshold`` scans the midpoints of several bisection steps in one
+such batch. Every result equals the per-point computation bit for bit.
 
 All synthesized filters carry nonnegative real coefficients; phases are
 irrelevant to every scalar measure and belong to the optics layer.
@@ -47,6 +47,7 @@ from .statecore import (
     QState,
     QubitParams,
     ZERO_POPULATION,
+    _BATCH_ROWS,
     apply_filter_rows,
     coherence_rows,
     mixed_qubit_product,
@@ -154,42 +155,37 @@ def energy_optimal_filter(
     and passes everything above untouched. Reachable success probabilities
     are bounded below by the population of the highest-energy class.
     """
-    return DiagonalFilter(_energy_rows(state, spectrum, np.array([p_success], dtype=float))[0])
-
-
-def _energy_rows(state: QState, spectrum: EnergySpectrum, ps: np.ndarray) -> np.ndarray:
-    """Coefficients of the energy-optimal filter at each success probability
-    in ``ps``, one row each: the cut is moved down the classes for all rows
-    at once."""
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
     pops = np.clip(state.populations, 0.0, None)
     classes = spectrum.degeneracy_classes(DEGENERACY_TOL)
     top_pop = float(pops[classes[-1]].sum())
-    _check_success_rows(
-        ps, top_pop, f"P_S below the population {top_pop:.6g} of the highest-energy class"
+    _check_success_range(
+        p_success, top_pop, f"P_S below the population {top_pop:.6g} of the highest-energy class"
     )
 
-    amplitudes = np.ones((ps.size, state.dim))
-    to_remove = np.maximum(1.0 - np.minimum(ps, 1.0), 0.0)
+    amplitudes = np.ones(state.dim)
+    to_remove = max(1.0 - min(p_success, 1.0), 0.0)
     for group in classes:
-        cutting = to_remove > 1e-15  # a row stops at its first class below this
-        if not cutting.any():
+        if to_remove <= 1e-15:
             break
         live = group[pops[group] >= ZERO_POPULATION]
         group_pop = float(pops[live].sum())
         if group_pop <= 0.0:
             continue
-        zeroed = cutting & (group_pop <= to_remove)
-        amplitudes[np.ix_(zeroed, live)] = 0.0
-        to_remove[zeroed] -= group_pop
-        cut = cutting & ~zeroed
-        kept = (group_pop - to_remove[cut]) / group_pop
-        # snap round-off at the class boundaries to the crisp pattern
-        kept = np.where(kept < 1e-12, 0.0, np.where(kept > 1.0 - 1e-12, 1.0, kept))
-        amplitudes[np.ix_(cut, live)] = np.sqrt(kept)[:, None]
-        to_remove[cut] = 0.0
-    return amplitudes.astype(complex)
+        if group_pop <= to_remove:
+            amplitudes[live] = 0.0
+            to_remove -= group_pop
+        else:
+            kept = (group_pop - to_remove) / group_pop
+            # snap round-off at the class boundaries to the crisp pattern
+            if kept < 1e-12:
+                kept = 0.0
+            elif kept > 1.0 - 1e-12:
+                kept = 1.0
+            amplitudes[live] = np.sqrt(kept)
+            to_remove = 0.0
+    return DiagonalFilter(amplitudes.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +193,18 @@ def _energy_rows(state: QState, spectrum: EnergySpectrum, ps: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 
-def _waterfill_levels(pops: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Solve sum_j min(K, p_j) = P_S for the common output ceiling K at each
-    P_S in ``ps``: the first sorted segment that holds its K, else the largest
-    population."""
+def _waterfill_level(pops: np.ndarray, p_success: float) -> float:
+    """Solve sum_j min(K, p_j) = p_success for the common output ceiling K."""
     qs = np.sort(pops)
     prefix = np.concatenate([[0.0], np.cumsum(qs)])
     n = qs.size
-    k = (ps[:, None] - prefix[:n]) / (n - np.arange(n))
-    lo = np.concatenate([[0.0], qs[:-1]])
-    fits = (lo - 1e-15 <= k) & (k <= qs + 1e-15)
-    first = fits.argmax(axis=1)
-    return np.where(fits.any(axis=1), k[np.arange(ps.size), first], qs[-1])
+    for i in range(n):
+        lo = 0.0 if i == 0 else qs[i - 1]
+        hi = qs[i]
+        k = (p_success - prefix[i]) / (n - i)
+        if lo - 1e-15 <= k <= hi + 1e-15:
+            return float(k)
+    return float(qs[-1])
 
 
 def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFilter:
@@ -219,12 +215,6 @@ def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFi
     pass untouched. Reachable down to full equalization of the populated
     levels; mixed inputs are rejected (use :func:`tsallis_optimal_filter`).
     """
-    return DiagonalFilter(_waterfill_rows(state, np.array([p_success], dtype=float))[0])
-
-
-def _waterfill_rows(state: QState, ps: np.ndarray) -> np.ndarray:
-    """Coefficients of the coherence-optimal pure-state filter at each success
-    probability in ``ps``, one row each."""
     if not state.is_pure():
         raise DomainError(
             "input is not pure; the relative-entropy optimum is only "
@@ -236,11 +226,11 @@ def _waterfill_rows(state: QState, ps: np.ndarray) -> np.ndarray:
         raise DomainError("state must populate at least two levels")
     act = pops[active]
     ps_min = float(np.minimum(act.min(), act).sum())
-    _check_success_rows(ps, ps_min, f"P_S below the full-equalization minimum {ps_min:.6g}")
-    k = _waterfill_levels(act, np.minimum(ps, 1.0))
-    amplitudes = np.ones((ps.size, state.dim))
-    amplitudes[:, active] = np.sqrt(np.minimum(k[:, None] / act, 1.0))
-    return amplitudes.astype(complex)
+    _check_success_range(p_success, ps_min, f"P_S below the full-equalization minimum {ps_min:.6g}")
+    k = _waterfill_level(act, min(p_success, 1.0))
+    amplitudes = np.ones(state.dim)
+    amplitudes[active] = np.sqrt(np.minimum(k / act, 1.0))
+    return DiagonalFilter(amplitudes.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +438,11 @@ def optimal_filter(
     """The synthesizer of ``target`` at the given success probability:
     :func:`energy_optimal_filter`, :func:`coherence_optimal_filter_pure` (pure
     states only) or :func:`tsallis_optimal_filter`."""
-    return DiagonalFilter(
-        _optimal_rows(state, spectrum, target, np.array([p_success], dtype=float))[0]
-    )
-
-
-def _optimal_rows(
-    state: QState, spectrum: EnergySpectrum, target: FilterTarget, ps: np.ndarray
-) -> np.ndarray:
-    """Coefficients of the synthesizer of ``target`` at each P_S in ``ps``,
-    one row each; the Tsallis optimum is solved one P_S at a time."""
     if target is FilterTarget.ENERGY:
-        return _energy_rows(state, spectrum, ps)
+        return energy_optimal_filter(state, spectrum, p_success)
     if target is FilterTarget.COHERENCE:
-        return _waterfill_rows(state, ps)
-    return np.array([tsallis_optimal_filter(state, p).coeffs for p in ps.tolist()])
+        return coherence_optimal_filter_pure(state, p_success)
+    return tsallis_optimal_filter(state, p_success)
 
 
 # ---------------------------------------------------------------------------
@@ -712,10 +692,12 @@ def trace_frontier(
 
     Points are sorted by success probability; each point's stored measures
     are recomputed from its own filter, so the frontier invariants hold by
-    construction. The filters of the whole grid are synthesized as one batch
-    and measured with one :func:`statecore.apply_filter_rows` call; the
-    points, equal to what the per-point synthesizer, ``apply_filter``,
-    ``coherence`` and ``mean_energy`` give, are built at the end.
+    construction. The optimal family calls :func:`optimal_filter` at each
+    grid point; the factorized family solves the whole grid with one
+    lockstep Brent. All filters are measured with one
+    :func:`statecore.apply_filter_rows` call, and the points, equal to what
+    ``apply_filter``, ``coherence`` and ``mean_energy`` give, are built at
+    the end.
     """
     if not isinstance(grid, numbers.Integral):
         raise DomainError(f"grid must be an integer, got {grid!r}")
@@ -733,21 +715,21 @@ def trace_frontier(
         ps_values = np.linspace(lo, hi, grid)
 
     if family is FilterFamily.FACTORIZED:
-        coeffs = _factorized_rows(state, ps_values)
+        filters = [DiagonalFilter(row) for row in _factorized_rows(state, ps_values)]
     else:
-        coeffs = _optimal_rows(state, spectrum, target, ps_values)
-    p_s, populations, eigenvalues = apply_filter_rows(state.matrix, coeffs)
+        filters = [optimal_filter(state, spectrum, target, p) for p in ps_values.tolist()]
+    p_s, populations, eigenvalues = apply_filter_rows(
+        state.matrix, np.array([filt.coeffs for filt in filters])
+    )
     values = zip(
         p_s.tolist(),
         coherence_rows(populations, eigenvalues).tolist(),
         (spectrum.levels * populations).sum(axis=1).tolist(),
-        coeffs,
+        filters,
     )
     return [
-        FrontierPoint(
-            p_success=p, coherence=c, mean_energy=e, filter=DiagonalFilter(row), family=family
-        )
-        for p, c, e, row in values
+        FrontierPoint(p_success=p, coherence=c, mean_energy=e, filter=filt, family=family)
+        for p, c, e, filt in values
     ]
 
 
@@ -758,6 +740,9 @@ def trace_frontier(
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # points of the coarse scan that brackets each golden-section search
 _SCAN_POINTS = 33
+# states searched in lockstep at a time: their coarse scan fills at most one
+# apply_filter_rows slice, so a long scan's memory grows only with its inputs
+_SEARCH_STATES = _BATCH_ROWS // _SCAN_POINTS
 
 
 def _zero_ground_rows(matrices: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -812,7 +797,12 @@ def _scan(eta: float, p_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray
     matrices = np.array(
         [mixed_qubit_product(QubitParams(p=p, eta=eta), 2).matrix for p in p_values]
     )
-    b_opt = _optimal_b(matrices)
+    b_opt = np.concatenate(
+        [
+            _optimal_b(matrices[i : i + _SEARCH_STATES])
+            for i in range(0, len(matrices), _SEARCH_STATES)
+        ]
+    )
     populations, eigenvalues = _zero_ground_rows(matrices, b_opt)
     energy = (TWO_QUBIT_SPECTRUM.levels * populations).sum(axis=1)
     return coherence_rows(populations, eigenvalues), energy, b_opt

@@ -35,7 +35,7 @@ from coherence_forge import (
     tsallis_optimal_filter,
 )
 from coherence_forge import synthesis as syn
-from coherence_forge.statecore import ZERO_POPULATION
+from coherence_forge.statecore import _BATCH_ROWS, ZERO_POPULATION, apply_filter_rows
 from coherence_forge.synthesis import (
     DEGENERACY_TOL,
     GOLDEN_TOL,
@@ -548,6 +548,23 @@ def test_mixed_scan_keeps_inputs_and_empty_scans():
     assert syn.mixed_scan(0.5, np.array([])) == []
     for bad in ((1.5, [0.2]), (0.5, [0.2, 1.0])):
         assert _outcome(syn.mixed_scan, *bad) == _outcome(_reference_mixed_scan, *bad)
+
+
+def test_long_mixed_scan_keeps_its_batches_bounded(monkeypatch):
+    rows = []
+
+    def recording(matrix, coeffs):
+        rows.append(len(coeffs))
+        return apply_filter_rows(matrix, coeffs)
+
+    monkeypatch.setattr(syn, "apply_filter_rows", recording)
+    p_values = np.linspace(0.01, 0.99, 130).tolist()  # more states than one search batch holds
+    got = syn.mixed_scan(0.6, p_values)
+    assert max(rows) <= _BATCH_ROWS
+    want = _reference_mixed_scan(0.6, p_values)
+    assert [(g.coherence, g.mean_energy, g.b_opt) for g in got] == [
+        (w.coherence, w.mean_energy, w.b_opt) for w in want
+    ]
 
 
 @pytest.mark.parametrize("eta", [1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0])

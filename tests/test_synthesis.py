@@ -29,6 +29,7 @@ from coherence_forge import (
     tsallis_optimal_filter,
     two_qubit_closed_form,
 )
+from coherence_forge import synthesis
 from coherence_forge.oracle import grid_search, objective_value
 from coherence_forge.synthesis import (
     _brent_root,
@@ -592,6 +593,22 @@ class TestOptimalFilter:
     def test_each_target_reaches_its_synthesizer(self, target, synthesize, ps):
         got = optimal_filter(self.STATE, TWO_QUBIT_SPECTRUM, target, ps)
         assert np.array_equal(got.coeffs, synthesize(self.STATE, ps).coeffs)
+
+    @pytest.mark.parametrize(
+        "target, name",
+        [
+            (FilterTarget.ENERGY, "energy_optimal_filter"),
+            (FilterTarget.COHERENCE, "coherence_optimal_filter_pure"),
+        ],
+    )
+    def test_optimal_frontier_traces_the_public_synthesizer(self, monkeypatch, target, name):
+        def unfiltered(state, *args):
+            return DiagonalFilter.identity(state.dim)
+
+        monkeypatch.setattr(synthesis, name, unfiltered)
+        pts = trace_frontier(self.STATE, TWO_QUBIT_SPECTRUM, target, FilterFamily.OPTIMAL, grid=5)
+        assert all(np.array_equal(pt.filter.coeffs, np.ones(4)) for pt in pts)
+        assert [pt.p_success for pt in pts] == pytest.approx([1.0] * 5)
 
     def test_mixed_input_needs_the_tsallis_target(self):
         state = mixed_qubit_product(QubitParams(p=0.3, eta=0.5), 2)
