@@ -3,9 +3,10 @@ check the sequential-measurement equivalence, compute process metrics and
 validate against the brute-force oracle.
 
 Exit codes: 0 success, 1 usage error, 2 domain/precondition error, 3 I/O
-error. Flags override values read from an optional flat key=value config
-file. CSV output uses 12 significant digits and is byte-deterministic for
-identical flags.
+error. ``--config FILE``, on every subcommand, splices a flat key=value file
+of long flags in ahead of the given ones, so flags win; ``--log-base`` is an
+option of ``filter`` and ``iterate``. CSV output uses 12 significant digits
+and is byte-deterministic for identical flags.
 """
 
 from __future__ import annotations
@@ -216,11 +217,9 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         if args.p is None:
             raise _UsageError("--mode closed-form needs --p")
         if target is FilterTarget.COHERENCE_TSALLIS:
-            raise DomainError("no closed form for the tsallis target; use --mode tsallis")
+            raise DomainError("no closed form for the tsallis target; use --mode general")
         params = synthesis.two_qubit_closed_form(args.p, args.ps, target)
         filt = params.to_filter()
-    elif args.mode == "tsallis":
-        filt = synthesis.tsallis_optimal_filter(state, args.ps)
     else:
         filt = synthesis.optimal_filter(state, spectrum, target, args.ps)
     out, p_s = apply_filter(state, filt)
@@ -349,11 +348,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file; flags override it")
-    sub.add_argument("--log-base", choices=("e", "2"), default="e")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="coherence-forge", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -363,12 +357,10 @@ def build_parser() -> _Parser:
     p_filter.add_argument("--state", help="QState text file (instead of --p)")
     p_filter.add_argument("--ps", type=float, required=True)
     p_filter.add_argument("--target", choices=[t.value for t in FilterTarget], required=True)
-    p_filter.add_argument(
-        "--mode", choices=("closed-form", "general", "tsallis"), default="closed-form"
-    )
+    p_filter.add_argument("--mode", choices=("closed-form", "general"), default="closed-form")
     p_filter.add_argument("--spectrum", default="0,1,1,2")
     p_filter.add_argument("--out", help="write the filter in text form")
-    _add_common(p_filter)
+    p_filter.add_argument("--log-base", choices=("e", "2"), default="e")
 
     p_front = subs.add_parser("frontier", help="trace a trade-off frontier to CSV/SVG")
     p_front.add_argument("--p", type=float, required=True)
@@ -380,7 +372,6 @@ def build_parser() -> _Parser:
     p_front.add_argument("--out-csv", required=True)
     p_front.add_argument("--out-svg")
     p_front.add_argument("--spectrum", default="0,1,1,2")
-    _add_common(p_front)
 
     p_scan = subs.add_parser("mixed-scan", help="optimize the a=0 family over mixed states")
     p_scan.add_argument("--eta", type=float, required=True)
@@ -388,7 +379,6 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--p-max", type=float, default=0.45)
     p_scan.add_argument("--steps", type=int, required=True)
     p_scan.add_argument("--out-csv", required=True)
-    _add_common(p_scan)
 
     p_iter = subs.add_parser("iterate", help="two-stage pairwise protocol checks")
     p_iter.add_argument("--p", type=float, required=True)
@@ -397,14 +387,13 @@ def build_parser() -> _Parser:
     p_iter.add_argument("--b", type=float, default=1.0)
     p_iter.add_argument("--grid-step", type=float, default=0.04)
     p_iter.add_argument("--out", help="also write the report to a file")
-    _add_common(p_iter)
+    p_iter.add_argument("--log-base", choices=("e", "2"), default="e")
 
     p_choi = subs.add_parser("choi", help="process matrix and metrics of an (a, b) filter")
     p_choi.add_argument("--a", type=float, required=True)
     p_choi.add_argument("--b", type=float, required=True)
     p_choi.add_argument("--phases", help="comma-separated basis-state phases (radians)")
     p_choi.add_argument("--out", required=True)
-    _add_common(p_choi)
 
     p_oracle = subs.add_parser("oracle", help="brute-force check of a synthesizer")
     p_oracle.add_argument("--p", type=float)
@@ -414,7 +403,6 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--grid-step", type=float, default=0.02)
     p_oracle.add_argument("--tolerance", type=float, default=None)
     p_oracle.add_argument("--spectrum", default="0,1,1,2")
-    _add_common(p_oracle)
 
     return parser
 

@@ -33,6 +33,7 @@ from .statecore import (
     DiagonalFilter,
     EnergySpectrum,
     QState,
+    _row_entropy,
     apply_filter,
     apply_filter_rows,
     coherence,
@@ -115,10 +116,8 @@ class _Objective:
         if self.target is FilterTarget.COHERENCE_TSALLIS:
             return np.einsum("ni,ij,nj->n", m, self.overlap, m) / ps**2
         if self.pure:
-            q = m * self.pops / ps[:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(q > 1e-14, -q * np.log(np.where(q > 1e-14, q, 1.0)), 0.0)
-            return terms.sum(axis=1)
+                return _row_entropy(m * self.pops / ps[:, None])
         coeffs = np.sqrt(np.clip(m, 0.0, 1.0)).astype(complex)
         _, populations, eigenvalues = apply_filter_rows(self.state.matrix, coeffs)
         return coherence_rows(populations, eigenvalues)

@@ -14,9 +14,11 @@ frontier tracer, the mixed-state scans and the oracle share: it filters a
 state (or a stack of states) by many coefficient rows at once, makes every
 check ``DiagonalFilter``, ``apply_filter`` and ``QState`` make for each row,
 and diagonalizes the outputs with one stacked ``eigvalsh`` per bounded
-slice, without building a ``QState`` per row. ``coherence_rows`` turns its
-output into relative-entropy coherences. Both give, row for row, the same
-floats as the one-state functions.
+slice, without building a ``QState`` per row; its first failing row raises
+what ``DiagonalFilter`` or ``QState`` raises for it. ``coherence_rows`` turns
+its output into relative-entropy coherences with ``_row_entropy``, which the
+oracle shares. Both give, row for row, the same floats as the one-state
+functions.
 """
 
 from __future__ import annotations
@@ -197,18 +199,19 @@ def _row_entropy(values: np.ndarray) -> np.ndarray:
     Every row keeps at least one entry, as the populations and the spectrum
     of a unit-trace state do. numpy adds fewer than 8 terms from left to
     right, so in rows shorter than that a dropped entry can stand in place as
-    an exact 0.0. Longer sums are pairwise, so there the kept terms of the
-    rows with equal counts are gathered and summed together.
+    an exact 0.0 (a zero entropy is 0.0 there, -0.0 from ``_entropy``).
+    Longer sums are pairwise, so there the kept terms of the rows with equal
+    counts are gathered and summed together.
     """
     keep = values > ZERO_EIGENVALUE
-    terms = np.where(keep, values * np.log(np.where(keep, values, 1.0)), 0.0)
+    terms = np.where(keep, -values * np.log(np.where(keep, values, 1.0)), 0.0)
     if values.shape[1] < 8:
-        return -terms.sum(axis=1)
+        return terms.sum(axis=1)
     counts = keep.sum(axis=1)
     out = np.empty(len(values))
     for k in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == k)
-        out[rows] = -terms[rows][keep[rows]].reshape(rows.size, k).sum(axis=1)
+        out[rows] = terms[rows][keep[rows]].reshape(rows.size, k).sum(axis=1)
     return out
 
 
@@ -327,19 +330,11 @@ def _filter_slice(
     if (eigenvalues.min(axis=1) < EIGENVALUE_FLOOR).any():
         raise StateValidationError("density matrix has a negative eigenvalue")
     if n_ok < len(c):
-        # the first failing check of the first failing row, in the order the
-        # filter, ``apply_filter`` and ``QState`` make them
-        if big[n_ok]:
-            if not np.isfinite(c[n_ok]).all():
-                raise StateValidationError("filter coefficients must be finite")
-            raise StateValidationError("filter coefficients must satisfy |m| <= 1")
+        # the first failing row, checked as the filter, apply_filter and QState check it
+        DiagonalFilter(c[n_ok])
         if p_s[n_ok] < _ANNIHILATION_TOL:
             raise AnnihilatedState("filter annihilates the state (success probability 0)")
-        if skewed[n_ok]:
-            if not np.isfinite(rho[n_ok]).all():
-                raise StateValidationError("density matrix entries must be finite")
-            raise StateValidationError("density matrix is not Hermitian")
-        raise StateValidationError("density matrix trace must equal 1")
+        QState(rho[n_ok])
     return p_s, rho.diagonal(axis1=1, axis2=2).real, eigenvalues
 
 

@@ -131,15 +131,6 @@ def _check_success_range(
         raise UnreachableSuccessProbability(below)
 
 
-def _check_success_rows(
-    ps: np.ndarray, lo: float, below: str, above: str = "P_S exceeds 1"
-) -> None:
-    """:func:`_check_success_range` for every P_S in ``ps``; the first bad one raises."""
-    ok = (ps <= 1.0 + _RANGE_TOL) & (ps >= lo - _RANGE_TOL)
-    for value in ps[~ok].tolist()[:1]:
-        _check_success_range(value, lo, below, above)
-
-
 # ---------------------------------------------------------------------------
 # Energy-optimal family
 # ---------------------------------------------------------------------------
@@ -608,11 +599,6 @@ def _qubit_count(dim: int) -> int:
     return n
 
 
-def factorized_single_qubit(b: float, n_qubits: int) -> DiagonalFilter:
-    """Tensor power of the single-qubit filter diag(b, 1)."""
-    return DiagonalFilter(_factorized_coeffs(np.array([b]), n_qubits)[0])
-
-
 def _factorized_coeffs(b: np.ndarray, n_qubits: int) -> np.ndarray:
     """Coefficients of the tensor power of diag(b, 1) for each b, one row each."""
     single = np.stack([b, np.ones_like(b)], axis=1).astype(complex)
@@ -624,17 +610,19 @@ def _factorized_coeffs(b: np.ndarray, n_qubits: int) -> np.ndarray:
 
 def factorized_filter(state: QState, p_success: float) -> DiagonalFilter:
     """Factorized filter whose success probability on ``state`` equals ``p_success``."""
+    _qubit_count(state.dim)  # a wrong dimension is reported before the P_S range
+    lo = float(state.populations[-1])
+    message = f"factorized family reaches only [{lo:.6g}, 1]"
+    _check_success_range(p_success, lo, message, above=message)
     return DiagonalFilter(_factorized_rows(state, np.array([p_success], dtype=float))[0])
 
 
 def _factorized_rows(state: QState, ps: np.ndarray) -> np.ndarray:
     """Coefficients of the factorized filter at each success probability in
-    ``ps``, one row each; the interior b are found by one lockstep Brent."""
+    ``ps``, one row each; the interior b are found by one lockstep Brent.
+    Every P_S must lie in the family's reachable range."""
     n = _qubit_count(state.dim)
     pops = state.populations
-    lo = float(pops[-1])
-    message = f"factorized family reaches only [{lo:.6g}, 1]"
-    _check_success_rows(ps, lo, message, above=message)
     # success probability is a polynomial in b^2: sum_i pops[i] * (b^2)^(#zeros in i)
     zero_counts = np.array(
         [n - bin(i).count("1") for i in range(state.dim)], dtype=int

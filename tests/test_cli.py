@@ -98,12 +98,12 @@ class TestFilterCommand:
         written = filter_from_text(path.read_text())
         assert np.allclose(written.coeffs, [1 / 3, 1, 1, 1], atol=1e-12)
 
-    def test_tsallis_mode_reads_a_state_file(self, capsys, tmp_path):
+    def test_tsallis_target_reads_a_state_file(self, capsys, tmp_path):
         state_path = tmp_path / "mixed.txt"
         state_path.write_text(qstate_to_text(mixed_qubit_product(QubitParams(p=0.2, eta=0.75), 2)))
         code, out, _ = run(
             capsys, "filter", "--state", str(state_path), "--ps", "0.3",
-            "--target", "tsallis", "--mode", "tsallis",
+            "--target", "tsallis", "--mode", "general",
         )
         assert code == EXIT_OK
         assert "P_S achieved = 0.3" in out
@@ -477,6 +477,40 @@ class TestConfigAndEnvironment:
         assert code == EXIT_OK
         assert "a = 0.333333333333" in out
 
+    @pytest.mark.parametrize(
+        "spelling",
+        [["--config={}"], ["--conf", "{}"], ["--config", "{}", "--config", "{}"]],
+        ids=["equals-sign", "abbreviated", "second-config"],
+    )
+    def test_config_not_spliced_is_a_usage_error(self, capsys, tmp_path, spelling):
+        # only the first exact "--config PATH" pair is read; any other
+        # spelling used to parse into a field that nothing read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 0.1\nps = 0.04\ntarget = coherence\n")
+        extra = [token.format(cfg) for token in spelling]
+        code, out, _ = run(
+            capsys, "filter", "--p", "0.1", "--ps", "0.04", "--target", "coherence", *extra
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_config_log_base_outside_filter_and_iterate_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("log-base = 2\n")
+        code, out, _ = run(
+            capsys, "choi", "--config", str(cfg), "--a", "0.3", "--b", "0.7",
+            "--out", str(tmp_path / "chi.txt"),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        code, out, _ = run(
+            capsys, "iterate", "--config", str(cfg), "--p", "0.1", "--grid-step", "0.1"
+        )
+        assert code == EXIT_OK
+        assert "bits (" in out
+
     def test_threads_env_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("COHERENCE_FORGE_THREADS", "2")
         csv = tmp_path / "f.csv"
@@ -545,10 +579,17 @@ class TestBadInputs:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize("ps", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("mode", ["closed-form", "general", "tsallis"])
-    def test_non_finite_ps_exits_2(self, capsys, ps, mode):
+    @pytest.mark.parametrize(
+        "mode, target",
+        [
+            pytest.param("closed-form", "coherence", id="closed-form"),
+            pytest.param("general", "coherence", id="general"),
+            pytest.param("general", "tsallis", id="general-tsallis"),
+        ],
+    )
+    def test_non_finite_ps_exits_2(self, capsys, ps, mode, target):
         code, out, err = run(
-            capsys, "filter", "--p", "0.1", f"--ps={ps}", "--target", "coherence", "--mode", mode
+            capsys, "filter", "--p", "0.1", f"--ps={ps}", "--target", target, "--mode", mode
         )
         assert code == EXIT_DOMAIN
         assert out == ""
@@ -580,7 +621,7 @@ class TestBadInputs:
         state_path.write_text(qstate_to_text(QState.pure(np.ones(13))))
         code, out, err = run(
             capsys, "filter", "--state", str(state_path), "--ps", "0.5",
-            "--target", "tsallis", "--mode", "tsallis",
+            "--target", "tsallis", "--mode", "general",
             "--spectrum", ",".join(str(k) for k in range(13)),
         )
         assert code == EXIT_DOMAIN
@@ -686,6 +727,37 @@ class TestOnePathPerJob:
         assert out == ""
         assert f"needs 1003003001 tail rows at dimension 4; the limit is {MAX_TAIL_ROWS}" in err
         assert "Traceback" not in err
+
+
+class TestRemovedSurface:
+    """``--log-base`` is an option of ``filter`` and ``iterate`` only, and the
+    Tsallis synthesizer is reached through ``filter --mode general``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frontier", "--p", "0.1", "--grid", "4", "--out-csv", "{}/f.csv"],
+            ["mixed-scan", "--eta", "0.5", "--steps", "2", "--out-csv", "{}/s.csv"],
+            ["choi", "--a", "0.3", "--b", "0.7", "--out", "{}/chi.txt"],
+            ["oracle", "--p", "0.1", "--ps", "0.5", "--target", "energy", "--grid-step", "0.1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_log_base_elsewhere_exits_1(self, capsys, tmp_path, argv):
+        argv = [token.format(tmp_path) for token in argv]
+        code, out, _ = run(capsys, *argv, "--log-base", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert run(capsys, *argv)[0] == EXIT_OK
+
+    def test_tsallis_mode_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "filter", "--p", "0.1", "--ps", "0.3", "--target", "tsallis",
+            "--mode", "tsallis",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--mode" in err
 
 
 class TestGridPointLimit:

@@ -7,6 +7,7 @@ from coherence_forge import (
     AnnihilatedState,
     DiagonalFilter,
     DimensionMismatch,
+    DomainError,
     EnergySpectrum,
     QState,
     QubitParams,
@@ -24,6 +25,8 @@ from coherence_forge import (
     tensor_filter,
 )
 from coherence_forge.statecore import (
+    _BATCH_ROWS,
+    apply_filter_rows,
     filter_from_text,
     filter_to_text,
     qstate_from_text,
@@ -242,6 +245,80 @@ class TestFiltering:
             return
         assert ps == pytest.approx(ps1 * ps2, abs=1e-12)
         assert np.allclose(out.matrix, direct.matrix, atol=1e-10)
+
+
+def _first_row_error(states, rows):
+    """Type and message of what apply_filter raises for the first failing row."""
+    for state, row in zip(states, rows):
+        try:
+            apply_filter(state, DiagonalFilter(row))
+        except DomainError as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no row fails")
+
+
+class TestFilterRowsFirstFailure:
+    """A batch raises, type and message, what ``apply_filter(state,
+    DiagonalFilter(row))`` raises for its first failing row."""
+
+    GOOD = np.array([0.5, 1.0, 0.8, 1.0])
+    BAD = {
+        "above-one": [0.5, 1.0 + 1e-9, 1.0, 1.0],
+        "nan": [0.5, np.nan, 1.0, 1.0],
+        "inf": [0.5, 1.0, 1.0, -np.inf],
+        # P_S = 0.01 * 1e-14 on the p = 0.1 product state
+        "annihilating": [0.0, 0.0, 0.0, 1e-7],
+    }
+
+    @staticmethod
+    def check(rows, stacked):
+        """Filter one pure state, or a stack of pure and mixed states, by ``rows``."""
+        states = [
+            mixed_qubit_product(QubitParams(p=0.1 + 0.02 * k, eta=0.5 + 0.05 * k), 2)
+            if stacked and k % 2
+            else product_pure_state(0.1, 2)
+            for k in range(len(rows))
+        ]
+        matrix = np.array([s.matrix for s in states]) if stacked else states[0].matrix
+        want_type, want_message = _first_row_error(states, rows)
+        with pytest.raises(DomainError) as info:
+            apply_filter_rows(matrix, rows)
+        assert type(info.value) is want_type
+        assert str(info.value) == want_message
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-state", "stack"])
+    @pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", list(BAD))
+    def test_one_bad_row(self, kind, where, stacked):
+        rows = np.tile(self.GOOD, (7, 1)).astype(complex)
+        rows[where] = self.BAD[kind]
+        self.check(rows, stacked)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-state", "stack"])
+    @pytest.mark.parametrize(
+        "kinds", [("annihilating", "above-one"), ("nan", "annihilating"), ("above-one", "inf")]
+    )
+    def test_only_the_first_bad_row_counts(self, kinds, stacked):
+        rows = np.tile(self.GOOD, (6, 1)).astype(complex)
+        rows[2], rows[4] = self.BAD[kinds[0]], self.BAD[kinds[1]]
+        self.check(rows, stacked)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-state", "stack"])
+    @pytest.mark.parametrize("where", [None, 0, 2], ids=["all-good", "first-bad", "middle-bad"])
+    def test_dimension_mismatch(self, where, stacked):
+        # every row has the wrong width, so row 0 fails first: its own filter
+        # checks, then the dimension check
+        rows = np.tile(self.GOOD[:3], (5, 1)).astype(complex)
+        if where is not None:
+            rows[where] = self.BAD["above-one"][:3]
+        self.check(rows, stacked)
+
+    def test_bad_row_past_the_first_slice(self):
+        n = _BATCH_ROWS + 100
+        rows = np.tile(self.GOOD, (n, 1)).astype(complex)
+        rows[_BATCH_ROWS + 50] = self.BAD["nan"]
+        rows[n - 1] = self.BAD["annihilating"]
+        self.check(rows, stacked=False)
 
 
 class TestStateBuilders:
