@@ -324,6 +324,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     spectrum = _parse_spectrum(args.spectrum)
     state = _input_state(args)
     _require_spectrum_dim(state, spectrum)
+    # reject what the search or the synthesizer rejects before the search runs
+    oracle.check_search_args(state, spectrum, args.ps, args.grid_step, args.tolerance)
+    synth = synthesis.optimal_filter(state, spectrum, target, args.ps)
     result = oracle.grid_search(
         state,
         spectrum,
@@ -332,7 +335,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         grid_step=args.grid_step,
         tolerance=args.tolerance,
     )
-    synth = synthesis.optimal_filter(state, spectrum, target, args.ps)
     synth_obj = oracle.objective_value(state, spectrum, target, synth)
     shortfall = result.objective - synth_obj
     print(f"oracle filter: {_describe_filter(result.filter)}")

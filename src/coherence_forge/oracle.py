@@ -246,6 +246,43 @@ def _refine(
     return m
 
 
+def check_search_args(
+    state: QState,
+    spectrum: EnergySpectrum,
+    p_success: float,
+    grid_step: float,
+    tolerance: float | None,
+) -> float:
+    """Reject the arguments :func:`grid_search` rejects, as it rejects them,
+    without building anything; returns the band tolerance (default
+    ``grid_step``)."""
+    d = state.dim
+    if d > 6:
+        raise DomainError("oracle enumeration is limited to dimension <= 6")
+    if not 0.0 < grid_step <= 0.5:
+        raise DomainError("grid_step must lie in (0, 0.5]")
+    _check_success_range(p_success, 0.0, "P_S must be positive", open_lower=True)
+    if tolerance is None:
+        tolerance = grid_step
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be a positive finite number, got {tolerance!r}")
+    if state.dim != spectrum.dim:
+        raise DomainError("state and spectrum dimensions differ")
+    tail_rows = _grid_axis_length(grid_step) ** min(d, 3)
+    if tail_rows > MAX_TAIL_ROWS:
+        raise DomainError(
+            f"grid_step {grid_step!r} needs {tail_rows:.0f} tail rows at dimension {d}; "
+            f"the limit is {MAX_TAIL_ROWS}"
+        )
+    points = _grid_axis_length(grid_step) ** d
+    if points > MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid_step {grid_step!r} needs {points:.0f} grid points at dimension {d}; "
+            f"the limit is {MAX_GRID_POINTS}"
+        )
+    return tolerance
+
+
 def grid_search(
     state: QState,
     spectrum: EnergySpectrum,
@@ -265,33 +302,10 @@ def grid_search(
     ``MAX_TAIL_ROWS`` rows, or whose ``len(axis)**d`` grid points exceed
     ``MAX_GRID_POINTS``, is rejected before anything is built.
     """
+    tolerance = check_search_args(state, spectrum, p_success, grid_step, tolerance)
     d = state.dim
-    if d > 6:
-        raise DomainError("oracle enumeration is limited to dimension <= 6")
-    if not 0.0 < grid_step <= 0.5:
-        raise DomainError("grid_step must lie in (0, 0.5]")
-    _check_success_range(p_success, 0.0, "P_S must be positive", open_lower=True)
-    if tolerance is None:
-        tolerance = grid_step
-    if not 0.0 < tolerance < math.inf:
-        raise DomainError(f"tolerance must be a positive finite number, got {tolerance!r}")
-    if state.dim != spectrum.dim:
-        raise DomainError("state and spectrum dimensions differ")
     n_tail = min(d, 3)
     n_head = d - n_tail
-    tail_rows = _grid_axis_length(grid_step) ** n_tail
-    if tail_rows > MAX_TAIL_ROWS:
-        raise DomainError(
-            f"grid_step {grid_step!r} needs {tail_rows:.0f} tail rows at dimension {d}; "
-            f"the limit is {MAX_TAIL_ROWS}"
-        )
-    points = _grid_axis_length(grid_step) ** d
-    if points > MAX_GRID_POINTS:
-        raise DomainError(
-            f"grid_step {grid_step!r} needs {points:.0f} grid points at dimension {d}; "
-            f"the limit is {MAX_GRID_POINTS}"
-        )
-
     pops = np.clip(state.populations, 0.0, None)
     objective = _Objective(state, spectrum, target)
     axis = _grid_axis(grid_step)

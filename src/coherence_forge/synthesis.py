@@ -821,7 +821,7 @@ def mixed_scan(eta: float, p_values: Sequence[float]) -> list[MixedScanPoint]:
 
 # plateau_threshold: the plateau reference population, the search bracket's
 # upper end, the coherence drop that leaves the plateau, the bisection width
-# and the bisection steps whose midpoints are scanned in one lockstep batch
+# and the bisection steps whose midpoints a fallback batch scans
 _PLATEAU_P_LO = 0.05
 _PLATEAU_P_HI = 0.995
 _PLATEAU_TOL = 1e-8
@@ -842,6 +842,18 @@ def _bisection_midpoints(lo: float, hi: float, depth: int) -> list[float]:
     ]
 
 
+def _predicted_on_plateau(eta: float, p: float, ref: float, p_edge: float) -> bool:
+    """The plateau decision at ``p`` as the a=0 structure predicts it, without
+    a search: on the plateau below its edge ``p_edge``; past it, where the
+    optimum sits at b = 1, on it only if the b = 1 filter keeps the reference
+    coherence ``ref`` (within the plateau tolerance)."""
+    if p < p_edge:
+        return True
+    matrix = mixed_qubit_product(QubitParams(p=p, eta=eta), 2).matrix
+    at_one = coherence_rows(*_zero_ground_rows(matrix[None], np.ones(1)))[0]
+    return bool(at_one >= ref - _PLATEAU_TOL)
+
+
 def plateau_threshold(eta: float) -> float:
     """Largest population p in [0.05, 0.995] at which the optimized a=0
     coherence still attains its small-p plateau value (within 1e-8), to 1e-5.
@@ -850,19 +862,37 @@ def plateau_threshold(eta: float) -> float:
     to the exact one from above (by about sqrt(1e-8)); it therefore never
     underestimates the true threshold.
 
-    The bisection is unchanged; the midpoints its next ``_PLATEAU_DEPTH``
-    steps can visit are scanned in one lockstep :func:`mixed_scan` batch,
-    and the bisection then walks them.
+    The bisection and each of its decisions (a golden-section search per
+    midpoint) are unchanged; only the grouping of the searches into lockstep
+    batches is chosen ahead. The output depends on p and b only through
+    t = b^2 (1 - p)/p, so the optimal b at the reference p = 0.05 gives the
+    plateau's t* and its edge 1/(1 + t*). One batch scans the reference and
+    the bracket's upper end, :func:`_predicted_on_plateau` walks the
+    bisection to collect the midpoints it would visit, and a second batch
+    scans them all. A midpoint off that path falls back to a batch of the
+    midpoints the next ``_PLATEAU_DEPTH`` steps can visit. A search does not
+    depend on the others in its batch, so the threshold is the one a
+    search-per-midpoint bisection finds, bit for bit.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError("threshold detection needs eta in (0, 1]")
     lo, hi = _PLATEAU_P_LO, _PLATEAU_P_HI
-    # the first batch also scans the reference and the bracket's upper end
-    mids = _bisection_midpoints(lo, hi, _PLATEAU_DEPTH)
-    ref, top, *scanned = _scan(eta, [lo, hi, *mids])[0].tolist()
+    coherences, _, b_opt = _scan(eta, [lo, hi])
+    ref, top = coherences.tolist()
     if top >= ref - _PLATEAU_TOL:
         return _PLATEAU_P_HI
-    on_plateau = {mid: c >= ref - _PLATEAU_TOL for mid, c in zip(mids, scanned)}
+    t_star = float(b_opt[0]) ** 2 * (1.0 - lo) / lo
+    p_edge = 1.0 / (1.0 + t_star)
+    mids = []
+    while hi - lo > _PLATEAU_RESOLUTION:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if _predicted_on_plateau(eta, mid, ref, p_edge):
+            lo = mid
+        else:
+            hi = mid
+    on_plateau = dict(zip(mids, (_scan(eta, mids)[0] >= ref - _PLATEAU_TOL).tolist()))
+    lo, hi = _PLATEAU_P_LO, _PLATEAU_P_HI
     while hi - lo > _PLATEAU_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if mid not in on_plateau:

@@ -718,6 +718,22 @@ class TestOnePathPerJob:
         assert f"synthesized objective = {value:.12g}" in out
         assert out.rstrip().endswith("PASS")
 
+    def test_oracle_rejects_a_mixed_coherence_input_before_searching(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("grid_search ran on an input the synthesizer rejects")
+
+        monkeypatch.setattr(coherence_forge.oracle, "grid_search", no_search)
+        state_path = tmp_path / "mixed.txt"
+        state_path.write_text(qstate_to_text(mixed_qubit_product(QubitParams(p=0.2, eta=0.75), 2)))
+        code, out, err = run(
+            capsys, "oracle", "--state", str(state_path), "--ps", "0.5", "--target", "coherence"
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "input is not pure" in err
+
     def test_oracle_grid_above_the_tail_limit_exits_2(self, capsys):
         code, out, err = run(
             capsys, "oracle", "--p", "0.1", "--ps", "0.19", "--target", "energy",

@@ -567,11 +567,38 @@ def test_long_mixed_scan_keeps_its_batches_bounded(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("eta", [1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0])
+@pytest.mark.parametrize(
+    "eta",
+    [
+        1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0,
+        0.35, 0.4, 0.55, 0.65, 0.7, 0.8, 0.85, 0.95, 0.99,
+    ],
+)
 def test_plateau_threshold(eta):
     got = syn.plateau_threshold(eta)
     assert type(got) is float
     assert _same(got, _reference_plateau_threshold(eta))
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.5, 0.75, 1.0])
+def test_plateau_threshold_survives_a_wrong_prediction(monkeypatch, eta):
+    predict = syn._predicted_on_plateau
+    monkeypatch.setattr(syn, "_predicted_on_plateau", lambda *args: not predict(*args))
+    assert _same(syn.plateau_threshold(eta), _reference_plateau_threshold(eta))
+
+
+@pytest.mark.parametrize("eta", [0.6, 0.75, 1.0])
+def test_plateau_threshold_scans_in_two_batches(monkeypatch, eta):
+    batches = []
+
+    def counting(matrices):
+        batches.append(len(matrices))
+        return optimal_b(matrices)
+
+    optimal_b = syn._optimal_b
+    monkeypatch.setattr(syn, "_optimal_b", counting)
+    syn.plateau_threshold(eta)
+    assert len(batches) <= 2
 
 
 def test_plateau_threshold_takes_both_exits():
