@@ -20,9 +20,12 @@ probabilities, its ``b`` by one lockstep Brent iteration;
 closed-form optimal synthesizers once per grid point, takes the factorized
 grid in one batch and measures every filter with one
 ``statecore.apply_filter_rows`` call. ``mixed_scan`` runs the golden-section
-searches of its populations in lockstep, one batch per step, and
-``plateau_threshold`` scans the midpoints of several bisection steps in one
-such batch. Every result equals the per-point computation bit for bit.
+searches of its populations in lockstep, one batch per step.
+``plateau_threshold`` predicts its bisection path from the plateau's t* (the
+a=0 output depends on p and b only through t = b^2 (1 - p)/p) and scans
+every midpoint on it in one such batch, after one batch for the reference;
+a midpoint off the path falls back to a batch of the next few steps. Every
+result equals the per-point computation bit for bit.
 
 All synthesized filters carry nonnegative real coefficients; phases are
 irrelevant to every scalar measure and belong to the optics layer.
@@ -842,6 +845,23 @@ def _bisection_midpoints(lo: float, hi: float, depth: int) -> list[float]:
     ]
 
 
+def _bisect(on_plateau: Callable[[float, float], bool]) -> tuple[float, list[float]]:
+    """The threshold bisection on [0.05, 0.995], down to a bracket no wider
+    than ``_PLATEAU_RESOLUTION``; ``on_plateau(lo, hi)`` decides the midpoint
+    of the bracket [lo, hi]. Returns the bracket's lower end and every
+    midpoint visited, in order."""
+    lo, hi = _PLATEAU_P_LO, _PLATEAU_P_HI
+    mids = []
+    while hi - lo > _PLATEAU_RESOLUTION:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if on_plateau(lo, hi):
+            lo = mid
+        else:
+            hi = mid
+    return lo, mids
+
+
 def _predicted_on_plateau(eta: float, p: float, ref: float, p_edge: float) -> bool:
     """The plateau decision at ``p`` as the a=0 structure predicts it, without
     a search: on the plateau below its edge ``p_edge``; past it, where the
@@ -883,23 +903,16 @@ def plateau_threshold(eta: float) -> float:
         return _PLATEAU_P_HI
     t_star = float(b_opt[0]) ** 2 * (1.0 - lo) / lo
     p_edge = 1.0 / (1.0 + t_star)
-    mids = []
-    while hi - lo > _PLATEAU_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        if _predicted_on_plateau(eta, mid, ref, p_edge):
-            lo = mid
-        else:
-            hi = mid
-    on_plateau = dict(zip(mids, (_scan(eta, mids)[0] >= ref - _PLATEAU_TOL).tolist()))
-    lo, hi = _PLATEAU_P_LO, _PLATEAU_P_HI
-    while hi - lo > _PLATEAU_RESOLUTION:
+    on_plateau: dict[float, bool] = {}
+
+    def scan(mids: list[float]) -> None:
+        on_plateau.update(zip(mids, (_scan(eta, mids)[0] >= ref - _PLATEAU_TOL).tolist()))
+
+    def decide(lo: float, hi: float) -> bool:
         mid = 0.5 * (lo + hi)
         if mid not in on_plateau:
-            mids = _bisection_midpoints(lo, hi, _PLATEAU_DEPTH)
-            on_plateau.update(zip(mids, (_scan(eta, mids)[0] >= ref - _PLATEAU_TOL).tolist()))
-        if on_plateau[mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+            scan(_bisection_midpoints(lo, hi, _PLATEAU_DEPTH))
+        return on_plateau[mid]
+
+    scan(_bisect(lambda lo, hi: _predicted_on_plateau(eta, 0.5 * (lo + hi), ref, p_edge))[1])
+    return _bisect(decide)[0]
