@@ -183,23 +183,15 @@ class QubitParams:
             raise StateValidationError("eta must lie in [0, 1]")
 
 
-def _entropy(values: np.ndarray) -> float:
-    """Shannon entropy of a nonnegative vector in nats; zeros contribute 0."""
-    v = np.real(np.asarray(values, dtype=float))
-    v = np.where((v < 0.0) & (v > EIGENVALUE_FLOOR), 0.0, v)
-    v = v[v > ZERO_EIGENVALUE]
-    if v.size == 0:
-        return 0.0
-    return float(-(v * np.log(v)).sum())
-
-
 def _row_entropy(values: np.ndarray) -> np.ndarray:
-    """``_entropy`` of each row, summed as the 1-D version sums its kept terms.
+    """Shannon entropy of each row in nats, -sum v log v over the entries
+    above ``ZERO_EIGENVALUE``; smaller entries contribute 0.
 
-    Every row keeps at least one entry, as the populations and the spectrum
-    of a unit-trace state do. numpy adds fewer than 8 terms from left to
-    right, so in rows shorter than that a dropped entry can stand in place as
-    an exact 0.0 (a zero entropy is 0.0 there, -0.0 from ``_entropy``).
+    The sum runs as numpy sums a row holding only the kept terms. Every row
+    keeps at least one entry, as the populations and the spectrum of a
+    unit-trace state do. numpy adds fewer than 8 terms from left to right, so
+    in rows shorter than that a dropped entry can stand in place as an exact
+    0.0 (a zero entropy is then 0.0, where the kept terms alone give -0.0).
     Longer sums are pairwise, so there the kept terms of the rows with equal
     counts are gathered and summed together.
     """
@@ -235,9 +227,7 @@ def coherence(state: QState) -> float:
     Zero for diagonal states; for pure states it reduces to the entropy
     of the populations. Tiny negative round-off is clamped to 0.
     """
-    s_diag = _entropy(state.populations)
-    s_full = _entropy(state._eigenvalues)
-    return max(s_diag - s_full, 0.0)
+    return float(coherence_rows(state.populations[None], state._eigenvalues[None])[0])
 
 
 def coherence_tsallis(state: QState) -> float:

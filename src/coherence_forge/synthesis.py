@@ -24,8 +24,9 @@ searches of its populations in lockstep, one batch per step.
 ``plateau_threshold`` predicts its bisection path from the plateau's t* (the
 a=0 output depends on p and b only through t = b^2 (1 - p)/p) and scans
 every midpoint on it in one such batch, after one batch for the reference;
-a midpoint off the path falls back to a batch of the next few steps. Every
-result equals the per-point computation bit for bit.
+where the searched decisions leave that path, it predicts the rest again
+from there and scans it in one more batch. Every result equals the
+per-point computation bit for bit.
 
 All synthesized filters carry nonnegative real coefficients; phases are
 irrelevant to every scalar measure and belong to the optics layer.
@@ -823,34 +824,20 @@ def mixed_scan(eta: float, p_values: Sequence[float]) -> list[MixedScanPoint]:
 
 
 # plateau_threshold: the plateau reference population, the search bracket's
-# upper end, the coherence drop that leaves the plateau, the bisection width
-# and the bisection steps whose midpoints a fallback batch scans
+# upper end, the coherence drop that leaves the plateau and the bisection width
 _PLATEAU_P_LO = 0.05
 _PLATEAU_P_HI = 0.995
 _PLATEAU_TOL = 1e-8
 _PLATEAU_RESOLUTION = 1e-5
-_PLATEAU_DEPTH = 3
 
 
-def _bisection_midpoints(lo: float, hi: float, depth: int) -> list[float]:
-    """Every midpoint the next ``depth`` steps of the bisection on [lo, hi]
-    can visit, computed as the bisection computes them."""
-    if depth == 0 or not hi - lo > _PLATEAU_RESOLUTION:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [
-        mid,
-        *_bisection_midpoints(lo, mid, depth - 1),
-        *_bisection_midpoints(mid, hi, depth - 1),
-    ]
-
-
-def _bisect(on_plateau: Callable[[float, float], bool]) -> tuple[float, list[float]]:
-    """The threshold bisection on [0.05, 0.995], down to a bracket no wider
-    than ``_PLATEAU_RESOLUTION``; ``on_plateau(lo, hi)`` decides the midpoint
-    of the bracket [lo, hi]. Returns the bracket's lower end and every
-    midpoint visited, in order."""
-    lo, hi = _PLATEAU_P_LO, _PLATEAU_P_HI
+def _bisect(
+    lo: float, hi: float, on_plateau: Callable[[float, float], bool]
+) -> tuple[float, list[float]]:
+    """The threshold bisection on [lo, hi], down to a bracket no wider than
+    ``_PLATEAU_RESOLUTION``; ``on_plateau(lo, hi)`` decides the midpoint of
+    the bracket [lo, hi]. Returns the bracket's lower end and every midpoint
+    visited, in order."""
     mids = []
     while hi - lo > _PLATEAU_RESOLUTION:
         mid = 0.5 * (lo + hi)
@@ -884,15 +871,17 @@ def plateau_threshold(eta: float) -> float:
 
     The bisection and each of its decisions (a golden-section search per
     midpoint) are unchanged; only the grouping of the searches into lockstep
-    batches is chosen ahead. The output depends on p and b only through
+    batches is predicted. The output depends on p and b only through
     t = b^2 (1 - p)/p, so the optimal b at the reference p = 0.05 gives the
     plateau's t* and its edge 1/(1 + t*). One batch scans the reference and
-    the bracket's upper end, :func:`_predicted_on_plateau` walks the
-    bisection to collect the midpoints it would visit, and a second batch
-    scans them all. A midpoint off that path falls back to a batch of the
-    midpoints the next ``_PLATEAU_DEPTH`` steps can visit. A search does not
-    depend on the others in its batch, so the threshold is the one a
-    search-per-midpoint bisection finds, bit for bit.
+    the bracket's upper end. The bisection then walks on the searched
+    decisions; whenever it reaches a midpoint not yet searched, it walks the
+    rest of the bisection from its current bracket with
+    :func:`_predicted_on_plateau` and scans every midpoint on that path in
+    one batch. A right prediction takes one such batch in all; each wrong
+    one costs at most one more. A search does not depend on the others in
+    its batch, so the threshold is the one a search-per-midpoint bisection
+    finds, bit for bit.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError("threshold detection needs eta in (0, 1]")
@@ -905,14 +894,14 @@ def plateau_threshold(eta: float) -> float:
     p_edge = 1.0 / (1.0 + t_star)
     on_plateau: dict[float, bool] = {}
 
-    def scan(mids: list[float]) -> None:
-        on_plateau.update(zip(mids, (_scan(eta, mids)[0] >= ref - _PLATEAU_TOL).tolist()))
+    def predicted(lo: float, hi: float) -> bool:
+        return _predicted_on_plateau(eta, 0.5 * (lo + hi), ref, p_edge)
 
     def decide(lo: float, hi: float) -> bool:
         mid = 0.5 * (lo + hi)
         if mid not in on_plateau:
-            scan(_bisection_midpoints(lo, hi, _PLATEAU_DEPTH))
+            mids = _bisect(lo, hi, predicted)[1]
+            on_plateau.update(zip(mids, (_scan(eta, mids)[0] >= ref - _PLATEAU_TOL).tolist()))
         return on_plateau[mid]
 
-    scan(_bisect(lambda lo, hi: _predicted_on_plateau(eta, 0.5 * (lo + hi), ref, p_edge))[1])
-    return _bisect(decide)[0]
+    return _bisect(lo, hi, decide)[0]

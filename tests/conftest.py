@@ -4,7 +4,6 @@ import numpy as np
 
 from coherence_forge import DiagonalFilter, QState
 
-hypothesis.settings.register_profile("fast", max_examples=15)
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None
 )

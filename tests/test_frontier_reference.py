@@ -1,11 +1,12 @@
 """The batched frontier layer against the per-point code it replaced.
 
 The functions below are that code, verbatim except for the ``_reference``
-prefix on their names: the scalar synthesizers and Brent loop, then
-``trace_frontier`` (one synthesizer call, ``apply_filter`` and ``QState`` per
-grid point), ``mixed_scan`` (one golden-section search per population) and
-``plateau_threshold`` (one ``mixed_scan`` per bisection step). Every output
-of the package must equal theirs exactly.
+prefix on their names: the one-state entropy and ``coherence``, the scalar
+synthesizers and Brent loop, then ``trace_frontier`` (one synthesizer call,
+``apply_filter`` and ``QState`` per grid point), ``mixed_scan`` (one
+golden-section search per population) and ``plateau_threshold`` (one
+``mixed_scan`` per bisection step). Every output of the package must equal
+theirs exactly.
 """
 
 import math
@@ -35,7 +36,13 @@ from coherence_forge import (
     tsallis_optimal_filter,
 )
 from coherence_forge import synthesis as syn
-from coherence_forge.statecore import _BATCH_ROWS, ZERO_POPULATION, apply_filter_rows
+from coherence_forge.statecore import (
+    _BATCH_ROWS,
+    EIGENVALUE_FLOOR,
+    ZERO_EIGENVALUE,
+    ZERO_POPULATION,
+    apply_filter_rows,
+)
 from coherence_forge.synthesis import (
     DEGENERACY_TOL,
     GOLDEN_TOL,
@@ -43,6 +50,27 @@ from coherence_forge.synthesis import (
     _qubit_count,
     reachable_success_range,
 )
+
+
+def _reference_entropy(values: np.ndarray) -> float:
+    """Shannon entropy of a nonnegative vector in nats; zeros contribute 0."""
+    v = np.real(np.asarray(values, dtype=float))
+    v = np.where((v < 0.0) & (v > EIGENVALUE_FLOOR), 0.0, v)
+    v = v[v > ZERO_EIGENVALUE]
+    if v.size == 0:
+        return 0.0
+    return float(-(v * np.log(v)).sum())
+
+
+def _reference_coherence(state: QState) -> float:
+    """Relative-entropy coherence S(rho_D) - S(rho), in nats.
+
+    Zero for diagonal states; for pure states it reduces to the entropy
+    of the populations. Tiny negative round-off is clamped to 0.
+    """
+    s_diag = _reference_entropy(state.populations)
+    s_full = _reference_entropy(state._eigenvalues)
+    return max(s_diag - s_full, 0.0)
 
 
 def _reference_check_success_range(
@@ -524,6 +552,41 @@ def test_scalar_synthesizers_match_on_a_dense_grid():
                     assert _same(got.coeffs, want.coeffs)
 
 
+def _random_rank(rng, d, rank):
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = a @ a.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return QState(rho / np.trace(rho).real)
+
+
+def _random_diagonal(rng, d):
+    pops = rng.uniform(size=d) * (rng.uniform(size=d) < 0.7)
+    pops[rng.integers(d)] += 0.1
+    return QState(np.diag(pops / pops.sum()))
+
+
+def test_coherence_matches_the_one_state_entropy():
+    rng = np.random.default_rng(8)
+    states = []
+    for d in (2, 3, 4, 5, 6, 8, 9, 12, 16):
+        for _ in range(25):
+            states += [
+                _random_mixed(rng, d),
+                _random_ket(rng, d),
+                _random_rank(rng, d, 2),
+                _random_diagonal(rng, d),
+            ]
+    for n in (1, 2, 3, 4):
+        for p in (0.0, 1e-9, 0.05, 0.3, 0.5, 0.9, 1.0):
+            states.append(product_pure_state(p, n))
+            for eta in (0.0, 1e-3, 0.5, 1.0):
+                states.append(mixed_qubit_product(QubitParams(p=p, eta=eta), n))
+    for state in states:
+        got = coherence(state)
+        assert type(got) is float
+        assert _same(got, _reference_coherence(state)), state.matrix
+
+
 _SCAN_P = [0.001, *np.linspace(0.05, 0.6, 12).tolist(), 0.75, 0.999]
 
 
@@ -580,11 +643,44 @@ def test_plateau_threshold(eta):
     assert _same(got, _reference_plateau_threshold(eta))
 
 
+def _count_batches(monkeypatch) -> list[int]:
+    """Record the number of states in each ``_optimal_b`` batch."""
+    batches = []
+    optimal_b = syn._optimal_b
+
+    def counting(matrices):
+        batches.append(len(matrices))
+        return optimal_b(matrices)
+
+    monkeypatch.setattr(syn, "_optimal_b", counting)
+    return batches
+
+
 @pytest.mark.parametrize("eta", [0.01, 0.5, 0.75, 1.0])
 def test_plateau_threshold_survives_a_wrong_prediction(monkeypatch, eta):
+    batches = _count_batches(monkeypatch)
     predict = syn._predicted_on_plateau
     monkeypatch.setattr(syn, "_predicted_on_plateau", lambda *args: not predict(*args))
     assert _same(syn.plateau_threshold(eta), _reference_plateau_threshold(eta))
+    # the reference batch, then at most one batch per bisection step
+    assert len(batches) <= 18
+
+
+@pytest.mark.parametrize("eta", [0.6, 0.75, 1.0])
+def test_plateau_threshold_rescans_once_after_one_wrong_prediction(monkeypatch, eta):
+    batches = _count_batches(monkeypatch)
+    predict = syn._predicted_on_plateau
+    calls = []
+
+    def first_wrong(*args):
+        calls.append(args)
+        return predict(*args) != (len(calls) == 1)
+
+    monkeypatch.setattr(syn, "_predicted_on_plateau", first_wrong)
+    assert _same(syn.plateau_threshold(eta), _reference_plateau_threshold(eta))
+    # the reference, the path predicted from the root, then the rest of the
+    # real path from the root's other half
+    assert batches == [2, 17, 16]
 
 
 @pytest.mark.parametrize("eta", [0.6, 0.75, 1.0])
