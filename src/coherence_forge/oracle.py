@@ -10,13 +10,16 @@ Every objective is evaluated on numpy batches of intensity vectors. For a
 mixed input and the relative-entropy target a batch goes through
 ``statecore.apply_filter_rows``, which checks each filtered state as
 ``apply_filter`` and ``QState`` check it and diagonalizes the batch with one
-stacked ``eigvalsh`` per bounded slice. The P_S band of each grid head is
-read off the tail block sorted by success probability, and each refinement
-sweep evaluates its trial moves in one batch. Candidates, their order and
-the first-improvement order are those of a one-candidate-at-a-time search,
-so results match it bit for bit. A search is rejected before any work when
-its tail block exceeds ``MAX_TAIL_ROWS`` rows or its grid exceeds
-``MAX_GRID_POINTS`` points.
+stacked ``eigvalsh`` per bounded slice. The tail block is sorted by success
+probability once, so the P_S band of each grid head is one contiguous run
+of it and its candidates are evaluated in P_S order; of a head's maximal
+candidates the one first in enumeration order wins. The winners of all
+heads are snapped onto the constraint in one batch, and each refinement
+sweep evaluates its trial moves in one batch. The candidates, the winners
+and the first-improvement order are those of a one-candidate-at-a-time
+search, so results match it bit for bit. A search is rejected before any
+work when its tail block exceeds ``MAX_TAIL_ROWS`` rows or its grid
+exceeds ``MAX_GRID_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ _BAND_MARGIN = 1e-9
 # which admits grid_step 0.01 (101^3 rows).
 MAX_TAIL_ROWS = 2**20
 # Grid points of a whole search (heads x tail rows). The head loop makes one
-# band window and one objective batch per head, so this bounds its time: at
-# the limit a d = 6 search (16^6 points, 4096 heads) took 1.3 s for the
-# energy target and 51 s for the relative entropy of a mixed state, on 2
+# band slice and one objective batch per head, so this bounds its time: at
+# the limit a d = 6 search (16^6 points, 4096 heads) took 0.7-1.0 s for the
+# energy target and 48 s for the relative entropy of a mixed state, on 2
 # cores. It admits d = 4 at grid_step 0.02 (51^4 points) and d = 5 at 0.1,
 # but not d = 5 at 0.02 (51^5 points: 5-10 s for a pure state, 5 minutes
 # for the relative entropy of a mixed one).
@@ -158,18 +161,16 @@ def _project(
     return out
 
 
-def _snap_to_constraint(
-    m: np.ndarray, objective: _Objective, pops: np.ndarray, p_success: float
-) -> tuple[np.ndarray, float] | None:
-    """Best exact-constraint projection of a banded grid candidate, or the
+def _snap_candidates(m: np.ndarray, pops: np.ndarray, p_success: float) -> list[np.ndarray]:
+    """Exact-constraint projections of a banded grid candidate, or the
     candidate itself when it already sits on the constraint.
 
     Prefers rescaling a fractional coordinate (preserving the boundary
     pattern); when the pattern cannot absorb the gap, the nearest boundary
-    coordinate is moved instead.
+    coordinate is moved instead. Empty when no coordinate can.
     """
     if abs(float(np.dot(m, pops)) - p_success) <= 1e-12:
-        return m.copy(), float(objective(m[None, :], np.array([p_success]))[0])
+        return [m.copy()]
     for compensators in (
         _fractional(m, pops),
         [int(j) for j in np.flatnonzero(pops > 1e-14)],
@@ -180,10 +181,8 @@ def _snap_to_constraint(
             if vec is not None
         ]
         if snapped:
-            vals = objective(np.array(snapped), np.full(len(snapped), p_success))
-            best = int(np.argmax(vals))
-            return snapped[best], float(vals[best])
-    return None
+            return snapped
+    return []
 
 
 def _values(objective: _Objective, rows: list[np.ndarray], pops: np.ndarray) -> np.ndarray:
@@ -297,7 +296,10 @@ def grid_search(
     with |P_S - p_success| <= tolerance (default: grid_step), maximizes the
     target measure of the normalized output, then refines with step halving
     down to 1e-6 while projected on the exact constraint. Ties go to the
-    lexicographically smallest filter; the search is fully deterministic.
+    lexicographically smallest filter: under one head, to the first maximal
+    candidate in enumeration order (the P_S order of the sorted tail block
+    does not decide); across heads, to the first head in enumeration order.
+    The search is fully deterministic.
     A grid whose tail block (the last min(d, 3) intensities) has more than
     ``MAX_TAIL_ROWS`` rows, or whose ``len(axis)**d`` grid points exceed
     ``MAX_GRID_POINTS``, is rejected before anything is built.
@@ -317,28 +319,38 @@ def grid_search(
         else np.zeros((1, 0))
     )
     tail_ps = tail @ pops[n_head:]
-    tail_order = np.argsort(tail_ps, kind="stable")
+    # Tail rows in P_S order, reordered in place one column at a time; the
+    # order itself is each row's enumeration index.
+    tail_order = np.argsort(tail_ps)
     sorted_ps = tail_ps[tail_order]
+    del tail_ps
+    for j in range(n_tail):
+        tail[:, j] = tail[tail_order, j]
     pops_head = pops[:n_head]
     reach = tolerance + _BAND_MARGIN
-    # Best banded candidate under each head. Only the tail rows inside the
-    # head's window of sorted_ps are tested, in their original order.
+    # Best banded candidate under each head. The band is one contiguous run
+    # of the sorted tail; of its maximal candidates the one first in
+    # enumeration order wins.
     winners = []
     for head in itertools.product(*([axis.tolist()] * n_head)):
         offset = float(np.dot(head, pops_head))
         lo, hi = np.searchsorted(sorted_ps, (p_success - offset - reach, p_success - offset + reach))
-        rows = np.sort(tail_order[lo:hi])
-        ps = tail_ps[rows] + offset
-        mask = (np.abs(ps - p_success) <= tolerance) & (ps > 1e-12)
-        if not mask.any():
+        ps = sorted_ps[lo:hi] + offset
+        band = (np.abs(ps - p_success) <= tolerance) & (ps > 1e-12)
+        count = int(np.count_nonzero(band))
+        if not count:
             continue
-        cand_tail = tail[rows[mask]]
-        cand_ps = ps[mask]
+        skip = int(np.argmax(band))
+        cand_ps = ps[skip : skip + count]
+        lo += skip
         full = np.concatenate(
-            [np.broadcast_to(head, (cand_tail.shape[0], n_head)), cand_tail], axis=1
+            [np.broadcast_to(head, (count, n_head)), tail[lo : lo + count]], axis=1
         )
         vals = objective(full, cand_ps)
         i = int(np.argmax(vals))
+        tied = np.flatnonzero(vals == vals[i])
+        if tied.size > 1:
+            i = int(tied[np.argmin(tail_order[lo + tied])])
         winners.append((float(vals[i]), full[i].copy(), float(cand_ps[i])))
     if not winners:
         raise InfeasibleGrid(
@@ -347,12 +359,21 @@ def grid_search(
         )
 
     # Banded candidates are only comparable after exact projection: a lower
-    # actual P_S inside the band would otherwise inflate the objective.
+    # actual P_S inside the band would otherwise inflate the objective. Every
+    # winner's projections go through the objective in one batch; each
+    # winner keeps its first best projection.
+    groups = [_snap_candidates(cand, pops, p_success) for _, cand, _ in winners]
+    rows = [vec for group in groups for vec in group]
     start: tuple[np.ndarray, float] | None = None
-    for _, cand, _ in winners:  # head order keeps ties lexicographic
-        snapped = _snap_to_constraint(cand, objective, pops, p_success)
-        if snapped is not None and (start is None or snapped[1] > start[1]):
-            start = snapped
+    if rows:
+        vals = objective(np.array(rows), np.full(len(rows), p_success))
+        first = 0
+        for group in groups:  # head order keeps ties lexicographic
+            if group:
+                best = first + int(np.argmax(vals[first : first + len(group)]))
+                if start is None or vals[best] > start[1]:
+                    start = rows[best], float(vals[best])
+            first += len(group)
     if start is None:
         # every winner is stuck on the box boundary; fall back to the best
         # raw candidate with its own (banded) success probability

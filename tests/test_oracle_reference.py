@@ -234,6 +234,9 @@ def _cases():
             None,
             id="all-tied",
         ),
+        # three grid heads ahead of the tail block
+        case(_random_ket(rng, 6), FilterTarget.COHERENCE, 0.4, 0.25, None, id="d6-pure"),
+        case(_random_mixed(rng, 6), FilterTarget.COHERENCE, 0.5, 0.25, None, id="d6-mixed"),
     ]
     return cases
 
