@@ -13,13 +13,14 @@ mixed input and the relative-entropy target a batch goes through
 stacked ``eigvalsh`` per bounded slice. The tail block is sorted by success
 probability once, so the P_S band of each grid head is one contiguous run
 of it and its candidates are evaluated in P_S order; of a head's maximal
-candidates the one first in enumeration order wins. The winners of all
-heads are snapped onto the constraint in one batch, and each refinement
-sweep evaluates its trial moves in one batch. The candidates, the winners
-and the first-improvement order are those of a one-candidate-at-a-time
-search, so results match it bit for bit. A search is rejected before any
-work when its tail block exceeds ``MAX_TAIL_ROWS`` rows or its grid
-exceeds ``MAX_GRID_POINTS`` points.
+candidates the one first in enumeration order wins. Each refinement sweep
+evaluates its trial moves in one batch. The candidates, the winners and the
+first-improvement order are those of a one-candidate-at-a-time search, so
+results match it bit for bit. Which error is raised can differ: when the
+filtered-state checks reject several candidates of one band, the first of
+them in P_S order raises, not the first in enumeration order. A search is
+rejected before any work when its tail block exceeds ``MAX_TAIL_ROWS`` rows
+or its grid exceeds ``MAX_GRID_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ _BAND_MARGIN = 1e-9
 MAX_TAIL_ROWS = 2**20
 # Grid points of a whole search (heads x tail rows). The head loop makes one
 # band slice and one objective batch per head, so this bounds its time: at
-# the limit a d = 6 search (16^6 points, 4096 heads) took 0.7-1.0 s for the
-# energy target and 48 s for the relative entropy of a mixed state, on 2
+# the limit a d = 6 search (16^6 points, 4096 heads) took 0.9-1.2 s for the
+# energy target and 47-61 s for the relative entropy of a mixed state, on 2
 # cores. It admits d = 4 at grid_step 0.02 (51^4 points) and d = 5 at 0.1,
 # but not d = 5 at 0.02 (51^5 points: 5-10 s for a pure state, 5 minutes
 # for the relative entropy of a mixed one).
@@ -161,16 +162,18 @@ def _project(
     return out
 
 
-def _snap_candidates(m: np.ndarray, pops: np.ndarray, p_success: float) -> list[np.ndarray]:
-    """Exact-constraint projections of a banded grid candidate, or the
+def _snap_to_constraint(
+    m: np.ndarray, objective: _Objective, pops: np.ndarray, p_success: float
+) -> tuple[np.ndarray, float] | None:
+    """Best exact-constraint projection of a banded grid candidate, or the
     candidate itself when it already sits on the constraint.
 
     Prefers rescaling a fractional coordinate (preserving the boundary
     pattern); when the pattern cannot absorb the gap, the nearest boundary
-    coordinate is moved instead. Empty when no coordinate can.
+    coordinate is moved instead.
     """
     if abs(float(np.dot(m, pops)) - p_success) <= 1e-12:
-        return [m.copy()]
+        return m.copy(), float(objective(m[None, :], np.array([p_success]))[0])
     for compensators in (
         _fractional(m, pops),
         [int(j) for j in np.flatnonzero(pops > 1e-14)],
@@ -181,8 +184,10 @@ def _snap_candidates(m: np.ndarray, pops: np.ndarray, p_success: float) -> list[
             if vec is not None
         ]
         if snapped:
-            return snapped
-    return []
+            vals = objective(np.array(snapped), np.full(len(snapped), p_success))
+            best = int(np.argmax(vals))
+            return snapped[best], float(vals[best])
+    return None
 
 
 def _values(objective: _Objective, rows: list[np.ndarray], pops: np.ndarray) -> np.ndarray:
@@ -359,21 +364,12 @@ def grid_search(
         )
 
     # Banded candidates are only comparable after exact projection: a lower
-    # actual P_S inside the band would otherwise inflate the objective. Every
-    # winner's projections go through the objective in one batch; each
-    # winner keeps its first best projection.
-    groups = [_snap_candidates(cand, pops, p_success) for _, cand, _ in winners]
-    rows = [vec for group in groups for vec in group]
+    # actual P_S inside the band would otherwise inflate the objective.
     start: tuple[np.ndarray, float] | None = None
-    if rows:
-        vals = objective(np.array(rows), np.full(len(rows), p_success))
-        first = 0
-        for group in groups:  # head order keeps ties lexicographic
-            if group:
-                best = first + int(np.argmax(vals[first : first + len(group)]))
-                if start is None or vals[best] > start[1]:
-                    start = rows[best], float(vals[best])
-            first += len(group)
+    for _, cand, _ in winners:  # head order keeps ties lexicographic
+        snapped = _snap_to_constraint(cand, objective, pops, p_success)
+        if snapped is not None and (start is None or snapped[1] > start[1]):
+            start = snapped
     if start is None:
         # every winner is stuck on the box boundary; fall back to the best
         # raw candidate with its own (banded) success probability

@@ -193,17 +193,13 @@ def _row_entropy(values: np.ndarray) -> np.ndarray:
     in rows shorter than that a dropped entry can stand in place as an exact
     0.0 (a zero entropy is then 0.0, where the kept terms alone give -0.0).
     Longer sums are pairwise, so there the kept terms of the rows with equal
-    counts are gathered and summed together, in one gather when every row
-    keeps the same count (a single row always does).
+    counts are gathered and summed together.
     """
     keep = values > ZERO_EIGENVALUE
     terms = np.where(keep, -values * np.log(np.where(keep, values, 1.0)), 0.0)
     if values.shape[1] < 8:
         return terms.sum(axis=1)
     counts = keep.sum(axis=1)
-    k = int(counts.max(initial=0))
-    if (counts == k).all():
-        return terms[keep].reshape(len(values), k).sum(axis=1)
     out = np.empty(len(values))
     for k in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == k)

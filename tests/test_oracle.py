@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from coherence_forge import (
     product_pure_state,
     trace_frontier,
 )
-from coherence_forge import oracle
 from coherence_forge.oracle import (
     MAX_GRID_POINTS,
     MAX_TAIL_ROWS,
@@ -67,28 +64,6 @@ def test_deterministic_repeat():
     b = grid_search(STATE, SPECTRUM, FilterTarget.ENERGY, 0.4, grid_step=0.05)
     assert np.array_equal(a.filter.coeffs, b.filter.coeffs)
     assert a.objective == b.objective
-
-
-def test_snap_stage_is_one_objective_batch(monkeypatch):
-    calls = []
-    call = oracle._Objective.__call__
-
-    def counted(self, m, ps):
-        calls.append(len(np.atleast_2d(m)))
-        return call(self, m, ps)
-
-    monkeypatch.setattr(oracle._Objective, "__call__", counted)
-    monkeypatch.setattr(oracle, "_refine", lambda m, *args: m)
-    ps, step = 0.3, 0.1
-    grid_search(STATE, SPECTRUM, FilterTarget.COHERENCE, ps, grid_step=step)
-    axis = _grid_axis(step)
-    pops = STATE.populations
-    tail_ps = np.array(list(itertools.product(axis, repeat=3))) @ pops[1:]
-    banded = [h for h in axis if (np.abs(tail_ps + h * pops[0] - ps) <= step).any()]
-    assert len(banded) > 1
-    # one batch per grid head with a banded candidate, one for snapping every
-    # head's winner onto the constraint and one for the final value
-    assert len(calls) == len(banded) + 2
 
 
 def test_rejects_high_dimensions_and_bad_grid():
