@@ -3,7 +3,8 @@
 
 For each purity parameter eta, optimizes b in the filter diag(0, b, b, 1)
 over a grid of populations p, writes a CSV, and reports the plateau value
-and the detected threshold population above which b = 1 becomes optimal.
+and the exact threshold population 1/(1 + t*) above which b = 1 becomes
+optimal (``plateau_threshold``).
 
 Usage: python scripts/mixed_state_plateau.py [--etas 0.5,0.75,1.0] [--out results/mixed_scan.csv]
 """
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coherence_forge import mixed_scan, plateau_threshold
+from coherence_forge import DomainError, mixed_scan, plateau_threshold
 from coherence_forge.cli import write_scan_csv
 
 
@@ -37,10 +38,13 @@ def main() -> None:
         rows.extend((eta, pt) for pt in points)
         plateau = [pt for pt in points if pt.b_opt < 1 - 1e-6]
         if plateau and eta > 0:
-            threshold = plateau_threshold(eta)
+            try:
+                threshold = f"{plateau_threshold(eta):.4f}"
+            except DomainError as exc:  # eta too small for the edge to be resolved
+                threshold = f"unresolved ({exc})"
             print(
                 f"eta = {eta:g}: plateau C = {plateau[0].coherence:.6f} nats, "
-                f"mean energy = {plateau[0].mean_energy:.6f}, threshold p = {threshold:.4f}"
+                f"mean energy = {plateau[0].mean_energy:.6f}, threshold p = {threshold}"
             )
         else:
             print(f"eta = {eta:g}: no interior optimum in the scanned range")

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import optics, oracle, synthesis
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, StateValidationError
 from .iterative import KrausSet, compose_iteration, sequential_povm, simulate_sequential
 from .statecore import (
     DiagonalFilter,
@@ -85,11 +85,19 @@ def _coherence_report(value_nats: float, log_base: str) -> str:
     return f"{_fmt(value_nats)} nats ({_fmt(bits)} bits)"
 
 
+def _read_text(path: str, what: str, error: type[Exception]) -> str:
+    """The UTF-8 text of the file at ``path``; bytes that are not UTF-8 raise
+    ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
+
+
 def _load_config(path: str) -> list[str]:
     """Flat key=value lines become long flags, prepended so real flags win."""
     tokens: list[str] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for raw in text.splitlines():
+    for raw in _read_text(path, "config file", _UsageError).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -192,7 +200,7 @@ def _input_state(args: argparse.Namespace) -> QState:
     if (args.p is None) == (args.state is None):
         raise _UsageError("give exactly one of --p or --state")
     if args.state is not None:
-        return qstate_from_text(Path(args.state).read_text(encoding="utf-8"))
+        return qstate_from_text(_read_text(args.state, "state file", StateValidationError))
     return product_pure_state(args.p, 2)
 
 
@@ -253,6 +261,8 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
 def _cmd_mixed_scan(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise _UsageError("--steps must be at least 2")
+    if args.steps > synthesis.MAX_SAMPLE_POINTS:
+        raise _UsageError(f"--steps must be at most {synthesis.MAX_SAMPLE_POINTS}")
     p_values = np.linspace(args.p_min, args.p_max, args.steps)
     points = synthesis.mixed_scan(args.eta, list(p_values))
     write_scan_csv(args.out_csv, [(args.eta, pt) for pt in points])

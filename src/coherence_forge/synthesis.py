@@ -20,13 +20,11 @@ probabilities, its ``b`` by one lockstep Brent iteration;
 closed-form optimal synthesizers once per grid point, takes the factorized
 grid in one batch and measures every filter with one
 ``statecore.apply_filter_rows`` call. ``mixed_scan`` runs the golden-section
-searches of its populations in lockstep, one batch per step.
-``plateau_threshold`` predicts its bisection path from the plateau's t* (the
-a=0 output depends on p and b only through t = b^2 (1 - p)/p) and scans
-every midpoint on it in one such batch, after one batch for the reference;
-where the searched decisions leave that path, it predicts the rest again
-from there and scans it in one more batch. Every result equals the
-per-point computation bit for bit.
+searches of its populations in lockstep, one batch per step; every result
+equals the per-point computation bit for bit. ``plateau_threshold`` needs no
+search: the a=0 output depends on p and b only through t = b^2 (1 - p)/p, so
+the plateau ends exactly at p = 1/(1 + t*), where t* maximizes the output
+coherence C(t), and one bisection on the sign of dC/dt finds that edge.
 
 All synthesized filters carry nonnegative real coefficients; phases are
 irrelevant to every scalar measure and belong to the optics layer.
@@ -50,6 +48,7 @@ from .statecore import (
     EnergySpectrum,
     QState,
     QubitParams,
+    ZERO_EIGENVALUE,
     ZERO_POPULATION,
     _BATCH_ROWS,
     apply_filter_rows,
@@ -60,6 +59,9 @@ from .statecore import (
 DEGENERACY_TOL = 1e-9
 GOLDEN_TOL = 1e-8
 _RANGE_TOL = 1e-12
+# the most points a frontier grid or a CLI mixed scan may sample, 500 times
+# the default grid of 200; checked before anything is allocated
+MAX_SAMPLE_POINTS = 100_000
 
 
 class FilterTarget(Enum):
@@ -689,12 +691,14 @@ def trace_frontier(
     lockstep Brent. All filters are measured with one
     :func:`statecore.apply_filter_rows` call, and the points, equal to what
     ``apply_filter``, ``coherence`` and ``mean_energy`` give, are built at
-    the end.
+    the end. ``grid`` must lie in [2, ``MAX_SAMPLE_POINTS``].
     """
     if not isinstance(grid, numbers.Integral):
         raise DomainError(f"grid must be an integer, got {grid!r}")
     if grid < 2:
         raise DomainError("grid must contain at least 2 points")
+    if grid > MAX_SAMPLE_POINTS:
+        raise DomainError(f"grid must contain at most {MAX_SAMPLE_POINTS} points, got {grid}")
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
 
@@ -823,85 +827,65 @@ def mixed_scan(eta: float, p_values: Sequence[float]) -> list[MixedScanPoint]:
     ]
 
 
-# plateau_threshold: the plateau reference population, the search bracket's
-# upper end, the coherence drop that leaves the plateau and the bisection width
+# plateau_threshold: the bisection bracket in p, the bracket width it stops
+# at, and the smallest eta whose edge the round-off of dC/dt leaves resolved
 _PLATEAU_P_LO = 0.05
 _PLATEAU_P_HI = 0.995
-_PLATEAU_TOL = 1e-8
-_PLATEAU_RESOLUTION = 1e-5
+_PLATEAU_WIDTH = 1e-12
+_PLATEAU_ETA_MIN = 1e-4
 
 
-def _bisect(
-    lo: float, hi: float, on_plateau: Callable[[float, float], bool]
-) -> tuple[float, list[float]]:
-    """The threshold bisection on [lo, hi], down to a bracket no wider than
-    ``_PLATEAU_RESOLUTION``; ``on_plateau(lo, hi)`` decides the midpoint of
-    the bracket [lo, hi]. Returns the bracket's lower end and every midpoint
-    visited, in order."""
-    mids = []
-    while hi - lo > _PLATEAU_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        if on_plateau(lo, hi):
-            lo = mid
-        else:
-            hi = mid
-    return lo, mids
+def _coherence_slope(eta: float, t: float) -> float:
+    """dC/dt of the a=0 output on ``mixed_qubit_product(p, eta)`` at
+    t = b^2 (1 - p)/p.
 
-
-def _predicted_on_plateau(eta: float, p: float, ref: float, p_edge: float) -> bool:
-    """The plateau decision at ``p`` as the a=0 structure predicts it, without
-    a search: on the plateau below its edge ``p_edge``; past it, where the
-    optimum sits at b = 1, on it only if the b = 1 filter keeps the reference
-    coherence ``ref`` (within the plateau tolerance)."""
-    if p < p_edge:
-        return True
-    matrix = mixed_qubit_product(QubitParams(p=p, eta=eta), 2).matrix
-    at_one = coherence_rows(*_zero_ground_rows(matrix[None], np.ones(1)))[0]
-    return bool(at_one >= ref - _PLATEAU_TOL)
+    The output lives on |01>, |10>, |11> as sigma(t) = M(t)/(2t + 1), with
+    diagonal (t, t, 1), <01|M|10> = eta^2 t and <01|M|11> = <10|M|11> =
+    eta sqrt(t). With C = S(diag sigma) - S(sigma) and Tr sigma' = 0,
+    dC/dt = -sum_j sigma'_jj log sigma_jj + Tr(sigma' log sigma), the trace
+    taken in the eigenbasis of one 3x3 ``eigh``; eigenvalues at or below
+    ``ZERO_EIGENVALUE`` count as 0 log 0 = 0.
+    """
+    norm, root = 2.0 * t + 1.0, math.sqrt(t)
+    swap, top = eta * eta * t, eta * root
+    sigma = np.array([[t, swap, top], [swap, t, top], [top, top, 1.0]]) / norm
+    d_swap, d_top = eta * eta, 0.5 * eta / root
+    d_m = np.array([[1.0, d_swap, d_top], [d_swap, 1.0, d_top], [d_top, d_top, 0.0]])
+    d_sigma = (d_m - 2.0 * sigma) / norm
+    values, vectors = np.linalg.eigh(sigma)
+    keep = values > ZERO_EIGENVALUE
+    along = np.einsum("ik,ij,jk->k", vectors[:, keep], d_sigma, vectors[:, keep])
+    dephased = -(d_sigma.diagonal() * np.log(sigma.diagonal())).sum()
+    return float(dephased + (along * np.log(values[keep])).sum())
 
 
 def plateau_threshold(eta: float) -> float:
-    """Largest population p in [0.05, 0.995] at which the optimized a=0
-    coherence still attains its small-p plateau value (within 1e-8), to 1e-5.
+    """The population p at which the optimized a=0 coherence leaves its
+    small-p plateau: above it the optimum saturates at b = 1.
 
-    The plateau is left quadratically, so the detected threshold converges
-    to the exact one from above (by about sqrt(1e-8)); it therefore never
-    underestimates the true threshold.
+    The output depends on p and b only through t = b^2 (1 - p)/p, so below
+    the edge every p reaches the t* that maximizes C(t), and the edge is
+    exactly p = 1/(1 + t*). C rises below t* and falls above it, so a
+    bisection on the sign of dC/dt at t = (1 - p)/p over p in [0.05, 0.995]
+    brackets the edge, down to a width of at most 1e-12. The upper end of
+    that bracket is returned, so the result is never below the edge where
+    round-off leaves the sign of dC/dt right: for eta >= 0.02 it lies 0 to
+    1e-12 above the edge. The edge lies in [0.5, 0.628] for eta in (0, 1],
+    and is exactly 0.5 at eta = 1.
 
-    The bisection and each of its decisions (a golden-section search per
-    midpoint) are unchanged; only the grouping of the searches into lockstep
-    batches is predicted. The output depends on p and b only through
-    t = b^2 (1 - p)/p, so the optimal b at the reference p = 0.05 gives the
-    plateau's t* and its edge 1/(1 + t*). One batch scans the reference and
-    the bracket's upper end. The bisection then walks on the searched
-    decisions; whenever it reaches a midpoint not yet searched, it walks the
-    rest of the bisection from its current bracket with
-    :func:`_predicted_on_plateau` and scans every midpoint on that path in
-    one batch. A right prediction takes one such batch in all; each wrong
-    one costs at most one more. A search does not depend on the others in
-    its batch, so the threshold is the one a search-per-midpoint bisection
-    finds, bit for bit.
+    dC/dt is a sum of terms of order 1 that cancel to order eta^2, so for
+    small eta its round-off moves the result by up to about 2e-16/eta^2,
+    either way: 2e-12 at eta = 0.01 and 2e-8 at eta = 1e-4. Below
+    ``_PLATEAU_ETA_MIN`` = 1e-4 that round-off would decide the result, so
+    such eta raise ``DomainError``, as do eta above 1 and NaN.
     """
-    if not 0.0 < eta <= 1.0:
-        raise DomainError("threshold detection needs eta in (0, 1]")
+    if not _PLATEAU_ETA_MIN <= eta <= 1.0:
+        raise DomainError(f"threshold detection needs eta in [{_PLATEAU_ETA_MIN:g}, 1]")
     lo, hi = _PLATEAU_P_LO, _PLATEAU_P_HI
-    coherences, _, b_opt = _scan(eta, [lo, hi])
-    ref, top = coherences.tolist()
-    if top >= ref - _PLATEAU_TOL:
-        return _PLATEAU_P_HI
-    t_star = float(b_opt[0]) ** 2 * (1.0 - lo) / lo
-    p_edge = 1.0 / (1.0 + t_star)
-    on_plateau: dict[float, bool] = {}
-
-    def predicted(lo: float, hi: float) -> bool:
-        return _predicted_on_plateau(eta, 0.5 * (lo + hi), ref, p_edge)
-
-    def decide(lo: float, hi: float) -> bool:
+    while hi - lo > _PLATEAU_WIDTH:
         mid = 0.5 * (lo + hi)
-        if mid not in on_plateau:
-            mids = _bisect(lo, hi, predicted)[1]
-            on_plateau.update(zip(mids, (_scan(eta, mids)[0] >= ref - _PLATEAU_TOL).tolist()))
-        return on_plateau[mid]
-
-    return _bisect(lo, hi, decide)[0]
+        if _coherence_slope(eta, (1.0 - mid) / mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -35,6 +35,7 @@ from coherence_forge.cli import (
 )
 from coherence_forge.oracle import MAX_GRID_POINTS, MAX_TAIL_ROWS
 from coherence_forge.statecore import filter_from_text, qstate_to_text
+from coherence_forge.synthesis import MAX_SAMPLE_POINTS
 
 
 def run(capsys, *argv):
@@ -644,6 +645,54 @@ class TestBadInputs:
         )
         assert code == EXIT_USAGE
         assert "closed-form needs --p" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["filter", "--ps", "0.5", "--target", "energy", "--mode", "general", "--state"],
+            ["oracle", "--ps", "0.5", "--target", "energy", "--state"],
+        ],
+        ids=["filter", "oracle"],
+    )
+    def test_non_utf8_state_file_exits_2(self, capsys, tmp_path, argv):
+        state_path = tmp_path / "state.txt"
+        state_path.write_bytes(b"\xffdim 2\n")
+        code, out, err = run(capsys, *argv, str(state_path))
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == f"error: state file {state_path} is not UTF-8 text (byte 0)\n"
+
+    def test_non_utf8_config_file_exits_1(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"\xffp = 0.1\n")
+        code, out, err = run(
+            capsys, "filter", "--config", str(config), "--ps", "0.5", "--target", "energy"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: config file {config} is not UTF-8 text (byte 0)\n"
+
+    @pytest.mark.parametrize("grid", [MAX_SAMPLE_POINTS + 1, 10**12])
+    def test_frontier_grid_above_the_cap_exits_2(self, capsys, tmp_path, grid):
+        csv = tmp_path / "f.csv"
+        code, out, err = run(
+            capsys, "frontier", "--p", "0.1", "--grid", str(grid), "--out-csv", str(csv)
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == f"error: grid must contain at most {MAX_SAMPLE_POINTS} points, got {grid}\n"
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("steps", [MAX_SAMPLE_POINTS + 1, 10**12])
+    def test_mixed_scan_steps_above_the_cap_exit_1(self, capsys, tmp_path, steps):
+        csv = tmp_path / "s.csv"
+        code, out, err = run(
+            capsys, "mixed-scan", "--eta", "0.5", "--steps", str(steps), "--out-csv", str(csv)
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --steps must be at most {MAX_SAMPLE_POINTS}\n"
+        assert not csv.exists()
 
     def test_wrong_spectrum_size_prints_nothing(self, capsys):
         code, out, err = run(

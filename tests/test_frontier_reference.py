@@ -3,12 +3,13 @@
 The functions below are that code, verbatim except for the ``_reference``
 prefix on their names: the one-state entropy and ``coherence``, the scalar
 synthesizers and Brent loop, then ``trace_frontier`` (one synthesizer call,
-``apply_filter`` and ``QState`` per grid point), ``mixed_scan`` (one
-golden-section search per population) and ``plateau_threshold`` (one
-``mixed_scan`` per bisection step). Every output of the package must equal
-theirs exactly.
+``apply_filter`` and ``QState`` per grid point) and ``mixed_scan`` (one
+golden-section search per population). Every output of the package must
+equal theirs exactly. ``plateau_threshold`` is checked against the exact
+plateau edge, computed below from the closed-form spectrum of the a=0 output.
 """
 
+import cmath
 import math
 from typing import Callable, Sequence
 
@@ -385,39 +386,38 @@ def _reference_mixed_scan(eta: float, p_values: Sequence[float]) -> list[MixedSc
     return [scan_one(p) for p in p_values]
 
 
-# plateau_threshold: the plateau reference population, the search bracket's
-# upper end, the coherence drop that leaves the plateau and the bisection width
-_PLATEAU_P_LO = 0.05
-_PLATEAU_P_HI = 0.995
-_PLATEAU_TOL = 1e-8
-_PLATEAU_RESOLUTION = 1e-5
+def _entropy_term(x: complex) -> complex:
+    return 0.0 if x == 0 else -x * cmath.log(x)
 
 
-def _reference_plateau_threshold(eta: float) -> float:
-    """Largest population p in [0.05, 0.995] at which the optimized a=0
-    coherence still attains its small-p plateau value (within 1e-8), to 1e-5.
+def _exact_coherence(eta: float, t: complex) -> complex:
+    """C(t) = S(diag sigma) - S(sigma) of the a=0 output block sigma(t) on
+    |01>, |10>, |11> (diagonal t, t, 1; <01|10> = eta^2 t; <01|11> = <10|11>
+    = eta sqrt(t); all over 2t + 1), from its closed-form spectrum: the
+    swap-antisymmetric eigenvalue t (1 - eta^2)/(2t + 1) and the two
+    eigenvalues of the symmetric block [[t (1 + eta^2), eta sqrt(2t)],
+    [eta sqrt(2t), 1]]/(2t + 1). Analytic in t, for complex-step slopes."""
+    norm = 2 * t + 1
+    det = t * (1 - eta**2)  # the symmetric block's determinant times norm^2
+    trace = t * (1 + eta**2) + 1
+    big = (trace + cmath.sqrt(trace * trace - 4 * det)) / (2 * norm)
+    spectrum = (det / norm, big, det / (norm * norm * big))
+    diagonal = (t / norm, t / norm, 1 / norm)
+    return sum(map(_entropy_term, diagonal)) - sum(map(_entropy_term, spectrum))
 
-    The plateau is left quadratically, so the detected threshold converges
-    to the exact one from above (by about sqrt(1e-8)); it therefore never
-    underestimates the true threshold.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise DomainError("threshold detection needs eta in (0, 1]")
-    ref = _reference_mixed_scan(eta, [_PLATEAU_P_LO])[0].coherence
 
-    def on_plateau(p: float) -> bool:
-        return _reference_mixed_scan(eta, [p])[0].coherence >= ref - _PLATEAU_TOL
-
-    if on_plateau(_PLATEAU_P_HI):
-        return _PLATEAU_P_HI
-    lo, hi = _PLATEAU_P_LO, _PLATEAU_P_HI
-    while hi - lo > _PLATEAU_RESOLUTION:
+def _exact_plateau_edge(eta: float) -> float:
+    """1/(1 + t*), t* the maximizer of C(t): bisection on the sign of dC/dt,
+    taken by complex-step differentiation, over t in [0.5, 1.25]."""
+    step = 1e-30
+    lo, hi = 0.5, 1.25
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if on_plateau(mid):
+        if _exact_coherence(eta, complex(mid, step)).imag > 0.0:
             lo = mid
         else:
             hi = mid
-    return lo
+    return 1.0 / (1.0 + 0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------
@@ -640,69 +640,23 @@ def test_long_mixed_scan_keeps_its_batches_bounded(monkeypatch):
 def test_plateau_threshold(eta):
     got = syn.plateau_threshold(eta)
     assert type(got) is float
-    assert _same(got, _reference_plateau_threshold(eta))
+    # the slope's terms cancel to order eta^2, so its round-off grows as 1/eta^2
+    bound = 1e-10 if eta >= 0.01 else 1e-6
+    assert abs(got - _exact_plateau_edge(eta)) <= bound
 
 
-def _count_batches(monkeypatch) -> list[int]:
-    """Record the number of states in each ``_optimal_b`` batch."""
-    batches = []
-    optimal_b = syn._optimal_b
-
-    def counting(matrices):
-        batches.append(len(matrices))
-        return optimal_b(matrices)
-
-    monkeypatch.setattr(syn, "_optimal_b", counting)
-    return batches
-
-
-@pytest.mark.parametrize("eta", [0.01, 0.5, 0.75, 1.0])
-def test_plateau_threshold_survives_a_wrong_prediction(monkeypatch, eta):
-    batches = _count_batches(monkeypatch)
-    predict = syn._predicted_on_plateau
-    monkeypatch.setattr(syn, "_predicted_on_plateau", lambda *args: not predict(*args))
-    assert _same(syn.plateau_threshold(eta), _reference_plateau_threshold(eta))
-    # the reference batch, then at most one batch per bisection step
-    assert len(batches) <= 18
-
-
-@pytest.mark.parametrize("eta", [0.6, 0.75, 1.0])
-def test_plateau_threshold_rescans_once_after_one_wrong_prediction(monkeypatch, eta):
-    batches = _count_batches(monkeypatch)
-    predict = syn._predicted_on_plateau
-    calls = []
-
-    def first_wrong(*args):
-        calls.append(args)
-        return predict(*args) != (len(calls) == 1)
-
-    monkeypatch.setattr(syn, "_predicted_on_plateau", first_wrong)
-    assert _same(syn.plateau_threshold(eta), _reference_plateau_threshold(eta))
-    # the reference, the path predicted from the root, then the rest of the
-    # real path from the root's other half
-    assert batches == [2, 17, 16]
-
-
-@pytest.mark.parametrize("eta", [0.6, 0.75, 1.0])
-def test_plateau_threshold_scans_in_two_batches(monkeypatch, eta):
-    batches = []
-
-    def counting(matrices):
-        batches.append(len(matrices))
-        return optimal_b(matrices)
-
-    optimal_b = syn._optimal_b
-    monkeypatch.setattr(syn, "_optimal_b", counting)
-    syn.plateau_threshold(eta)
-    assert len(batches) <= 2
+def test_exact_plateau_edge_at_eta_one():
+    # the pure state's plateau ends where (t, t, 1) is uniform, at t* = 1
+    assert _exact_plateau_edge(1.0) == pytest.approx(0.5, abs=1e-14)
+    got = syn.plateau_threshold(1.0)
+    assert 0.5 <= got <= 0.5 + 1e-12
 
 
 def test_plateau_threshold_takes_both_exits():
-    # a coherence this weak stays within the plateau tolerance up to the bracket's end
-    assert syn.plateau_threshold(1e-4) == _reference_plateau_threshold(1e-4) == 0.995
-    assert syn.plateau_threshold(1.0) < 0.995
-    for eta in (0.0, 1.5):
-        assert _outcome(syn.plateau_threshold, eta) == _outcome(_reference_plateau_threshold, eta)
+    # eta below the resolvable 1e-4 (0 included), above 1, or NaN
+    for eta in (0.0, 5e-5, 1.5, math.nan):
+        with pytest.raises(DomainError, match=r"eta in \[0.0001, 1\]"):
+            syn.plateau_threshold(eta)
 
 
 # ---------------------------------------------------------------------------

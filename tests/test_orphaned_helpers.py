@@ -1,15 +1,18 @@
-"""Every module-level private name in the package is used somewhere in it.
+"""Every module-level private name in the package, the tests and the
+scripts is used somewhere in its own tree.
 
 A private helper or constant (``_name``, not a dunder) that no code in
 ``src/`` reads outside its own definition is dead: a left-over of a path
 that was removed. Tests may still import such a name, so the test suite
-alone does not show it.
+alone does not show it. The same holds for a test helper or reference
+constant that no test reads any more, and for a script's helpers.
 """
 
 import ast
 from pathlib import Path
 
-_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coherence_forge"
+_ROOT = Path(__file__).resolve().parents[1]
+_TREES = (_ROOT / "src" / "coherence_forge", _ROOT / "tests", _ROOT / "scripts")
 
 
 def _is_private(name: str) -> bool:
@@ -56,7 +59,8 @@ def orphaned_private_names(package: Path) -> list[str]:
 
 
 def test_no_orphaned_private_names():
-    assert orphaned_private_names(_PACKAGE) == []
+    orphans = {tree.name: orphaned_private_names(tree) for tree in _TREES}
+    assert orphans == {tree.name: [] for tree in _TREES}
 
 
 def test_the_check_finds_a_left_over_helper(tmp_path):

@@ -56,15 +56,16 @@ def test_pure_state_frontiers(tmp_path):
 
 def test_mixed_state_plateau(tmp_path):
     result = run_script(
-        "mixed_state_plateau.py", "--etas", "0.75,0", "--steps", "3", "--out", "scan.csv",
+        "mixed_state_plateau.py", "--etas", "0.75,0,5e-5", "--steps", "3", "--out", "scan.csv",
         cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
     lines = (tmp_path / "scan.csv").read_text().splitlines()
     assert lines[0].startswith("p,eta,coherence_nats")
-    assert len(lines) == 1 + 2 * 3
+    assert len(lines) == 1 + 3 * 3
     assert "eta = 0.75: plateau C" in result.stdout
     assert "eta = 0: no interior optimum" in result.stdout
+    assert "threshold p = unresolved (threshold detection needs eta in [0.0001, 1])" in result.stdout
 
 
 def test_filter_process_metrics(tmp_path):

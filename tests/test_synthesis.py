@@ -485,6 +485,22 @@ class TestMixedScan:
         high = mixed_scan(0.75, [min(threshold + 0.05, 0.99)])[0]
         assert high.b_opt > 1 - 1e-6
 
+    @pytest.mark.parametrize("eta", [0.3, 0.5, 0.75, 1.0])
+    def test_searched_optimum_turns_at_the_exact_edge(self, eta):
+        threshold = plateau_threshold(eta)
+        ref, below, above = mixed_scan(eta, [0.05, 0.999 * threshold, 1.001 * threshold])
+        assert below.b_opt <= 1 - 1e-4
+        assert below.coherence == pytest.approx(ref.coherence, abs=1e-9)
+        assert above.b_opt > 1 - 1e-6
+        assert above.coherence < ref.coherence
+
+    def test_threshold_runs_no_golden_search(self, monkeypatch):
+        def no_search(matrices):
+            raise AssertionError("plateau_threshold ran a golden-section search")
+
+        monkeypatch.setattr(synthesis, "_optimal_b", no_search)
+        assert 0.5 <= plateau_threshold(0.6) <= 0.628
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             mixed_scan(1.2, [0.1])
@@ -652,6 +668,13 @@ class TestFrontierGridArgument:
             trace_frontier(
                 self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget.ENERGY, FilterFamily.OPTIMAL, grid=grid
             )
+
+    @pytest.mark.parametrize("grid", [synthesis.MAX_SAMPLE_POINTS + 1, 10**12])
+    @pytest.mark.parametrize("family", list(FilterFamily))
+    def test_rejects_a_grid_above_the_cap_before_allocating(self, grid, family):
+        # 10**12 points would need terabytes; the cap answers first
+        with pytest.raises(DomainError, match=f"at most {synthesis.MAX_SAMPLE_POINTS} points"):
+            trace_frontier(self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget.ENERGY, family, grid=grid)
 
     def test_accepts_numpy_integers(self):
         pts = trace_frontier(
