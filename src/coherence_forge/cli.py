@@ -226,6 +226,12 @@ def _cmd_filter(args: argparse.Namespace) -> int:
             raise _UsageError("--mode closed-form needs --p")
         if target is FilterTarget.COHERENCE_TSALLIS:
             raise DomainError("no closed form for the tsallis target; use --mode general")
+        classes = spectrum.degeneracy_classes(synthesis.DEGENERACY_TOL)
+        if target is FilterTarget.ENERGY and [c.tolist() for c in classes] != [[0], [1, 2], [3]]:
+            raise DomainError(
+                "the closed-form energy filter needs levels e0 < e1 = e2 < e3; "
+                "use --mode general"
+            )
         params = synthesis.two_qubit_closed_form(args.p, args.ps, target)
         filt = params.to_filter()
     else:

@@ -10,9 +10,12 @@ product state, a thermal maximum-coherence benchmark, frontier tracing and
 the restricted mixed-state scan complete the surface.
 
 The purity-based optimum is exact and exponential: for n populated levels
-it solves all 3^n assignments of the levels to 0, 1 or free, in batches
-that share 2^n pseudo-inverses (one per free set), and it rejects states
-with more than ``TSALLIS_MAX_LEVELS`` = 12 populated levels.
+it solves the bordered KKT system of all 3^n assignments of the levels to 0,
+1 or free, in batches that share 2^n pseudo-inverses (one per free set). It
+keeps a solution whose stationarity residual is at most 1e-8 and whose P_S
+residual is at most 1e-12, breaks gain ties (1e-15) by the lexicographic
+minimum with a 1e-12 tolerance per level, and rejects states with more than
+``TSALLIS_MAX_LEVELS`` = 12 populated levels.
 
 The factorized family is computed over a whole vector of success
 probabilities, its ``b`` by one lockstep Brent iteration;
@@ -302,43 +305,37 @@ TSALLIS_MAX_LEVELS = 12
 def _tsallis_candidates(
     pops: np.ndarray, overlap: np.ndarray, active: np.ndarray, p_success: float
 ) -> np.ndarray:
-    """Intensity vectors satisfying the stationarity/boundary structure.
+    """Intensity vectors satisfying the KKT conditions of max x^T W x subject
+    to p^T x = P_S and 0 <= x <= 1 (W = ``overlap``, p = ``pops``).
 
-    Every populated level is assigned 0, 1, or "free"; free levels solve the
-    linear system from the quadratic objective's stationarity condition, with
-    the multiplier eliminated exactly through the success-probability
-    constraint (both are affine in the multiplier for a fixed assignment).
+    Every populated level is assigned 0, 1 or "free". The free levels F and the
+    multiplier lam solve the bordered system
 
-    For a free set F the block ``overlap[F, F]``, its pseudo-inverse ``G``,
-    ``u = G b_F / 2`` and ``u . b_F`` depend on F alone; a 0/1 choice of the
-    other levels moves only the coupling ``c`` (linear in the ones) and the
-    P_S they carry. So the free sets of one size share one stacked
-    pseudo-inverse, and all their 0/1 choices are solved in one batch: 2^n
-    pseudo-inverses for the 3^n assignments of n populated levels.
+        [[W_FF, -p_F/2], [p_F^T, 0]] [x_F; lam] = [-c; P_S - fixed P_S],
 
-    Returns the feasible candidates, one per row, in the order of their
-    assignments read as base-3 numbers (digit 0, 1 or 2 = free per populated
-    level, the first level most significant).
+    where c couples F to the levels at 1 and fixed P_S is what those levels
+    pass. The last row and column are multiplied by s = max W / max p (the
+    unknown becomes lam/s), which leaves x_F as it is; unscaled, where W is
+    much smaller than p, the pseudo-inverse put errors up to 3e-10 into x_F.
+    The matrix depends on F alone, so the free sets of one size share one
+    stacked pseudo-inverse and every 0/1 choice of the other levels is one
+    right-hand side: 2^n pseudo-inverses for the 3^n assignments of n
+    populated levels. P_S enters only the last entry of the right-hand side, so
+    each candidate is affine in P_S. A row is kept when its stationarity
+    residual is at most 1e-8 (a singular system may get a pseudo-solution),
+    its P_S residual at most 1e-12 and every free intensity lies in
+    [-1e-12, 1 + 1e-12]; the free intensities are then clipped to [0, 1].
+
+    Returns the feasible candidates, one per row, in no particular order.
     """
     d = pops.size
     act_idx = np.flatnonzero(active)
     n = act_idx.size
-    digit = 3 ** np.arange(n - 1, -1, -1)
     base = (~active).astype(float)  # zero-population levels never affect any objective
-    codes, cands = [], []
+    scale = overlap.max() / pops.max()
+    cands = []
     for k in range(n + 1):
         free_pos = np.array(list(itertools.combinations(range(n), k)), dtype=int)
-        if k >= 2:
-            free = act_idx[free_pos]
-            a_blk = overlap[free[:, :, None], free[:, None, :]]
-            b_vec = pops[free]
-            pinv = np.linalg.pinv(a_blk)
-            u = (pinv @ (b_vec / 2.0)[:, :, None])[:, :, 0]
-            den = (u * b_vec).sum(axis=1)
-            keep = ~(np.abs(den) < 1e-14)
-            free_pos, a_blk, b_vec, pinv, u, den = (
-                x[keep] for x in (free_pos, a_blk, b_vec, pinv, u, den)
-            )
         sets = free_pos.shape[0]
         rest_mask = np.ones((sets, n), dtype=bool)
         rest_mask[np.arange(sets)[:, None], free_pos] = False
@@ -349,33 +346,25 @@ def _tsallis_candidates(
         rows = (np.arange(sets)[:, None, None], np.arange(bits.shape[0])[None, :, None])
         m = np.broadcast_to(base, (sets, bits.shape[0], d)).copy()
         m[rows + (rest[:, None, :],)] = bits[None, :, :]
-        code = 2 * digit[free_pos].sum(axis=1)[:, None] + digit[rest_pos] @ bits.T
-        fixed_ps = pops[rest] @ bits.T
-        if k == 0:
-            ok = np.abs(p_success - fixed_ps) <= 1e-12
-            m_free = np.zeros(ok.shape + (0,))
-        elif k == 1:
-            val = (p_success - fixed_ps) / pops[free]
-            ok = (val >= -1e-12) & (val <= 1.0 + 1e-12)
-            m_free = val[:, :, None]
-        else:
-            c_vec = m @ overlap[free].transpose(0, 2, 1)
-            v = -(c_vec @ pinv.transpose(0, 2, 1))
-            lam = (p_success - fixed_ps - (v * b_vec[:, None, :]).sum(axis=2)) / den[:, None]
-            m_free = lam[:, :, None] * u[:, None, :] + v
-            # pinv may fabricate a pseudo-solution when the block is singular
-            resid = m_free @ a_blk.transpose(0, 2, 1) - (
-                lam[:, :, None] * b_vec[:, None, :] / 2.0 - c_vec
-            )
-            ok = ~(
-                (np.abs(resid).max(axis=2) > 1e-8)
-                | np.any(m_free < -1e-12, axis=2)
-                | np.any(m_free > 1.0 + 1e-12, axis=2)
-            )
+        kkt = np.zeros((sets, k + 1, k + 1))
+        kkt[:, :k, :k] = overlap[free[:, :, None], free[:, None, :]]
+        border = scale * pops[free]
+        kkt[:, :k, k] = -border / 2.0
+        kkt[:, k, :k] = border
+        rhs = np.empty((sets, bits.shape[0], k + 1))
+        rhs[:, :, :k] = -(m @ overlap[free].transpose(0, 2, 1))
+        rhs[:, :, k] = scale * (p_success - pops[rest] @ bits.T)
+        sol = rhs @ np.linalg.pinv(kkt).transpose(0, 2, 1)
+        resid = np.abs(sol @ kkt.transpose(0, 2, 1) - rhs)
+        m_free = sol[:, :, :k]
+        ok = (
+            np.all(resid[:, :, :k] <= 1e-8, axis=2)
+            & (resid[:, :, k] <= 1e-12 * scale)
+            & np.all((m_free >= -1e-12) & (m_free <= 1.0 + 1e-12), axis=2)
+        )
         m[rows + (free[:, None, :],)] = np.clip(m_free, 0.0, 1.0)
-        codes.append(code[ok])
         cands.append(m[ok])
-    return np.concatenate(cands)[np.argsort(np.concatenate(codes))]
+    return np.concatenate(cands)
 
 
 def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
@@ -386,11 +375,14 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
     :func:`coherence_optimal_filter_pure`.
 
     The optimum is exact: every 0/1/free assignment of the n populated
-    levels is solved (3^n candidates, in batches that share 2^n
-    pseudo-inverses) and the best feasible one wins, ties going to the
-    lexicographically smallest intensity vector. The cost still grows
-    exponentially, so a state with more than ``TSALLIS_MAX_LEVELS`` = 12
-    populated levels raises :class:`DomainError` before any work.
+    levels is solved through its bordered KKT system (3^n candidates from
+    2^n pseudo-inverses). The candidates whose gain x^T W x is at least the
+    best minus 1e-15 tie; level by level, those within 1e-12 of that
+    level's minimum are kept, and the first survivor is returned. The
+    survivors agree to 1e-12 on every level, so the pick does not depend on
+    the order of the candidates. The cost still grows exponentially, so a
+    state with more than ``TSALLIS_MAX_LEVELS`` = 12 populated levels raises
+    :class:`DomainError` before any work.
     """
     pops = np.clip(state.populations, 0.0, None)
     active = pops >= ZERO_POPULATION
@@ -411,22 +403,15 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
     np.fill_diagonal(overlap, 0.0)
 
     cands = _tsallis_candidates(pops, overlap, active, p_success)
-    gains = ((cands @ overlap) * cands).sum(axis=1)
-    best_gain = -1.0
-    best: np.ndarray | None = None
-    for cand, gain in zip(cands, gains.tolist()):
-        if gain > best_gain + 1e-15 or (
-            best is not None
-            and abs(gain - best_gain) <= 1e-15
-            and tuple(cand) < tuple(best)
-        ):
-            best_gain = gain
-            best = cand
-    if best is None:
+    if not cands.shape[0]:
         raise UnreachableSuccessProbability(
             "no feasible filter attains the requested success probability"
         )
-    return DiagonalFilter(np.sqrt(best).astype(complex))
+    gains = ((cands @ overlap) * cands).sum(axis=1)
+    best = cands[gains >= gains.max() - 1e-15]
+    for level in range(best.shape[1]):
+        best = best[best[:, level] <= best[:, level].min() + 1e-12]
+    return DiagonalFilter(np.sqrt(best[0]).astype(complex))
 
 
 def optimal_filter(

@@ -703,6 +703,35 @@ class TestBadInputs:
         assert out == ""
         assert "3 levels" in err
 
+    @pytest.mark.parametrize("spectrum", ["0,1,2,3", "0,1,1,1", "0,0,1,2", "0,0,0,0"])
+    def test_closed_form_energy_needs_one_degenerate_middle_pair(self, capsys, spectrum):
+        code, out, err = run(
+            capsys, "filter", "--p", "0.1", "--ps", "0.1", "--target", "energy",
+            "--spectrum", spectrum,
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == (
+            "error: the closed-form energy filter needs levels e0 < e1 = e2 < e3; "
+            "use --mode general\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spectrum, target",
+        [("0,2,2,4", "energy"), ("0,1,2,3", "coherence"), ("0,0,1,2", "coherence")],
+    )
+    def test_closed_form_matches_the_general_synthesizer(self, capsys, spectrum, target):
+        argv = ("filter", "--p", "0.1", "--ps", "0.1", "--target", target, "--spectrum", spectrum)
+        code, closed, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        code, general, err = run(capsys, *argv, "--mode", "general")
+        assert (code, err) == (EXIT_OK, "")
+        measure = "output mean energy = " if target == "energy" else "output coherence = "
+        closed_value, general_value = (
+            float(out.split(measure)[1].split()[0]) for out in (closed, general)
+        )
+        assert closed_value == pytest.approx(general_value, abs=1e-9)
+
 
 def test_import_loads_neither_scipy_nor_thread_pools():
     code = (

@@ -14,6 +14,7 @@ from coherence_forge import (
     QubitParams,
     mixed_qubit_product,
     product_pure_state,
+    synthesis,
     tsallis_optimal_filter,
 )
 from coherence_forge.statecore import ZERO_POPULATION
@@ -165,6 +166,24 @@ def _cases():
         state = mixed_qubit_product(QubitParams(p=0.2, eta=eta), 2)
         for ps in (0.1, 0.3, 0.64, 1.0):
             cases.append(pytest.param(state, ps, id=f"mixed-product-eta{eta}-{ps}"))
+    # rank 2 with every level populated, at the largest d of the cases above
+    state = QState(_random_state(rng, 7, 2))
+    cases.append(pytest.param(state, float(rng.uniform(0.05, 0.95)), id="rank2-d7"))
+    # the k = 0 rule: P_S met exactly by levels at 0 or 1
+    state = QState(_random_state(rng, 6, 1))
+    pops = np.clip(state.populations, 0.0, None)
+    for label, ps in (("one", 1.0), ("subset", _subset_ps(pops, rng))):
+        cases.append(pytest.param(state, ps, id=f"pure-d6-{label}"))
+    state = mixed_qubit_product(QubitParams(p=0.2, eta=0.5), 3)
+    for ps in (0.3, 0.64):
+        cases.append(pytest.param(state, ps, id=f"mixed-product-n3-eta0.5-{ps}"))
+    # levels 0 and 1 share no coherence, so the KKT system of that free pair
+    # is singular and only a pseudo-solution exists
+    rho = 0.5 * np.eye(5) / 5 + 0.5 * _random_state(rng, 5, 5)
+    rho[0, 1] = rho[1, 0] = 0.0
+    state = QState(rho)
+    for ps in (float(rng.uniform(0.05, 0.95)), 1.0):
+        cases.append(pytest.param(state, ps, id=f"coherence-free-pair-d5-{ps:.3f}"))
     return cases
 
 
@@ -183,6 +202,77 @@ def test_round_off_ties_keep_the_optimal_gain():
     got = tsallis_optimal_filter(state, 0.3).intensities
     assert float(got @ state.populations) == pytest.approx(0.3, abs=1e-12)
     assert abs(_gain(state, got) - _gain(state, expected)) <= 1e-13
+
+
+class TestTieRule:
+    """The optima of a tie are picked by the tolerance-lexicographic minimum,
+    whatever order the candidates come in."""
+
+    STATE = mixed_qubit_product(QubitParams(p=0.25, eta=0.2), 3)
+    P_SUCCESS = 0.3
+
+    def _expected(self) -> np.ndarray:
+        pops = np.clip(self.STATE.populations, 0.0, None)
+        overlap = np.abs(self.STATE.matrix) ** 2
+        np.fill_diagonal(overlap, 0.0)
+        cands = np.array(
+            list(_reference_candidates(pops, overlap, pops >= ZERO_POPULATION, self.P_SUCCESS))
+        )
+        gains = np.array([float(cand @ overlap @ cand) for cand in cands])
+        tied = cands[gains >= gains.max() - 1e-15]
+        assert len(tied) > 1
+        for level in range(tied.shape[1]):
+            tied = tied[tied[:, level] <= tied[:, level].min() + 1e-12]
+        return tied[0]
+
+    def test_picks_the_tolerance_lexicographic_minimum(self):
+        got = tsallis_optimal_filter(self.STATE, self.P_SUCCESS).intensities
+        assert np.max(np.abs(got - self._expected())) <= 1e-12
+
+    def test_pick_does_not_depend_on_candidate_order(self, monkeypatch):
+        forward = synthesis._tsallis_candidates
+        monkeypatch.setattr(
+            synthesis, "_tsallis_candidates", lambda *args: forward(*args)[::-1]
+        )
+        got = tsallis_optimal_filter(self.STATE, self.P_SUCCESS).intensities
+        assert np.max(np.abs(got - self._expected())) <= 1e-12
+
+    def test_round_off_in_a_leading_level_does_not_move_the_pick(self, monkeypatch):
+        """Raise the first intensity of the optima with an empty second level
+        by 1e-15, far below the tie tolerance: a raw-float comparison would
+        then prefer an optimum whose second level is not empty."""
+        forward = synthesis._tsallis_candidates
+
+        def nudged(*args):
+            cands = forward(*args)
+            cands[:, 0] += 1e-15 * (cands[:, 1] == 0.0)
+            return cands
+
+        monkeypatch.setattr(synthesis, "_tsallis_candidates", nudged)
+        got = tsallis_optimal_filter(self.STATE, self.P_SUCCESS).intensities
+        assert np.max(np.abs(got - self._expected())) <= 1e-12
+
+
+@pytest.mark.parametrize("n_qubits, p, p_success", [(2, 0.8, 0.5), (3, 0.6, 0.3), (3, 0.8, 0.5)])
+def test_free_intensities_solve_their_kkt_system_at_weak_coherence(n_qubits, p, p_success):
+    """At eta = 0.1 the squared coherences are about 100x smaller than the
+    populations. The free intensities (strictly inside (0, 1)) must still
+    match np.linalg.solve of their own KKT system to 1e-12."""
+    state = mixed_qubit_product(QubitParams(p=p, eta=0.1), n_qubits)
+    got = tsallis_optimal_filter(state, p_success).intensities
+    pops = state.populations
+    overlap = np.abs(state.matrix) ** 2
+    np.fill_diagonal(overlap, 0.0)
+    free = np.flatnonzero((got > 1e-9) & (got < 1.0 - 1e-9))
+    ones = np.flatnonzero(got >= 1.0 - 1e-9)
+    k = free.size
+    assert k >= 2
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = overlap[np.ix_(free, free)]
+    kkt[:k, k] = -pops[free] / 2.0
+    kkt[k, :k] = pops[free]
+    rhs = np.append(-overlap[np.ix_(free, ones)].sum(axis=1), p_success - pops[ones].sum())
+    assert np.max(np.abs(got[free] - np.linalg.solve(kkt, rhs)[:k])) <= 1e-12
 
 
 @hypothesis.given(
