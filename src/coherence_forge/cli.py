@@ -23,6 +23,7 @@ from . import optics, oracle, synthesis
 from .errors import DimensionMismatch, DomainError, StateValidationError
 from .iterative import KrausSet, compose_iteration, sequential_povm, simulate_sequential
 from .statecore import (
+    ZERO_POPULATION,
     DiagonalFilter,
     EnergySpectrum,
     QState,
@@ -291,22 +292,24 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     mixture, p_total, _branches = simulate_sequential(povm, pair)
     residual = float(np.max(np.abs(mixture.matrix * p_total - sigma)))
     iter_coh = coherence(mixture)
-    best = oracle.grid_search(
-        pair,
-        synthesis.TWO_QUBIT_SPECTRUM,
-        FilterTarget.COHERENCE,
-        p_total,
-        grid_step=args.grid_step,
-    )
+    if np.count_nonzero(pair.populations >= ZERO_POPULATION) < 2:
+        best = 0.0  # a single populated level carries no coherence to enhance
+    else:
+        spectrum, target = synthesis.TWO_QUBIT_SPECTRUM, FilterTarget.COHERENCE
+        edge = synthesis.reachable_success_range(pair, spectrum, target, FilterFamily.OPTIMAL)[0]
+        # below full equalization a scaled-down equalizer leaves the output
+        # state unchanged, so the optimum there is the one at the edge
+        filt = synthesis.optimal_filter(pair, spectrum, target, max(p_total, edge))
+        best = coherence(apply_filter(pair, filt)[0])
     report = [
         f"stages = {args.stages}, per-stage filter a = {_fmt(args.a)}, b = {_fmt(args.b)}",
         f"total success probability = {_fmt(p_total)}",
         f"iterative output coherence = {_coherence_report(iter_coh, args.log_base)}",
         "single-copy optimal coherence at equal P_S = "
-        + _coherence_report(best.objective, args.log_base),
+        + _coherence_report(best, args.log_base),
         f"sequential-equivalence residual (max element) = {residual:.3e}",
     ]
-    ok = residual <= 1e-10 and iter_coh <= best.objective + 1e-6
+    ok = residual <= 1e-10 and iter_coh <= best + 1e-6
     report.append("PASS" if ok else "FAIL")
     text = "\n".join(report)
     print(text)
@@ -398,12 +401,11 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--steps", type=int, required=True)
     p_scan.add_argument("--out-csv", required=True)
 
-    p_iter = subs.add_parser("iterate", help="two-stage pairwise protocol checks")
+    p_iter = subs.add_parser("iterate", help="pairwise protocol vs the exact single-copy optimum")
     p_iter.add_argument("--p", type=float, required=True)
     p_iter.add_argument("--stages", type=int, default=2)
     p_iter.add_argument("--a", type=float, default=0.0)
     p_iter.add_argument("--b", type=float, default=1.0)
-    p_iter.add_argument("--grid-step", type=float, default=0.04)
     p_iter.add_argument("--out", help="also write the report to a file")
     p_iter.add_argument("--log-base", choices=("e", "2"), default="e")
 

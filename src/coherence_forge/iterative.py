@@ -26,6 +26,9 @@ def _diag_or_raise(op: np.ndarray, what: str) -> np.ndarray:
     m = np.array(op, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError(f"{what} must be a square matrix")
+    # NaN passes every comparison below, and inf - inf warns before failing
+    if not np.isfinite(m).all():
+        raise StateValidationError(f"{what} entries must be finite")
     if np.max(np.abs(m - np.diag(np.diag(m)))) > 1e-14:
         raise StateValidationError(f"{what} must be diagonal in the energy basis")
     return m

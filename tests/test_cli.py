@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ from coherence_forge.cli import (
     write_frontier_csv,
     write_frontier_svg,
 )
-from coherence_forge.oracle import MAX_GRID_POINTS, MAX_TAIL_ROWS
+from coherence_forge.oracle import MAX_GRID_POINTS, MAX_TAIL_ROWS, grid_search
 from coherence_forge.statecore import filter_from_text, qstate_to_text
 from coherence_forge.synthesis import MAX_SAMPLE_POINTS
 
@@ -331,6 +332,55 @@ class TestIterateCommand:
         code, _, _ = run(capsys, "iterate", "--p", "0.1", "--stages", "3")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--p", "0.229143", "--a", "0.406613", "--b", "0.306507"],
+         ["--p", "0.1", "--a", "0.5", "--b", "0.7"]],
+        ids=["p0.229", "p0.1"],
+    )
+    def test_optimum_below_full_equalization_is_exact(self, capsys, flags):
+        # the total P_S lies below full equalization, where the exact optimum
+        # is log 4; a 0.04-step grid search read 0 and 1.098 nats here
+        code, out, _ = run(capsys, "iterate", *flags)
+        assert code == EXIT_OK
+        assert "single-copy optimal coherence at equal P_S = 1.38629436112 nats (2 bits)" in out
+        assert out.rstrip().endswith("PASS")
+
+    @pytest.mark.parametrize("flags", [["--p", "1"], ["--p", "0", "--a", "1"]], ids=str)
+    def test_one_populated_level_has_zero_optimum(self, capsys, flags):
+        code, out, _ = run(capsys, "iterate", *flags)
+        assert code == EXIT_OK
+        assert "single-copy optimal coherence at equal P_S = 0 nats (0 bits)" in out
+        assert out.rstrip().endswith("PASS")
+
+    def test_annihilated_protocol_exits_2(self, capsys):
+        code, out, err = run(capsys, "iterate", "--p", "0")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "every branch of the sequential protocol fails" in err
+
+    def test_seeded_protocols_never_fail(self, capsys):
+        rng = np.random.default_rng(0)
+        for i in range(300):
+            p = float(rng.uniform(0.05, 0.45))
+            a, b = (float(x) for x in rng.uniform(0.0, 1.0, size=2))
+            stages = int(rng.integers(1, 3))
+            code, out, _ = run(
+                capsys, "iterate", "--p", repr(p), "--a", repr(a), "--b", repr(b),
+                "--stages", str(stages),
+            )
+            assert code == EXIT_OK
+            assert out.rstrip().endswith("PASS"), out
+            if i < 30:
+                # the grid search never beats the exact optimum
+                p_total = float(out.split("total success probability = ")[1].split()[0])
+                optimum = float(out.split("at equal P_S = ")[1].split()[0])
+                pair = product_pure_state(p, 2)
+                best = grid_search(
+                    pair, TWO_QUBIT_SPECTRUM, FilterTarget.COHERENCE, p_total, grid_step=0.04
+                )
+                assert best.objective <= optimum + 1e-9
+
 
 class TestChoiCommand:
     def test_nominal_filter_self_metrics(self, capsys, tmp_path):
@@ -507,7 +557,7 @@ class TestConfigAndEnvironment:
         assert code == EXIT_USAGE
         assert out == ""
         code, out, _ = run(
-            capsys, "iterate", "--config", str(cfg), "--p", "0.1", "--grid-step", "0.1"
+            capsys, "iterate", "--config", str(cfg), "--p", "0.1"
         )
         assert code == EXIT_OK
         assert "bits (" in out
@@ -824,8 +874,9 @@ class TestOnePathPerJob:
 
 
 class TestRemovedSurface:
-    """``--log-base`` is an option of ``filter`` and ``iterate`` only, and the
-    Tsallis synthesizer is reached through ``filter --mode general``."""
+    """``--log-base`` is an option of ``filter`` and ``iterate`` only, the
+    Tsallis synthesizer is reached through ``filter --mode general``, and
+    ``iterate`` has no ``--grid-step``."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -843,6 +894,13 @@ class TestRemovedSurface:
         assert code == EXIT_USAGE
         assert out == ""
         assert run(capsys, *argv)[0] == EXIT_OK
+
+    def test_iterate_grid_step_exits_1(self, capsys):
+        # iterate compares against the exact water-fill optimum; no grid
+        code, out, err = run(capsys, "iterate", "--p", "0.1", "--grid-step", "0.04")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--grid-step" in err
 
     def test_tsallis_mode_exits_1(self, capsys):
         code, out, err = run(
@@ -866,3 +924,39 @@ class TestGridPointLimit:
         assert out == ""
         assert f"needs 85766121 grid points at dimension 6; the limit is {MAX_GRID_POINTS}" in err
         assert "Traceback" not in err
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The argv of every ``coherence-forge`` command in the README's CLI code
+    block, with backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command-line interface", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("coherence-forge "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+class TestReadmeExamples:
+    """Every CLI example in the README runs, so a removed flag cannot linger
+    in the docs."""
+
+    COMMANDS = _readme_cli_commands()
+
+    def test_block_lists_every_subcommand(self):
+        assert {argv[0] for argv in self.COMMANDS} == {
+            "filter", "frontier", "mixed-scan", "iterate", "choi", "oracle"
+        }
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+    def test_example_runs(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rho.txt").write_text(
+            qstate_to_text(mixed_qubit_product(QubitParams(p=0.2, eta=0.75), 2))
+        )
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        if argv[0] in ("iterate", "oracle"):
+            assert out.rstrip().endswith("PASS")

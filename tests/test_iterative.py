@@ -7,7 +7,9 @@ from coherence_forge import (
     QState,
     QubitParams,
     StateValidationError,
+    apply_filter,
     coherence,
+    coherence_optimal_filter_pure,
     mixed_qubit_product,
     product_pure_state,
     tensor,
@@ -181,6 +183,40 @@ class TestSequentialPovm:
             KrausSet(operators=(w, w))
 
 
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _with_entry(base, index, value):
+    op = np.array(base, dtype=complex)
+    op[index] = value
+    return op
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteOperators:
+    """NaN passes every bound comparison and inf - inf warns, so non-finite
+    entries are rejected before any other check."""
+
+    @pytest.mark.parametrize("value", _NON_FINITE, ids=str)
+    @pytest.mark.parametrize("index", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_kraus_set(self, value, index):
+        op = _with_entry(np.diag([0.5, 1.0]), index, value)
+        with pytest.raises(StateValidationError, match="Kraus operator entries must be finite"):
+            KrausSet(operators=(op,))
+
+    @pytest.mark.parametrize("value", _NON_FINITE, ids=str)
+    @pytest.mark.parametrize("index", [(1, 1), (1, 0)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("which", ["plus", "minus"])
+    def test_sequential_povm(self, value, index, which):
+        plus, minus = np.diag([0.6, 1.0]), np.diag([0.8, 0.0])
+        if which == "plus":
+            plus = _with_entry(plus, index, value)
+        else:
+            minus = _with_entry(minus, index, value)
+        with pytest.raises(StateValidationError, match=f"{which} operator entries must be finite"):
+            SequentialPovm(stages=((plus, minus),))
+
+
 class TestEquivalence:
     def test_identity_single_stage(self):
         rho = product_pure_state(0.3, 2)
@@ -257,3 +293,17 @@ class TestEquivalence:
                 grid_step=0.05,
             )
             assert iterative_c <= best.objective + 1e-6
+
+    def test_optimum_is_constant_below_full_equalization(self):
+        # scaling the full equalizer down lowers P_S but leaves the output
+        # state, and so the optimal coherence log 4, unchanged
+        pair = product_pure_state(0.1, 2)
+        edge = float(4 * pair.populations.min())
+        equalizer = coherence_optimal_filter_pure(pair, edge)
+        out_edge, ps_edge = apply_filter(pair, equalizer)
+        assert ps_edge == pytest.approx(edge, abs=1e-15)
+        assert coherence(out_edge) == pytest.approx(np.log(4.0), abs=1e-12)
+        for scale in (0.9, 0.5, 0.1):
+            out, ps = apply_filter(pair, DiagonalFilter(scale * equalizer.coeffs))
+            assert ps == pytest.approx(scale**2 * edge, abs=1e-15)
+            assert np.max(np.abs(out.matrix - out_edge.matrix)) < 1e-14
