@@ -6,21 +6,30 @@ followed by constraint-projected coordinate descent. The search space is a
 subset of the feasible filters, so the oracle objective never exceeds the
 true optimum; a synthesizer passes when the oracle cannot beat it.
 
-Every objective is evaluated on numpy batches of intensity vectors. For a
-mixed input and the relative-entropy target a batch goes through
-``statecore.apply_filter_rows``, which checks each filtered state as
-``apply_filter`` and ``QState`` check it and diagonalizes the batch with one
-stacked ``eigvalsh`` per bounded slice. The tail block is sorted by success
-probability once, so the P_S band of each grid head is one contiguous run
-of it and its candidates are evaluated in P_S order; of a head's maximal
-candidates the one first in enumeration order wins. Each refinement sweep
-evaluates its trial moves in one batch. The candidates, the winners and the
-first-improvement order are those of a one-candidate-at-a-time search, so
-results match it bit for bit. Which error is raised can differ: when the
-filtered-state checks reject several candidates of one band, the first of
-them in P_S order raises, not the first in enumeration order. A search is
-rejected before any work when its tail block exceeds ``MAX_TAIL_ROWS`` rows
-or its grid exceeds ``MAX_GRID_POINTS`` points.
+Every objective is evaluated on numpy batches of intensity vectors. The
+energy, pure-state relative-entropy and Tsallis targets are scored from the
+intensity columns, term by term in one fixed order, so a candidate's value
+does not depend on its batch; a grid head scores its band straight from the
+columns of the sorted tail block, with its own intensities as scalars, and
+builds only the winning row. For a mixed input and the relative-entropy
+target a batch goes through ``statecore.apply_filter_rows``, which checks
+each filtered state as ``apply_filter`` and ``QState`` check it and
+diagonalizes the batch with one stacked ``eigvalsh`` per bounded slice. The
+tail block is sorted by success probability once, so the P_S band of each
+grid head is one contiguous run of it and its candidates are evaluated in
+P_S order; of a head's maximal candidates the one first in enumeration
+order wins. Each refinement sweep evaluates its trial moves in one batch.
+The candidates, the winners and the first-improvement order are those of a
+one-candidate-at-a-time search, so results for the energy and both
+relative-entropy targets match it bit for bit. The Tsallis target sums its
+pair terms in another order than a matrix product, so its values agree
+with that search only to within the last bits (1e-14 relative), and a
+refinement that meets a near-tie at that level can end at another point,
+whose objective agrees to within 1e-12 relative. Which error is raised can
+differ: when the filtered-state checks reject several candidates of one
+band, the first of them in P_S order raises, not the first in enumeration
+order. A search is rejected before any work when its tail block exceeds
+``MAX_TAIL_ROWS`` rows or its grid exceeds ``MAX_GRID_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from .statecore import (
     DiagonalFilter,
     EnergySpectrum,
     QState,
-    _row_entropy,
+    _entropy_terms,
     apply_filter,
     apply_filter_rows,
     coherence,
@@ -57,11 +66,13 @@ _BAND_MARGIN = 1e-9
 MAX_TAIL_ROWS = 2**20
 # Grid points of a whole search (heads x tail rows). The head loop makes one
 # band slice and one objective batch per head, so this bounds its time: at
-# the limit a d = 6 search (16^6 points, 4096 heads) took 0.9-1.2 s for the
-# energy target and 47-61 s for the relative entropy of a mixed state, on 2
-# cores. It admits d = 4 at grid_step 0.02 (51^4 points) and d = 5 at 0.1,
-# but not d = 5 at 0.02 (51^5 points: 5-10 s for a pure state, 5 minutes
-# for the relative entropy of a mixed one).
+# the limit a d = 6 search (16^6 points, 4096 heads, P_S 0.5, 2 cores) took
+# 0.4-0.6 s for the energy and 0.6-1.0 s for the Tsallis target on a random
+# full-rank state, 1.0 s for the relative entropy of a random pure state and
+# 47-61 s for the relative entropy of a mixed one. It admits d = 4 at
+# grid_step 0.02 (51^4 points) and d = 5 at 0.1, but not d = 5 at 0.02 (51^5
+# points: 5-10 s for a pure state, 5 minutes for the relative entropy of a
+# mixed one).
 MAX_GRID_POINTS = 2**24
 
 
@@ -101,30 +112,62 @@ def objective_value(
 
 
 class _Objective:
-    """Vectorized objective over batches of intensity vectors."""
+    """Target measure of intensity vectors, scored from their columns.
+
+    ``columns`` adds a target's terms in one fixed left-to-right order,
+    starting from +0.0: energy ``(m_j pops_j) levels_j``; pure-state relative
+    entropy the ``_entropy_terms`` of ``(m_j pops_j) / ps``; Tsallis
+    ``(m_i m_j) w_ij`` over the pairs i < j, with ``w_ij = |rho_ij|^2 +
+    |rho_ji|^2``. Every term is elementwise, so a row's value does not depend
+    on the batch it is evaluated in. numpy sums rows shorter than 8 terms in
+    the same order from the same +0.0, so for d <= 6 the energy and coherence
+    values equal the row sums of the same terms bit for bit. The mixed-state
+    relative entropy is scored row by row through ``apply_filter_rows``.
+    """
 
     def __init__(self, state: QState, spectrum: EnergySpectrum, target: FilterTarget):
         self.target = target
         self.pops = np.clip(state.populations, 0.0, None)
-        self.levels = spectrum.levels
         self.pure = state.is_pure()
         self.state = state
-        self.overlap = np.abs(state.matrix) ** 2
-        np.fill_diagonal(self.overlap, 0.0)
+        self._pops = self.pops.tolist()
+        self._levels = spectrum.levels.tolist()
+        overlap = np.abs(state.matrix) ** 2
+        self._pairs = [
+            (i, j, float(overlap[i, j] + overlap[j, i]))
+            for i, j in itertools.combinations(range(state.dim), 2)
+        ]
 
     def __call__(self, m: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        m = np.atleast_2d(m)
-        ps = np.atleast_1d(ps)
-        if self.target is FilterTarget.ENERGY:
-            return (m * self.pops * self.levels).sum(axis=1) / ps
-        if self.target is FilterTarget.COHERENCE_TSALLIS:
-            return np.einsum("ni,ij,nj->n", m, self.overlap, m) / ps**2
-        if self.pure:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return _row_entropy(m * self.pops / ps[:, None])
+        """Objective of each row of the ``(n, d)`` intensities ``m`` at the
+        success probabilities ``ps``."""
+        if self.target is not FilterTarget.COHERENCE or self.pure:
+            return self.columns(list(m.T), ps)
         coeffs = np.sqrt(np.clip(m, 0.0, 1.0)).astype(complex)
         _, populations, eigenvalues = apply_filter_rows(self.state.matrix, coeffs)
         return coherence_rows(populations, eigenvalues)
+
+    def columns(self, cols, ps: np.ndarray) -> np.ndarray:
+        """Objective of the rows whose intensities are ``cols``, one scalar
+        or one column per level, at the success probabilities ``ps``."""
+        acc = 0.0
+        if self.target is FilterTarget.ENERGY:
+            for m_j, p_j, e_j in zip(cols, self._pops, self._levels):
+                acc = acc + (m_j * p_j) * e_j
+            return acc / ps
+        if self.target is FilterTarget.COHERENCE_TSALLIS:
+            for i, j, w in self._pairs:
+                acc = acc + (cols[i] * cols[j]) * w
+            return acc / ps**2
+        if not self.pure:
+            m = np.empty((len(ps), len(cols)))
+            for j, m_j in enumerate(cols):
+                m[:, j] = m_j
+            return self(m, ps)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for m_j, p_j in zip(cols, self._pops):
+                acc = acc + _entropy_terms((m_j * p_j) / ps)
+        return acc
 
 
 def _grid_axis_length(grid_step: float) -> float:
@@ -132,6 +175,16 @@ def _grid_axis_length(grid_step: float) -> float:
     ``1 / grid_step`` overflows."""
     n = float(np.ceil((1.0 + 0.5 * grid_step) / grid_step))  # np.arange's length
     return n + (min((n - 1.0) * grid_step, 1.0) < 1.0 - 1e-12)
+
+
+def _grid_size(grid_step: float, k: int) -> float:
+    """Grid points of ``k`` intensities, ``_grid_axis_length(grid_step) ** k``;
+    inf when the power overflows a float, as it does from grid_step 1e-103 on
+    at k = 3."""
+    try:
+        return _grid_axis_length(grid_step) ** k
+    except OverflowError:
+        return math.inf
 
 
 def _grid_axis(grid_step: float) -> np.ndarray:
@@ -272,13 +325,13 @@ def check_search_args(
         raise DomainError(f"tolerance must be a positive finite number, got {tolerance!r}")
     if state.dim != spectrum.dim:
         raise DomainError("state and spectrum dimensions differ")
-    tail_rows = _grid_axis_length(grid_step) ** min(d, 3)
+    tail_rows = _grid_size(grid_step, min(d, 3))
     if tail_rows > MAX_TAIL_ROWS:
         raise DomainError(
             f"grid_step {grid_step!r} needs {tail_rows:.0f} tail rows at dimension {d}; "
             f"the limit is {MAX_TAIL_ROWS}"
         )
-    points = _grid_axis_length(grid_step) ** d
+    points = _grid_size(grid_step, d)
     if points > MAX_GRID_POINTS:
         raise DomainError(
             f"grid_step {grid_step!r} needs {points:.0f} grid points at dimension {d}; "
@@ -348,15 +401,13 @@ def grid_search(
         skip = int(np.argmax(band))
         cand_ps = ps[skip : skip + count]
         lo += skip
-        full = np.concatenate(
-            [np.broadcast_to(head, (count, n_head)), tail[lo : lo + count]], axis=1
-        )
-        vals = objective(full, cand_ps)
+        rows = tail[lo : lo + count]
+        vals = objective.columns((*head, *rows.T), cand_ps)
         i = int(np.argmax(vals))
         tied = np.flatnonzero(vals == vals[i])
         if tied.size > 1:
             i = int(tied[np.argmin(tail_order[lo + tied])])
-        winners.append((float(vals[i]), full[i].copy(), float(cand_ps[i])))
+        winners.append((float(vals[i]), np.concatenate([head, rows[i]]), float(cand_ps[i])))
     if not winners:
         raise InfeasibleGrid(
             "no grid point satisfies the success-probability tolerance; "

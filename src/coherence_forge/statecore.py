@@ -16,8 +16,8 @@ check ``DiagonalFilter``, ``apply_filter`` and ``QState`` make for each row,
 and diagonalizes the outputs with one stacked ``eigvalsh`` per bounded
 slice, without building a ``QState`` per row; its first failing row raises
 what ``DiagonalFilter`` or ``QState`` raises for it. ``coherence_rows`` turns
-its output into relative-entropy coherences with ``_row_entropy``, which the
-oracle shares. Both give, row for row, the same floats as the one-state
+its output into relative-entropy coherences with ``_row_entropy``, whose
+per-entry terms (``_entropy_terms``) the oracle shares. Both give, row for row, the same floats as the one-state
 functions.
 """
 
@@ -183,22 +183,29 @@ class QubitParams:
             raise StateValidationError("eta must lie in [0, 1]")
 
 
+def _entropy_terms(values: np.ndarray) -> np.ndarray:
+    """-v log v of each entry above ``ZERO_EIGENVALUE``, and an exact 0.0 in
+    place of each smaller one."""
+    keep = values > ZERO_EIGENVALUE
+    return np.where(keep, -values * np.log(np.where(keep, values, 1.0)), 0.0)
+
+
 def _row_entropy(values: np.ndarray) -> np.ndarray:
     """Shannon entropy of each row in nats, -sum v log v over the entries
     above ``ZERO_EIGENVALUE``; smaller entries contribute 0.
 
     The sum runs as numpy sums a row holding only the kept terms. Every row
     keeps at least one entry, as the populations and the spectrum of a
-    unit-trace state do. numpy adds fewer than 8 terms from left to right, so
-    in rows shorter than that a dropped entry can stand in place as an exact
-    0.0 (a zero entropy is then 0.0, where the kept terms alone give -0.0).
-    Longer sums are pairwise, so there the kept terms of the rows with equal
-    counts are gathered and summed together.
+    unit-trace state do. numpy adds fewer than 8 terms from left to right,
+    starting from +0.0, so in rows shorter than that a dropped entry can stand
+    in place as an exact 0.0 (a zero entropy is then 0.0, where the kept terms
+    alone give -0.0). Longer sums are pairwise, so there the kept terms of the
+    rows with equal counts are gathered and summed together.
     """
-    keep = values > ZERO_EIGENVALUE
-    terms = np.where(keep, -values * np.log(np.where(keep, values, 1.0)), 0.0)
+    terms = _entropy_terms(values)
     if values.shape[1] < 8:
         return terms.sum(axis=1)
+    keep = values > ZERO_EIGENVALUE
     counts = keep.sum(axis=1)
     out = np.empty(len(values))
     for k in np.unique(counts).tolist():

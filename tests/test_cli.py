@@ -872,6 +872,20 @@ class TestOnePathPerJob:
         assert f"needs 1003003001 tail rows at dimension 4; the limit is {MAX_TAIL_ROWS}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("step", ["1e-120", "1e-300"])
+    def test_oracle_grid_step_whose_grid_size_overflows_exits_2(self, capsys, step):
+        # len(axis) ** 3 overflows a float here, where 1 / step does not
+        code, out, err = run(
+            capsys, "oracle", "--p", "0.1", "--ps", "0.19", "--target", "energy",
+            "--grid-step", step,
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: grid_step {float(step)!r} needs inf tail rows at dimension 4; "
+            f"the limit is {MAX_TAIL_ROWS}"
+        ]
+
 
 class TestRemovedSurface:
     """``--log-base`` is an option of ``filter`` and ``iterate`` only, the

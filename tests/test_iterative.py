@@ -23,7 +23,13 @@ from coherence_forge.iterative import (
     simulate_sequential,
 )
 from coherence_forge.oracle import grid_search
-from coherence_forge.synthesis import FilterTarget, TwoQubitFilterParams
+from coherence_forge.synthesis import (
+    FilterFamily,
+    FilterTarget,
+    TwoQubitFilterParams,
+    optimal_filter,
+    reachable_success_range,
+)
 from coherence_forge import TWO_QUBIT_SPECTRUM
 
 
@@ -293,6 +299,24 @@ class TestEquivalence:
                 grid_step=0.05,
             )
             assert iterative_c <= best.objective + 1e-6
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.6])
+    def test_no_advantage_over_the_exact_single_copy_optimum(self, p):
+        # the exact optimum at max(P_S, edge), as `iterate` computes it: below
+        # the full-equalization edge a scaled-down equalizer keeps the output
+        rho = product_pure_state(p, 1)
+        pair = product_pure_state(p, 2)
+        target = FilterTarget.COHERENCE
+        edge = reachable_success_range(pair, TWO_QUBIT_SPECTRUM, target, FilterFamily.OPTIMAL)[0]
+        for a in (0.0, 0.4):
+            for b in (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0):
+                stage = TwoQubitFilterParams(a=a, b=b).to_filter()
+                _, sigma = compose_iteration(stage, stage, rho)
+                p_total = float(np.trace(sigma).real)
+                iterative_c = coherence(QState(sigma / p_total))
+                filt = optimal_filter(pair, TWO_QUBIT_SPECTRUM, target, max(p_total, edge))
+                best = coherence(apply_filter(pair, filt)[0])
+                assert iterative_c <= best + 1e-9, (a, b)
 
     def test_optimum_is_constant_below_full_equalization(self):
         # scaling the full equalizer down lowers P_S but leaves the output

@@ -171,7 +171,8 @@ def test_axis_length_without_building_the_axis(step):
 
 
 @pytest.mark.parametrize(
-    "step, rows", [(0.0099, "1092727"), (0.001, "1003003001"), (5e-324, "inf")]
+    "step, rows",
+    [(0.0099, "1092727"), (0.001, "1003003001"), (5e-324, "inf"), (1e-120, "inf"), (1e-300, "inf")],
 )
 def test_rejects_a_tail_block_above_the_limit(step, rows):
     message = f"needs {rows} tail rows at dimension 4; the limit is {MAX_TAIL_ROWS}"

@@ -9,6 +9,7 @@ other objectives) are shared.
 """
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from coherence_forge.oracle import (
     _project,
     grid_search,
 )
+from coherence_forge.statecore import _row_entropy
 
 
 class _ReferenceObjective(_Objective):
@@ -313,3 +315,146 @@ def test_mixed_objective_keeps_the_eigenvalue_floor():
     for rows in ([[1.0] * 4, [0.0] * 4], [[0.0] * 4, [1.0] * 4]):
         assert _raised(new, rows) == _raised(ref, rows)
     assert _raised(new, [[1.0] * 4])[1] == "density matrix has a negative eigenvalue"
+
+
+# The objective's formulas from before it scored intensity columns, verbatim.
+def _energy_rows(m, pops, levels, ps):
+    return (m * pops * levels).sum(axis=1) / ps
+
+
+def _coherence_rows(m, pops, ps):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _row_entropy(m * pops / ps[:, None])
+
+
+def _tsallis_rows(state, m, ps):
+    overlap = np.abs(state.matrix) ** 2
+    np.fill_diagonal(overlap, 0.0)
+    return np.einsum("ni,ij,nj->n", m, overlap, m) / ps**2
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _intensity_batch(rng, d, n=5000):
+    """Random intensities with grid-like exact 0s and 1s, all-zero rows first."""
+    m = rng.uniform(0.0, 1.0, size=(n, d))
+    m[rng.random((n, d)) < 0.2] = 0.0
+    m[rng.random((n, d)) < 0.2] = 1.0
+    m[:5] = 0.0
+    return m, rng.uniform(0.01, 1.0, size=n)
+
+
+def _levels(rng, d, kind):
+    if kind == "negative":
+        return np.sort(-rng.uniform(0.5, 2.0, size=d))
+    # negative, zero and positive levels
+    return np.sort(np.concatenate([rng.normal(size=d - 1), [0.0]]))
+
+
+def _head_columns(m, n_head=1):
+    """The rows of ``m`` as the head loop scores them: the first ``n_head``
+    intensities as scalars (equal in every row here), the rest as columns."""
+    head = tuple(m[0, :n_head].tolist())
+    rows = m.copy()
+    rows[:, :n_head] = head
+    return rows, (*head, *rows[:, n_head:].T)
+
+
+@pytest.mark.parametrize("kind", ["mixed-sign", "negative"])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_energy_and_coherence_columns_are_bit_identical(d, kind):
+    rng = np.random.default_rng(100 * d + len(kind))
+    state = _random_ket(rng, d)
+    spectrum = EnergySpectrum(_levels(rng, d, kind))
+    m, ps = _intensity_batch(rng, d)
+    energy = _Objective(state, spectrum, FilterTarget.ENERGY)
+    coherence_ = _Objective(state, spectrum, FilterTarget.COHERENCE)
+    ref_energy = _energy_rows(m, energy.pops, spectrum.levels, ps)
+    ref_coherence = _coherence_rows(m, coherence_.pops, ps)
+    assert np.array_equal(_bits(energy(m, ps)), _bits(ref_energy))
+    assert np.array_equal(_bits(coherence_(m, ps)), _bits(ref_coherence))
+    if kind == "negative":  # every term of an all-zero row is -0.0
+        assert np.all(ref_energy[:5] == 0.0) and not np.signbit(ref_energy[:5]).any()
+    rows, cols = _head_columns(m)
+    for objective, ref in (
+        (energy, _energy_rows(rows, energy.pops, spectrum.levels, ps)),
+        (coherence_, _coherence_rows(rows, coherence_.pops, ps)),
+    ):
+        assert np.array_equal(_bits(objective.columns(cols, ps)), _bits(ref))
+
+
+def _tsallis_states(rng):
+    return [
+        product_pure_state(0.1, 2),
+        mixed_qubit_product(QubitParams(p=0.27, eta=0.75), 2),
+        *(_random_ket(rng, d) for d in (2, 3, 4, 5, 6)),
+        *(_random_mixed(rng, d) for d in (3, 4, 5, 6)),
+    ]
+
+
+def test_tsallis_columns_match_the_einsum_form():
+    rng = np.random.default_rng(41)
+    for state in _tsallis_states(rng):
+        objective = _Objective(state, _spectrum(state.dim), FilterTarget.COHERENCE_TSALLIS)
+        m, ps = _intensity_batch(rng, state.dim)
+        values = objective(m, ps)
+        np.testing.assert_allclose(values, _tsallis_rows(state, m, ps), rtol=1e-14, atol=0.0)
+        rows, cols = _head_columns(m)
+        assert np.array_equal(_bits(objective.columns(cols, ps)), _bits(objective(rows, ps)))
+
+
+def test_tsallis_row_value_does_not_depend_on_the_batch():
+    rng = np.random.default_rng(42)
+    state = _random_mixed(rng, 5)
+    objective = _Objective(state, _spectrum(5), FilterTarget.COHERENCE_TSALLIS)
+    m, ps = _intensity_batch(rng, 5)
+    whole = _bits(objective(m, ps))
+    one_by_one = np.concatenate([objective(m[k : k + 1], ps[k : k + 1]) for k in range(len(m))])
+    chunks = np.concatenate(
+        [objective(m[k : k + 7], ps[k : k + 7]) for k in range(0, len(m), 7)]
+    )
+    assert np.array_equal(whole, _bits(one_by_one))
+    assert np.array_equal(whole, _bits(chunks))
+
+
+class _EinsumObjective(_ReferenceObjective):
+    def __call__(self, m: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        if self.target is not FilterTarget.COHERENCE_TSALLIS:
+            return super().__call__(m, ps)
+        return _tsallis_rows(self.state, m, ps)
+
+
+def _tsallis_search_cases():
+    rng = np.random.default_rng(20212)
+    states = [
+        (product_pure_state(0.1, 2), 0.02),
+        (product_pure_state(0.35, 2), 0.04),
+        (_random_ket(rng, 4), 0.02),
+        (_random_ket(rng, 4), 0.04),
+        (mixed_qubit_product(QubitParams(p=0.4, eta=0.3), 2), 0.1),
+        (_random_mixed(rng, 4), 0.05),
+        (_random_ket(rng, 3), 0.02),
+        (_random_mixed(rng, 3), 0.02),
+        (_random_ket(rng, 5), 0.1),
+        (_random_mixed(rng, 5), 0.2),
+        (_random_ket(rng, 6), 0.25),
+    ]
+    cases = []
+    for k, (state, step) in enumerate(states):
+        for ps in rng.uniform(0.1, 0.9, size=2).tolist():
+            cases.append(pytest.param(state, ps, step, id=f"d{state.dim}-{k}-{ps:.3f}"))
+    return cases
+
+
+@pytest.mark.parametrize("state, ps, step", _tsallis_search_cases())
+def test_tsallis_search_matches_the_einsum_objective(monkeypatch, state, ps, step):
+    # the reference search with the einsum objective it was written with
+    monkeypatch.setattr(sys.modules[__name__], "_ReferenceObjective", _EinsumObjective)
+    spectrum = _spectrum(state.dim)
+    target = FilterTarget.COHERENCE_TSALLIS
+    res = grid_search(state, spectrum, target, ps, grid_step=step)
+    ref_obj, _, ref_ps = _reference_grid_search(state, spectrum, target, ps, step)
+    assert res.objective == pytest.approx(ref_obj, rel=1e-12, abs=0.0)
+    assert res.p_success == ref_ps
