@@ -9,9 +9,10 @@ Usage: python scripts/filter_process_metrics.py [--phases 0,0.15,-0.1,0]
 """
 
 import argparse
+import sys
 
-import numpy as np
-
+from coherence_forge import DomainError
+from coherence_forge.cli import EXIT_DOMAIN, float_list
 from coherence_forge.optics import (
     PhaseProfile,
     choi_of_filter,
@@ -25,9 +26,9 @@ NOMINAL = [(0.0, 0.0), (0.0, 1.0), (0.32, 0.8), (0.64, 0.8), (1.0, 1.0)]
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--phases", default="0,0.15,-0.1,0.05")
+    parser.add_argument("--phases", type=float_list, default="0,0.15,-0.1,0.05")
     args = parser.parse_args()
-    phases = PhaseProfile(phases=np.array([float(t) for t in args.phases.split(",")]))
+    phases = PhaseProfile(phases=args.phases)
 
     print(f"{'a':>6} {'b':>6} {'purity':>10} {'fidelity':>10} {'compensated':>12}")
     for a, b in NOMINAL:
@@ -41,4 +42,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_DOMAIN)

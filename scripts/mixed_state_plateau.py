@@ -10,30 +10,34 @@ Usage: python scripts/mixed_state_plateau.py [--etas 0.5,0.75,1.0] [--out result
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from coherence_forge import DomainError, mixed_scan, plateau_threshold
-from coherence_forge.cli import write_scan_csv
+from coherence_forge.cli import EXIT_DOMAIN, float_list, write_scan_csv
+from coherence_forge.synthesis import MAX_SAMPLE_POINTS
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--etas", default="0.5,0.75,1.0")
+    parser.add_argument("--etas", type=float_list, default="0.5,0.75,1.0")
     parser.add_argument("--p-min", type=float, default=0.05)
     parser.add_argument("--p-max", type=float, default=0.6)
     parser.add_argument("--steps", type=int, default=23)
     parser.add_argument("--out", default="results/mixed_scan.csv")
     args = parser.parse_args()
+    if not args.etas.size:
+        parser.error("--etas needs at least one value")
+    if args.steps < 2:
+        parser.error("--steps must be at least 2")
+    if args.steps > MAX_SAMPLE_POINTS:
+        parser.error(f"--steps must be at most {MAX_SAMPLE_POINTS}")
 
-    etas = [float(tok) for tok in args.etas.split(",")]
     p_values = list(np.linspace(args.p_min, args.p_max, args.steps))
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-
     rows = []
-    for eta in etas:
+    for eta in args.etas.tolist():
         points = mixed_scan(eta, p_values)
         rows.extend((eta, pt) for pt in points)
         plateau = [pt for pt in points if pt.b_opt < 1 - 1e-6]
@@ -48,9 +52,15 @@ def main() -> None:
             )
         else:
             print(f"eta = {eta:g}: no interior optimum in the scanned range")
+    out_path = Path(args.out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_scan_csv(out_path, rows)
     print(f"wrote {out_path}")
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_DOMAIN)

@@ -9,18 +9,20 @@ Usage: python scripts/pure_state_frontiers.py [--p 0.1] [--grid 200] [--out-dir 
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from coherence_forge import (
+    DomainError,
     FilterFamily,
     FilterTarget,
     TWO_QUBIT_SPECTRUM,
     product_pure_state,
     trace_frontier,
 )
-from coherence_forge.cli import write_frontier_csv, write_frontier_svg
+from coherence_forge.cli import EXIT_DOMAIN, write_frontier_csv, write_frontier_svg
 
 
 def main() -> None:
@@ -31,7 +33,6 @@ def main() -> None:
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     state = product_pure_state(args.p, 2)
 
     for target in (FilterTarget.COHERENCE, FilterTarget.ENERGY):
@@ -39,6 +40,7 @@ def main() -> None:
             fam: trace_frontier(state, TWO_QUBIT_SPECTRUM, target, fam, grid=args.grid)
             for fam in FilterFamily
         }
+        out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / f"frontier_{target.value}_p{args.p:g}.csv"
         write_frontier_csv(csv_path, [pt for pts in traced.values() for pt in pts])
         svg_path = out_dir / f"frontier_{target.value}_p{args.p:g}.svg"
@@ -56,4 +58,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_DOMAIN)

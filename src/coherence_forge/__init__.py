@@ -49,7 +49,7 @@ from .synthesis import (
     tsallis_optimal_filter,
     two_qubit_closed_form,
 )
-from .oracle import OracleResult, FrontierReport, grid_search, objective_value, verify_frontier
+from .oracle import OracleResult, grid_search, objective_value
 from .iterative import (
     KrausSet,
     SequentialPovm,

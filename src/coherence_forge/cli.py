@@ -56,10 +56,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def float_list(text: str) -> np.ndarray:
+    """Comma-separated numbers, empty fields skipped; an argparse ``type``."""
+    return np.asarray([float(tok) for tok in text.split(",") if tok.strip()])
+
+
 def _parse_floats(text: str, what: str) -> np.ndarray:
-    """Comma-separated numbers; empty fields are skipped."""
     try:
-        return np.asarray([float(tok) for tok in text.split(",") if tok.strip()])
+        return float_list(text)
     except ValueError:
         raise _UsageError(f"cannot parse {what} {text!r}")
 

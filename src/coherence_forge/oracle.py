@@ -1,23 +1,24 @@
 """Brute-force validation oracle for the filter synthesizers.
 
-Exhaustive enumeration of diagonal-filter intensities on a uniform grid,
-restricted to a tolerance band around the requested success probability,
-followed by constraint-projected coordinate descent. The search space is a
-subset of the feasible filters, so the oracle objective never exceeds the
-true optimum; a synthesizer passes when the oracle cannot beat it.
+:func:`grid_search` enumerates diagonal-filter intensities on a uniform
+grid, restricted to a tolerance band around the requested success
+probability, then runs constraint-projected coordinate descent. The search
+space is a subset of the feasible filters, so the oracle objective never
+exceeds the true optimum; a synthesizer passes when the oracle cannot beat
+the :func:`objective_value` of its filter at the same P_S.
 
-Every objective is evaluated on numpy batches of intensity vectors. The
-energy, pure-state relative-entropy and Tsallis targets are scored from the
-intensity columns, term by term in one fixed order, so a candidate's value
+Every batch of intensity vectors is scored by one method,
+``_Objective.columns``. The energy, pure-state relative-entropy and Tsallis
+targets are scored term by term in one fixed order, so a candidate's value
 does not depend on its batch; a grid head scores its band straight from the
 columns of the sorted tail block, with its own intensities as scalars, and
 builds only the winning row. For a mixed input and the relative-entropy
-target a batch goes through ``statecore.apply_filter_rows``, which checks
-each filtered state as ``apply_filter`` and ``QState`` check it and
-diagonalizes the batch with one stacked ``eigvalsh`` per bounded slice. The
-tail block is sorted by success probability once, so the P_S band of each
-grid head is one contiguous run of it and its candidates are evaluated in
-P_S order; of a head's maximal candidates the one first in enumeration
+target the columns are stacked into rows for ``statecore.apply_filter_rows``,
+which checks each filtered state as ``apply_filter`` and ``QState`` check it
+and diagonalizes the batch with one stacked ``eigvalsh`` per bounded slice.
+The tail block is sorted by success probability once, so the P_S band of
+each grid head is one contiguous run of it and its candidates are evaluated
+in P_S order; of a head's maximal candidates the one first in enumeration
 order wins. Each refinement sweep evaluates its trial moves in one batch.
 The candidates, the winners and the first-improvement order are those of a
 one-candidate-at-a-time search, so results for the energy and both
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +54,7 @@ from .statecore import (
     coherence_tsallis,
     mean_energy,
 )
-from .synthesis import FilterTarget, FrontierPoint, _check_success_range
+from .synthesis import FilterTarget, _check_success_range
 
 _REFINE_FLOOR = 1e-6
 # Slack on the sorted-P_S window of a grid head, far above the round-off of
@@ -81,22 +81,6 @@ class OracleResult:
     filter: DiagonalFilter
     objective: float
     p_success: float
-    grid_step: float
-
-
-@dataclass(frozen=True)
-class FrontierCheckEntry:
-    p_success: float
-    synthesized_objective: float
-    oracle_objective: float
-    shortfall: float
-
-
-@dataclass(frozen=True)
-class FrontierReport:
-    entries: tuple[FrontierCheckEntry, ...]
-    max_shortfall: float
-    passed: bool
 
 
 def objective_value(
@@ -122,7 +106,8 @@ class _Objective:
     on the batch it is evaluated in. numpy sums rows shorter than 8 terms in
     the same order from the same +0.0, so for d <= 6 the energy and coherence
     values equal the row sums of the same terms bit for bit. The mixed-state
-    relative entropy is scored row by row through ``apply_filter_rows``.
+    relative entropy stacks the columns into rows for ``apply_filter_rows``.
+    Calling the objective scores the columns of a row batch.
     """
 
     def __init__(self, state: QState, spectrum: EnergySpectrum, target: FilterTarget):
@@ -141,11 +126,7 @@ class _Objective:
     def __call__(self, m: np.ndarray, ps: np.ndarray) -> np.ndarray:
         """Objective of each row of the ``(n, d)`` intensities ``m`` at the
         success probabilities ``ps``."""
-        if self.target is not FilterTarget.COHERENCE or self.pure:
-            return self.columns(list(m.T), ps)
-        coeffs = np.sqrt(np.clip(m, 0.0, 1.0)).astype(complex)
-        _, populations, eigenvalues = apply_filter_rows(self.state.matrix, coeffs)
-        return coherence_rows(populations, eigenvalues)
+        return self.columns(list(m.T), ps)
 
     def columns(self, cols, ps: np.ndarray) -> np.ndarray:
         """Objective of the rows whose intensities are ``cols``, one scalar
@@ -159,15 +140,17 @@ class _Objective:
             for i, j, w in self._pairs:
                 acc = acc + (cols[i] * cols[j]) * w
             return acc / ps**2
-        if not self.pure:
-            m = np.empty((len(ps), len(cols)))
-            for j, m_j in enumerate(cols):
-                m[:, j] = m_j
-            return self(m, ps)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for m_j, p_j in zip(cols, self._pops):
-                acc = acc + _entropy_terms((m_j * p_j) / ps)
-        return acc
+        if self.pure:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for m_j, p_j in zip(cols, self._pops):
+                    acc = acc + _entropy_terms((m_j * p_j) / ps)
+            return acc
+        m = np.empty((len(ps), len(cols)))
+        for j, m_j in enumerate(cols):
+            m[:, j] = m_j
+        coeffs = np.sqrt(np.clip(m, 0.0, 1.0)).astype(complex)
+        _, populations, eigenvalues = apply_filter_rows(self.state.matrix, coeffs)
+        return coherence_rows(populations, eigenvalues)
 
 
 def _grid_axis_length(grid_step: float) -> float:
@@ -429,7 +412,6 @@ def grid_search(
             filter=DiagonalFilter(np.sqrt(np.clip(raw[1], 0.0, 1.0)).astype(complex)),
             objective=raw[0],
             p_success=raw[2],
-            grid_step=grid_step,
         )
 
     refined = _refine(start[0], objective, pops, p_success, grid_step)
@@ -439,51 +421,5 @@ def grid_search(
         filter=DiagonalFilter(np.sqrt(np.clip(refined, 0.0, 1.0)).astype(complex)),
         objective=value,
         p_success=actual_ps,
-        grid_step=grid_step,
     )
 
-
-def verify_frontier(
-    points: list[FrontierPoint],
-    state: QState,
-    spectrum: EnergySpectrum,
-    target: FilterTarget,
-    samples: int,
-    grid_step: float = 0.05,
-    tolerance: float | None = None,
-    seed: int = 0,
-) -> FrontierReport:
-    """Re-run the oracle at sampled frontier points and report the worst
-    objective shortfall of the synthesized filters. Passes when the oracle
-    never beats a sampled point by more than 1e-3."""
-    if not points:
-        raise DomainError("frontier is empty")
-    if not isinstance(samples, numbers.Integral) or samples < 1:
-        raise DomainError(f"samples must be at least 1 and an integer, got {samples!r}")
-    rng = np.random.default_rng(seed)
-    count = min(samples, len(points))
-    idx = sorted(rng.choice(len(points), size=count, replace=False).tolist())
-    entries = []
-    worst = 0.0
-    for i in idx:
-        point = points[i]
-        synth = objective_value(state, spectrum, target, point.filter)
-        res = grid_search(
-            state,
-            spectrum,
-            target,
-            point.p_success,
-            grid_step=grid_step,
-            tolerance=tolerance,
-        )
-        shortfall = res.objective - synth
-        worst = max(worst, shortfall)
-        entries.append(
-            FrontierCheckEntry(
-                p_success=point.p_success,
-                synthesized_objective=synth,
-                oracle_objective=res.objective,
-                shortfall=shortfall,
-            )
-        )
-    return FrontierReport(entries=tuple(entries), max_shortfall=worst, passed=worst <= 1e-3)

@@ -650,11 +650,13 @@ def reachable_success_range(
     """
     if family is FilterFamily.FACTORIZED:
         return float(state.populations[-1]), 1.0
+    pops = np.clip(state.populations, 0.0, None)
     if target is FilterTarget.ENERGY:
-        classes = spectrum.degeneracy_classes(DEGENERACY_TOL)
-        return float(np.clip(state.populations, 0, None)[classes[-1]].sum()), 1.0
+        # below the population of the highest populated class the optimum
+        # keeps a share of that class alone, so the output no longer changes
+        class_pops = [float(pops[c].sum()) for c in spectrum.degeneracy_classes(DEGENERACY_TOL)]
+        return next(p for p in reversed(class_pops) if p >= ZERO_POPULATION), 1.0
     if target is FilterTarget.COHERENCE:
-        pops = np.clip(state.populations, 0.0, None)
         act = pops[pops >= ZERO_POPULATION]
         return float(np.minimum(act.min(), act).sum()), 1.0
     return 0.0, 1.0

@@ -20,10 +20,8 @@ from coherence_forge.oracle import (
     _grid_axis_length,
     grid_search,
     objective_value,
-    verify_frontier,
 )
 from coherence_forge.synthesis import (
-    FrontierPoint,
     coherence_optimal_filter_pure,
     energy_optimal_filter,
 )
@@ -112,57 +110,19 @@ def test_two_level_search_matches_synthesizer():
     assert res.p_success == pytest.approx(0.5, abs=1e-9)
 
 
-def test_verify_frontier_passes_on_synthesized_points():
-    pts = trace_frontier(
-        STATE, SPECTRUM, FilterTarget.COHERENCE, FilterFamily.OPTIMAL, grid=12
-    )
-    report = verify_frontier(
-        pts, STATE, SPECTRUM, FilterTarget.COHERENCE, samples=4, grid_step=0.05
-    )
-    assert report.passed
-    assert report.max_shortfall <= 1e-3
-
-
-def test_verify_frontier_flags_perturbed_filter():
+def test_oracle_beats_a_perturbed_frontier():
     pts = trace_frontier(
         STATE, SPECTRUM, FilterTarget.COHERENCE, FilterFamily.OPTIMAL, grid=5
     )
-    damaged = []
+    shortfalls = []
     for pt in pts:
         coeffs = pt.filter.coeffs.copy()
         coeffs[1] = max(coeffs[1].real - 0.1, 0.0)
-        damaged.append(
-            FrontierPoint(
-                p_success=pt.p_success,
-                coherence=pt.coherence,
-                mean_energy=pt.mean_energy,
-                filter=DiagonalFilter(coeffs),
-                family=pt.family,
-            )
-        )
-    report = verify_frontier(
-        damaged, STATE, SPECTRUM, FilterTarget.COHERENCE, samples=5, grid_step=0.05
-    )
-    assert not report.passed
-    assert report.max_shortfall > 1e-3
-
-
-def test_verify_frontier_deterministic_sampling():
-    pts = trace_frontier(
-        STATE, SPECTRUM, FilterTarget.COHERENCE, FilterFamily.OPTIMAL, grid=12
-    )
-    a = verify_frontier(pts, STATE, SPECTRUM, FilterTarget.COHERENCE, samples=3, seed=0)
-    b = verify_frontier(pts, STATE, SPECTRUM, FilterTarget.COHERENCE, samples=3, seed=0)
-    assert a == b
-
-
-@pytest.mark.parametrize("samples", [0, -1, 2.5])
-def test_verify_frontier_rejects_no_samples(samples):
-    pts = trace_frontier(
-        STATE, SPECTRUM, FilterTarget.COHERENCE, FilterFamily.OPTIMAL, grid=5
-    )
-    with pytest.raises(DomainError, match="samples must be at least 1"):
-        verify_frontier(pts, STATE, SPECTRUM, FilterTarget.COHERENCE, samples=samples)
+        damaged = DiagonalFilter(coeffs)
+        synth = objective_value(STATE, SPECTRUM, FilterTarget.COHERENCE, damaged)
+        res = grid_search(STATE, SPECTRUM, FilterTarget.COHERENCE, pt.p_success, grid_step=0.05)
+        shortfalls.append(res.objective - synth)
+    assert max(shortfalls) > 1e-3
 
 
 @pytest.mark.parametrize("step", [0.5, 0.3, 0.07, 0.04, 0.03, 0.02, 0.01, 0.0099, 1 / 3])

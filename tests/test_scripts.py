@@ -1,10 +1,14 @@
 """Smoke tests of the experiment scripts: each runs as a fresh process on a
-small grid, exits 0 and writes what it reports."""
+small grid, exits 0 and writes what it reports. Bad input ends with exit
+code 2 and no traceback: a malformed number or a bad count as an argparse
+usage error, a domain error as one ``error:`` line."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import coherence_forge
 from coherence_forge import (
@@ -74,4 +78,50 @@ def test_filter_process_metrics(tmp_path):
     rows = result.stdout.splitlines()
     assert rows[0].split() == ["a", "b", "purity", "fidelity", "compensated"]
     assert len(rows) == 6
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        (
+            "filter_process_metrics.py",
+            ["--phases", "0,x,0,0"],
+            "invalid float_list value: '0,x,0,0'",
+        ),
+        ("mixed_state_plateau.py", ["--etas", "0.5,x"], "invalid float_list value: '0.5,x'"),
+        ("mixed_state_plateau.py", ["--etas", ","], "--etas needs at least one value"),
+        ("mixed_state_plateau.py", ["--steps", "0"], "--steps must be at least 2"),
+        ("mixed_state_plateau.py", ["--steps", "100001"], "--steps must be at most 100000"),
+    ],
+)
+def test_bad_argument_is_a_usage_error(tmp_path, name, argv, message):
+    result = run_script(name, *argv, cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage:")
+    assert result.stderr.rstrip().endswith(message)
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        (
+            "filter_process_metrics.py",
+            ["--phases", "0,0,0"],
+            "phase profile dimension does not match the filter",
+        ),
+        ("filter_process_metrics.py", ["--phases", "nan,0,0,0"], "phases must be finite"),
+        ("mixed_state_plateau.py", ["--etas", "2"], "eta must lie in [0, 1]"),
+        ("mixed_state_plateau.py", ["--p-max", "1.0"], "populations p must lie in (0, 1)"),
+        ("pure_state_frontiers.py", ["--p", "0.5"], "empty reachable success-probability range"),
+        ("pure_state_frontiers.py", ["--grid", "1"], "grid must contain at least 2 points"),
+    ],
+)
+def test_domain_error_exits_2_with_one_line(tmp_path, name, argv, message):
+    result = run_script(name, *argv, cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []

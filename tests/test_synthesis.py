@@ -410,6 +410,83 @@ class TestFrontier:
             )
 
 
+def _knapsack_energy(pops, levels, ps):
+    """Greedy fractional knapsack: fill P_S from the highest level down."""
+    left, acc = ps, 0.0
+    for j in np.argsort(-levels, kind="stable"):
+        take = min(pops[j], left)
+        acc += take * levels[j]
+        left -= take
+    return acc / ps
+
+
+def _waterfill_coherence(pops, ps):
+    """Entropy of the water-fill min(K, p_j) / P_S over the populated levels,
+    with K found from the smallest population up."""
+    p = np.sort(pops)
+    below = 0.0
+    for i, p_i in enumerate(p):
+        k = (ps - below) / (p.size - i)
+        if k <= p_i:
+            break
+        below += p_i
+    return shannon(np.minimum(k, p) / ps)
+
+
+def _rounded_spectrum(rng, d):
+    """Random levels rounded to 0.1, so some are degenerate."""
+    return EnergySpectrum(np.sort(np.round(rng.uniform(0.0, 3.0, size=d), 1)))
+
+
+class TestOptimalFrontierEveryPoint:
+    """Every point of an optimal energy or pure-state coherence frontier
+    against an exact optimum computed here, independently of the
+    synthesizers."""
+
+    @staticmethod
+    def check(state, spectrum):
+        pops = np.clip(state.populations, 0.0, None)
+        populated = pops[pops > 0]
+        levels = spectrum.levels
+        exact = {
+            FilterTarget.ENERGY: (
+                pops[levels == levels[pops > 0].max()].sum(),
+                lambda ps: _knapsack_energy(pops, levels, ps),
+            ),
+            FilterTarget.COHERENCE: (
+                populated.size * populated.min(),
+                lambda ps: _waterfill_coherence(populated, ps),
+            ),
+        }
+        for target, (edge, optimum) in exact.items():
+            if edge >= 1.0 - 1e-12:
+                with pytest.raises(DomainError, match="empty reachable"):
+                    trace_frontier(state, spectrum, target, FilterFamily.OPTIMAL, grid=50)
+                continue
+            pts = trace_frontier(state, spectrum, target, FilterFamily.OPTIMAL, grid=50)
+            assert pts[0].p_success == pytest.approx(edge, abs=1e-12)
+            assert pts[-1].p_success == pytest.approx(1.0, abs=1e-12)
+            for pt in pts:
+                assert abs(pt.measure(target) - optimum(pt.p_success)) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_pure_states(self, d):
+        rng = np.random.default_rng(1600 + d)
+        for _ in range(10):
+            for unpopulated in (False, True):
+                ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+                if unpopulated:
+                    ket[rng.integers(d)] = 0.0
+                self.check(QState.pure(ket), _rounded_spectrum(rng, d))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_product_pure_states(self, n):
+        rng = np.random.default_rng(1610 + n)
+        for p in (0.05, 0.1, 0.3, 0.5, 0.8):
+            spectrum = TWO_QUBIT_SPECTRUM if n == 2 else _rounded_spectrum(rng, 2**n)
+            self.check(product_pure_state(p, n), spectrum)
+
+
 class TestOtherDimensions:
     def test_single_qubit_factorized_filter(self):
         state = product_pure_state(0.2, 1)
