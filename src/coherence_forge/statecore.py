@@ -9,6 +9,13 @@ All values are immutable; every operation returns a new object, so states
 and filters are safe to share between threads. Entropies use the natural
 logarithm throughout (nats).
 
+Each object computes its invariants once. An ``EnergySpectrum`` groups its
+levels into degeneracy classes at ``DEGENERACY_TOL`` when it is built, and
+``degeneracy_classes()`` at that tolerance returns those read-only arrays. A
+``QState`` keeps the spectrum of its matrix from validation, and its
+populations and purity from their first use; ``populations`` still hands out
+a fresh writable copy. The synthesizers call these once per grid point.
+
 ``apply_filter_rows`` is the batched form of ``apply_filter`` that the
 frontier tracer, the mixed-state scans and the oracle share: it filters a
 state (or a stack of states) by many coefficient rows at once, makes every
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -44,6 +52,8 @@ ZERO_EIGENVALUE = 1e-14
 ZERO_POPULATION = 1e-14
 
 _ANNIHILATION_TOL = 1e-14
+# Levels closer than this share a degeneracy class.
+DEGENERACY_TOL = 1e-9
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -69,15 +79,20 @@ class EnergySpectrum:
         if np.any(np.diff(arr) < 0):
             raise StateValidationError("energy levels must be nondecreasing")
         object.__setattr__(self, "levels", _frozen(arr))
+        object.__setattr__(self, "_classes", self._group(DEGENERACY_TOL))
 
     @property
     def dim(self) -> int:
         return int(self.levels.size)
 
-    def degeneracy_classes(self, tol: float = 1e-9) -> list[np.ndarray]:
-        """Indices grouped by energy, ascending; levels within ``tol`` share a class."""
-        cuts = np.flatnonzero(np.diff(self.levels) > tol) + 1
-        return [np.asarray(g) for g in np.split(np.arange(self.dim), cuts)]
+    def degeneracy_classes(self, tol: float = DEGENERACY_TOL) -> list[np.ndarray]:
+        """Indices grouped by energy, ascending; levels within ``tol`` share a
+        class. The index arrays are read-only."""
+        return list(self._classes if tol == DEGENERACY_TOL else self._group(tol))
+
+    def _group(self, tol: float) -> tuple[np.ndarray, ...]:
+        bounds = [0, *(np.flatnonzero(np.diff(self.levels) > tol) + 1).tolist(), self.dim]
+        return tuple(_frozen(np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
 
 
 TWO_QUBIT_SPECTRUM = EnergySpectrum(np.array([0.0, 1.0, 1.0, 2.0]))
@@ -114,11 +129,20 @@ class QState:
 
     @property
     def populations(self) -> np.ndarray:
-        """Diagonal of the density matrix (real, may contain clipped zeros)."""
-        return np.real(np.diag(self.matrix)).copy()
+        """Diagonal of the density matrix (real, may contain clipped zeros),
+        as a fresh writable copy."""
+        return self._populations.copy()
+
+    @cached_property
+    def _populations(self) -> np.ndarray:
+        return _frozen(self.matrix.diagonal().real.copy())
+
+    @cached_property
+    def _purity(self) -> float:
+        return float(np.trace(self.matrix @ self.matrix).real)
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return self._purity
 
     def is_pure(self, tol: float = 1e-10) -> bool:
         return self.purity() > 1.0 - tol
@@ -144,7 +168,7 @@ class DiagonalFilter:
         c = np.array(self.coeffs, dtype=complex).reshape(-1)
         if c.size < 1:
             raise StateValidationError("filter needs at least one coefficient")
-        if not np.max(np.abs(c)) <= 1.0 + 1e-12:
+        if not np.abs(c).max() <= 1.0 + 1e-12:
             # a NaN or infinite coefficient also fails the bound
             if not np.isfinite(c).all():
                 raise StateValidationError("filter coefficients must be finite")
@@ -239,10 +263,8 @@ def coherence(state: QState) -> float:
 
 def coherence_tsallis(state: QState) -> float:
     """Purity-based coherence Tr(rho^2) - Tr(rho_D^2); zero for diagonal states."""
-    m = state.matrix
-    full = float(np.trace(m @ m).real)
     diag = float((state.populations**2).sum())
-    return max(full - diag, 0.0)
+    return max(state.purity() - diag, 0.0)
 
 
 def success_probability(state: QState, filt: DiagonalFilter) -> float:

@@ -22,12 +22,17 @@ probabilities, its ``b`` by one lockstep Brent iteration;
 ``factorized_filter`` is that code on one row. ``trace_frontier`` calls the
 closed-form optimal synthesizers once per grid point, takes the factorized
 grid in one batch and measures every filter with one
-``statecore.apply_filter_rows`` call. ``mixed_scan`` runs the golden-section
-searches of its populations in lockstep, one batch per step; every result
-equals the per-point computation bit for bit. ``plateau_threshold`` needs no
-search: the a=0 output depends on p and b only through t = b^2 (1 - p)/p, so
-the plateau ends exactly at p = 1/(1 + t*), where t* maximizes the output
-coherence C(t), and one bisection on the sign of dC/dt finds that edge.
+``statecore.apply_filter_rows`` call. Per point, the energy and water-fill
+synthesizers only read what the spectrum and the state compute once per
+object (the degeneracy classes, the populations and the purity) and do their
+per-level arithmetic on Python floats, in the order of the numpy expressions
+they replace, so their filters are the same bit for bit. ``mixed_scan`` runs
+the golden-section searches of its populations in lockstep, one batch per
+step; every result equals the per-point computation bit for bit.
+``plateau_threshold`` needs no search: the a=0 output depends on p and b only
+through t = b^2 (1 - p)/p, so the plateau ends exactly at p = 1/(1 + t*),
+where t* maximizes the output coherence C(t), and one bisection on the sign
+of dC/dt finds that edge.
 
 All synthesized filters carry nonnegative real coefficients; phases are
 irrelevant to every scalar measure and belong to the optics layer.
@@ -46,6 +51,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, UnreachableSuccessProbability
 from .statecore import (
+    DEGENERACY_TOL,
     TWO_QUBIT_SPECTRUM,
     DiagonalFilter,
     EnergySpectrum,
@@ -59,7 +65,6 @@ from .statecore import (
     mixed_qubit_product,
 )
 
-DEGENERACY_TOL = 1e-9
 GOLDEN_TOL = 1e-8
 _RANGE_TOL = 1e-12
 # the most points a frontier grid or a CLI mixed scan may sample, 500 times
@@ -140,6 +145,23 @@ def _check_success_range(
         raise UnreachableSuccessProbability(below)
 
 
+def _clipped(state: QState) -> list[float]:
+    """The state's populations with negative round-off raised to 0.0, as
+    Python floats: ``np.clip(state.populations, 0.0, None).tolist()``."""
+    return [x if x > 0.0 else 0.0 for x in state.populations.tolist()]
+
+
+def _sum(values: list[float]) -> float:
+    """``float(np.sum(values))``. numpy adds fewer than 8 terms one by one
+    from +0.0, so a short list is added up the same way in Python."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Energy-optimal family
 # ---------------------------------------------------------------------------
@@ -157,24 +179,24 @@ def energy_optimal_filter(
     """
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
-    pops = np.clip(state.populations, 0.0, None)
-    classes = spectrum.degeneracy_classes(DEGENERACY_TOL)
-    top_pop = float(pops[classes[-1]].sum())
+    pops = _clipped(state)
+    classes = [group.tolist() for group in spectrum.degeneracy_classes(DEGENERACY_TOL)]
+    top_pop = _sum([pops[j] for j in classes[-1]])
     _check_success_range(
         p_success, top_pop, f"P_S below the population {top_pop:.6g} of the highest-energy class"
     )
 
-    amplitudes = np.ones(state.dim)
+    amplitudes = [1.0] * state.dim
     to_remove = max(1.0 - min(p_success, 1.0), 0.0)
     for group in classes:
         if to_remove <= 1e-15:
             break
-        live = group[pops[group] >= ZERO_POPULATION]
-        group_pop = float(pops[live].sum())
+        live = [j for j in group if pops[j] >= ZERO_POPULATION]
+        group_pop = _sum([pops[j] for j in live])
         if group_pop <= 0.0:
             continue
         if group_pop <= to_remove:
-            amplitudes[live] = 0.0
+            amplitude = 0.0
             to_remove -= group_pop
         else:
             kept = (group_pop - to_remove) / group_pop
@@ -183,9 +205,11 @@ def energy_optimal_filter(
                 kept = 0.0
             elif kept > 1.0 - 1e-12:
                 kept = 1.0
-            amplitudes[live] = np.sqrt(kept)
+            amplitude = math.sqrt(kept)
             to_remove = 0.0
-    return DiagonalFilter(amplitudes.astype(complex))
+        for j in live:
+            amplitudes[j] = amplitude
+    return DiagonalFilter(np.array(amplitudes, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +217,19 @@ def energy_optimal_filter(
 # ---------------------------------------------------------------------------
 
 
-def _waterfill_level(pops: np.ndarray, p_success: float) -> float:
+def _waterfill_level(pops: list[float], p_success: float) -> float:
     """Solve sum_j min(K, p_j) = p_success for the common output ceiling K."""
-    qs = np.sort(pops)
-    prefix = np.concatenate([[0.0], np.cumsum(qs)])
-    n = qs.size
+    qs = sorted(pops)
+    n = len(qs)
+    prefix = 0.0  # the running sum of qs[:i], added up as np.cumsum adds it
     for i in range(n):
         lo = 0.0 if i == 0 else qs[i - 1]
         hi = qs[i]
-        k = (p_success - prefix[i]) / (n - i)
+        k = (p_success - prefix) / (n - i)
         if lo - 1e-15 <= k <= hi + 1e-15:
-            return float(k)
-    return float(qs[-1])
+            return k
+        prefix += hi
+    return qs[-1]
 
 
 def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFilter:
@@ -220,17 +245,20 @@ def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFi
             "input is not pure; the relative-entropy optimum is only "
             "closed-form for pure states (use tsallis_optimal_filter)"
         )
-    pops = np.clip(state.populations, 0.0, None)
-    active = pops >= ZERO_POPULATION
-    if int(active.sum()) < 2:
+    pops = _clipped(state)
+    active = [j for j, x in enumerate(pops) if x >= ZERO_POPULATION]
+    if len(active) < 2:
         raise DomainError("state must populate at least two levels")
-    act = pops[active]
-    ps_min = float(np.minimum(act.min(), act).sum())
+    act = [pops[j] for j in active]
+    ps_min = _sum([min(act)] * len(act))
     _check_success_range(p_success, ps_min, f"P_S below the full-equalization minimum {ps_min:.6g}")
     k = _waterfill_level(act, min(p_success, 1.0))
-    amplitudes = np.ones(state.dim)
-    amplitudes[active] = np.sqrt(np.minimum(k / act, 1.0))
-    return DiagonalFilter(amplitudes.astype(complex))
+    amplitudes = [1.0] * state.dim
+    for j, x in zip(active, act):
+        ratio = k / x
+        # a P_S within round-off of 0 can leave k just below 0: NaN, as np.sqrt gives
+        amplitudes[j] = math.sqrt(min(ratio, 1.0)) if ratio >= 0.0 else math.nan
+    return DiagonalFilter(np.array(amplitudes, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -756,3 +756,32 @@ def test_lockstep_brent_raises_for_the_first_failing_row(fns, maxiter):
     )
     assert expected is not None
     assert got == expected
+
+
+def _tied_pure_state(rng, d):
+    """A random pure state with Dirichlet populations and, for d > 2, one
+    level unpopulated; every other draw rounds the populations to 0.1, so
+    levels tie."""
+    while True:
+        pops = rng.dirichlet(np.ones(d))
+        if rng.uniform() < 0.5:
+            pops = np.round(pops, 1)
+        if d > 2:
+            pops[rng.integers(d)] = 0.0
+        if np.count_nonzero(pops) >= 2:
+            phases = np.exp(2j * np.pi * rng.uniform(size=d))
+            return QState.pure(np.sqrt(pops / pops.sum()) * phases)
+
+
+def test_optimal_frontiers_match_the_per_point_code_at_every_point():
+    """Energy and pure-state coherence frontiers, d = 2-8, on spectra rounded
+    to 0.1 so that degeneracy classes form: every coefficient, P_S, coherence
+    and mean energy equals the per-point reference bit for bit."""
+    rng = np.random.default_rng(1717)
+    for d in range(2, 9):
+        for _ in range(6):
+            state = _tied_pure_state(rng, d)
+            spectrum = EnergySpectrum(np.sort(np.round(rng.uniform(0.0, 2.0, size=d), 1)))
+            for target in (FilterTarget.ENERGY, FilterTarget.COHERENCE):
+                args = (state, spectrum, target, FilterFamily.OPTIMAL, 50)
+                _assert_same_points(syn.trace_frontier(*args), _reference_trace_frontier(*args))

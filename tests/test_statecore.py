@@ -15,8 +15,10 @@ from coherence_forge import (
     TWO_QUBIT_SPECTRUM,
     apply_filter,
     coherence,
+    coherence_optimal_filter_pure,
     coherence_tsallis,
     dephase,
+    energy_optimal_filter,
     mean_energy,
     mixed_qubit_product,
     product_pure_state,
@@ -452,3 +454,73 @@ class TestNonFiniteInputs:
     def test_filter_rejects(self, bad):
         with pytest.raises(StateValidationError):
             DiagonalFilter(np.array([0.5, bad], dtype=complex))
+
+
+class TestCachedInvariants:
+    """Spectra and states compute their invariants once; nothing a caller is
+    handed can write into what later calls read."""
+
+    SPECTRUM_LEVELS = [0.0, 0.5, 0.5 + 1e-12, 1.0, 2.0, 2.0]
+
+    def test_degeneracy_classes_cannot_be_written_through(self):
+        spectrum = EnergySpectrum(self.SPECTRUM_LEVELS)
+        classes = spectrum.degeneracy_classes()
+        assert [c.tolist() for c in classes] == [[0], [1, 2], [3], [4, 5]]
+        for group in classes:
+            with pytest.raises(ValueError):
+                group[0] = 3
+            assert group.base is None or not group.base.flags.writeable
+        classes.clear()
+        assert [c.tolist() for c in spectrum.degeneracy_classes()] == [[0], [1, 2], [3], [4, 5]]
+
+    def test_degeneracy_classes_at_other_tolerances(self):
+        spectrum = EnergySpectrum(self.SPECTRUM_LEVELS)
+        assert [c.tolist() for c in spectrum.degeneracy_classes(1e-15)] == [
+            [0], [1], [2], [3], [4, 5]
+        ]
+        assert [c.tolist() for c in spectrum.degeneracy_classes(0.6)] == [[0, 1, 2, 3], [4, 5]]
+        assert [c.tolist() for c in spectrum.degeneracy_classes()] == [[0], [1, 2], [3], [4, 5]]
+
+    def test_mutated_populations_leave_the_state_unchanged(self):
+        state = product_pure_state(0.3, 2)
+        before = [
+            energy_optimal_filter(state, TWO_QUBIT_SPECTRUM, 0.6).coeffs.tobytes(),
+            coherence_optimal_filter_pure(state, 0.6).coeffs.tobytes(),
+        ]
+        pops = state.populations
+        assert pops.flags.writeable
+        pops[:] = [1.0, 0.0, 0.0, 0.0]
+        assert state.populations is not pops
+        assert np.array_equal(state.populations, np.diagonal(state.matrix).real)
+        assert state.is_pure()
+        assert state.purity() == float(np.trace(state.matrix @ state.matrix).real)
+        assert [
+            energy_optimal_filter(state, TWO_QUBIT_SPECTRUM, 0.6).coeffs.tobytes(),
+            coherence_optimal_filter_pure(state, 0.6).coeffs.tobytes(),
+        ] == before
+
+    def test_mixed_state_stays_mixed(self):
+        state = mixed_qubit_product(QubitParams(p=0.3, eta=0.5), 2)
+        assert not state.is_pure()
+        state.populations[:] = 0.25
+        assert not state.is_pure()
+        assert coherence_tsallis(state) == max(
+            float(np.trace(state.matrix @ state.matrix).real)
+            - float((np.diagonal(state.matrix).real ** 2).sum()),
+            0.0,
+        )
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([0.5, np.nan], "filter coefficients must be finite"),
+            ([np.inf, 0.5], "filter coefficients must be finite"),
+            ([complex(0.5, -np.inf), 0.5], "filter coefficients must be finite"),
+            ([0.5, 1.5], r"filter coefficients must satisfy \|m\| <= 1"),
+            ([1.5, np.nan], "filter coefficients must be finite"),
+            ([], "filter needs at least one coefficient"),
+        ],
+    )
+    def test_filter_checks_keep_their_messages(self, coeffs, message):
+        with pytest.raises(StateValidationError, match=f"^{message}$"):
+            DiagonalFilter(np.array(coeffs, dtype=complex))

@@ -1,5 +1,7 @@
 """The batched Tsallis synthesizer against the one-assignment-at-a-time
-enumerator it replaced, kept here verbatim as the reference."""
+enumerator it replaced, kept here as the reference. It is that code verbatim
+except for one change of arithmetic: each block is scaled to unit size before
+its pseudo-inverse, so blocks of tiny coherences no longer overflow."""
 
 import itertools
 
@@ -62,20 +64,27 @@ def _reference_candidates(
             if fixed_idx.size
             else np.zeros(free.size)
         )
-        pinv = np.linalg.pinv(a_blk)
+        # Work with the block scaled to unit size, s * pinv(a_blk) and s times
+        # u, v, den and m_free: for a block of tiny coherences (1e-321)
+        # pinv(a_blk) itself overflows.
+        s = float(np.abs(a_blk).max())
+        if s == 0.0:
+            continue  # pinv(0) = 0 leaves den = 0
+        unit = a_blk / s
+        pinv = np.linalg.pinv(unit)
         u = pinv @ (b_vec / 2.0)
         v = -pinv @ c_vec
         den = float(u @ b_vec)
-        if abs(den) < 1e-14:
+        if abs(den) < 1e-14 * s:
             continue
-        lam = (p_success - fixed_ps - float(v @ b_vec)) / den
+        lam = (s * (p_success - fixed_ps) - float(v @ b_vec)) / den
         m_free = lam * u + v
         # pinv may fabricate a pseudo-solution when the block is singular
-        if np.max(np.abs(a_blk @ m_free - (lam * b_vec / 2.0 - c_vec))) > 1e-8:
+        if np.max(np.abs(unit @ m_free - (lam * b_vec / 2.0 - c_vec))) > 1e-8:
             continue
-        if np.any(m_free < -1e-12) or np.any(m_free > 1.0 + 1e-12):
+        if np.any(m_free < -1e-12 * s) or np.any(m_free > (1.0 + 1e-12) * s):
             continue
-        m[free] = np.clip(m_free, 0.0, 1.0)
+        m[free] = np.clip(m_free / s, 0.0, 1.0)
         yield m
 
 
@@ -275,10 +284,22 @@ def test_free_intensities_solve_their_kkt_system_at_weak_coherence(n_qubits, p, 
     assert np.max(np.abs(got[free] - np.linalg.solve(kkt, rhs)[:k])) <= 1e-12
 
 
+def _tiny_coherence_state() -> QState:
+    """A draw of ``density_matrices``: levels 1 and 2 share a strong coherence,
+    and level 0 is coupled to them by 3.07e-161 only. The reference's blocks
+    that pair level 0 with one other level then hold entries near 1e-321,
+    whose pseudo-inverse overflows unless the block is scaled first."""
+    a = np.zeros((3, 3))
+    a[:, 0] = [6.1577e-161, 1.0, 1.0]
+    rho = a @ a.T + 1e-3 * np.eye(3)
+    return QState(rho / np.trace(rho))
+
+
 @hypothesis.given(
     state=density_matrices(dims=(2, 3, 4, 5)),
     p_success=st.floats(0.01, 1.0, allow_nan=False),
 )
+@hypothesis.example(state=_tiny_coherence_state(), p_success=1.0)
 def test_matches_reference_on_random_states(state, p_success):
     off = state.matrix - np.diag(np.diag(state.matrix))
     hypothesis.assume(np.max(np.abs(off)) >= 1e-14)
