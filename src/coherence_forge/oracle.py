@@ -301,7 +301,7 @@ def check_search_args(
         raise DomainError("oracle enumeration is limited to dimension <= 6")
     if not 0.0 < grid_step <= 0.5:
         raise DomainError("grid_step must lie in (0, 0.5]")
-    _check_success_range(p_success, 0.0, "P_S must be positive", open_lower=True)
+    _check_success_range(p_success, 0.0, "P_S must be positive")
     if tolerance is None:
         tolerance = grid_step
     if not 0.0 < tolerance < math.inf:

@@ -11,10 +11,12 @@ the restricted mixed-state scan complete the surface.
 
 The purity-based optimum is exact and exponential: for n populated levels
 it solves the bordered KKT system of all 3^n assignments of the levels to 0,
-1 or free, in batches that share 2^n pseudo-inverses (one per free set). It
-keeps a solution whose stationarity residual is at most 1e-8 and whose P_S
-residual is at most 1e-12, breaks gain ties (1e-15) by the lexicographic
-minimum with a 1e-12 tolerance per level, and rejects states with more than
+1 or free, in batches that share the inverse of one block per free set (2^n
+blocks: an LU inverse that is checked against the block, or the
+pseudo-inverse where that check fails). It keeps a solution whose
+stationarity residual is at most 1e-8 and whose P_S residual is at most
+1e-12, breaks gain ties (1e-15) by the lexicographic minimum with a 1e-12
+tolerance per level, and rejects states with more than
 ``TSALLIS_MAX_LEVELS`` = 12 populated levels.
 
 The factorized family is computed over a whole vector of success
@@ -40,6 +42,7 @@ irrelevant to every scalar measure and belong to the optics layer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -129,20 +132,18 @@ class MixedScanPoint:
 
 
 def _check_success_range(
-    p_success: float,
-    lo: float,
-    below: str,
-    above: str = "P_S exceeds 1",
-    open_lower: bool = False,
+    p_success: float, lo: float, below: str, above: str = "P_S exceeds 1"
 ) -> None:
-    """Reject a non-finite P_S or one outside the reachable [lo, 1] by more
-    than round-off; ``open_lower`` also rejects P_S <= lo itself."""
+    """Reject a non-finite P_S, a P_S at or below 0 (a filter that passes
+    nothing has no output state) and one outside the reachable [lo, 1] by
+    more than round-off. ``below`` and ``above`` are the messages as format
+    strings of ``lo``, so a P_S in range costs no formatting."""
     if not math.isfinite(p_success):
         raise UnreachableSuccessProbability(f"P_S must be a finite number, got {p_success!r}")
     if p_success > 1.0 + _RANGE_TOL:
-        raise UnreachableSuccessProbability(above)
-    if p_success < lo - _RANGE_TOL or (open_lower and p_success <= lo):
-        raise UnreachableSuccessProbability(below)
+        raise UnreachableSuccessProbability(above.format(lo))
+    if p_success <= 0.0 or p_success < lo - _RANGE_TOL:
+        raise UnreachableSuccessProbability(below.format(lo))
 
 
 def _clipped(state: QState) -> list[float]:
@@ -183,7 +184,7 @@ def energy_optimal_filter(
     classes = [group.tolist() for group in spectrum.degeneracy_classes(DEGENERACY_TOL)]
     top_pop = _sum([pops[j] for j in classes[-1]])
     _check_success_range(
-        p_success, top_pop, f"P_S below the population {top_pop:.6g} of the highest-energy class"
+        p_success, top_pop, "P_S below the population {:.6g} of the highest-energy class"
     )
 
     amplitudes = [1.0] * state.dim
@@ -251,13 +252,11 @@ def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFi
         raise DomainError("state must populate at least two levels")
     act = [pops[j] for j in active]
     ps_min = _sum([min(act)] * len(act))
-    _check_success_range(p_success, ps_min, f"P_S below the full-equalization minimum {ps_min:.6g}")
+    _check_success_range(p_success, ps_min, "P_S below the full-equalization minimum {:.6g}")
     k = _waterfill_level(act, min(p_success, 1.0))
     amplitudes = [1.0] * state.dim
     for j, x in zip(active, act):
-        ratio = k / x
-        # a P_S within round-off of 0 can leave k just below 0: NaN, as np.sqrt gives
-        amplitudes[j] = math.sqrt(min(ratio, 1.0)) if ratio >= 0.0 else math.nan
+        amplitudes[j] = math.sqrt(min(k / x, 1.0))
     return DiagonalFilter(np.array(amplitudes, dtype=complex))
 
 
@@ -311,12 +310,12 @@ def two_qubit_closed_form(
         raise DomainError("no closed form for the Tsallis objective; use tsallis_optimal_filter")
     p_th = success_threshold(p)
     if target is FilterTarget.ENERGY:
-        _check_success_range(p_success, p * p, f"P_S below p^2 = {p * p:.6g}")
+        _check_success_range(p_success, p * p, "P_S below p^2 = {:.6g}")
         if p_success >= p_th:
             return energy_upper_branch(p, p_success)
         return energy_lower_branch(p, p_success)
     junction = p_th + p * (1.0 - p)
-    _check_success_range(p_success, 4.0 * p * p, f"P_S below 4p^2 = {4.0 * p * p:.6g}")
+    _check_success_range(p_success, 4.0 * p * p, "P_S below 4p^2 = {:.6g}")
     if p_success >= junction:
         return coherence_upper_branch(p, p_success)
     return coherence_lower_branch(p, p_success)
@@ -328,6 +327,56 @@ def two_qubit_closed_form(
 
 
 TSALLIS_MAX_LEVELS = 12
+# the largest entry of K K^-1 - I for which a KKT block keeps its LU inverse
+_LU_INVERSE_TOL = 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _tsallis_layout(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """The index tables of the free sets of size k among n populated levels,
+    which depend on nothing else; read-only, since every call shares them:
+
+    * ``free`` and ``rest``: the free and the other positions, one row per set;
+    * ``bits``: every 0/1 choice of the other positions, one row per choice,
+      as floats;
+    * ``order``: per set, the gather that puts [free values, choice] in
+      level order;
+    * ``free_free`` and ``rest_free``: per set, the flat indices into an
+      n x n matrix W of W[F, F] and of W[F, R]^T.
+    """
+    free = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    sets = free.shape[0]
+    rest_mask = np.ones((sets, n), dtype=bool)
+    rest_mask[np.arange(sets)[:, None], free] = False
+    rest = np.nonzero(rest_mask)[1].reshape(sets, n - k)
+    bits = ((np.arange(2 ** (n - k))[:, None] >> np.arange(n - k)) & 1).astype(float)
+    order = np.argsort(np.concatenate([free, rest], axis=1), axis=1)
+    free_free = n * free[:, :, None] + free[:, None, :]
+    rest_free = n * free[:, None, :] + rest[:, :, None]
+    tables = (free, rest, bits, order, free_free, rest_free)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _kkt_inverses(kkt: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of KKT blocks: the LU inverse of every block for
+    which it is finite and max|K K^-1 - I| <= ``_LU_INVERSE_TOL``, the
+    pseudo-inverse of the others, and of the whole stack when LU meets an
+    exactly singular block (such as the 1 x 1 zero block of no free level)."""
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(kkt)
+        except np.linalg.LinAlgError:
+            return np.linalg.pinv(kkt)
+        check = kkt @ inv
+        check.reshape(check.shape[0], -1)[:, :: kkt.shape[-1] + 1] -= 1.0
+        # an inf or NaN in an inverse leaves inf or NaN in K K^-1 - I, which
+        # fails the test as well
+        bad = ~(np.abs(check, out=check).max(axis=(1, 2)) <= _LU_INVERSE_TOL)
+    if bad.any():
+        inv[bad] = np.linalg.pinv(kkt[bad])
+    return inv
 
 
 def _tsallis_candidates(
@@ -341,58 +390,65 @@ def _tsallis_candidates(
 
         [[W_FF, -p_F/2], [p_F^T, 0]] [x_F; lam] = [-c; P_S - fixed P_S],
 
-    where c couples F to the levels at 1 and fixed P_S is what those levels
-    pass. The last row and column are multiplied by s = max W / max p (the
-    unknown becomes lam/s), which leaves x_F as it is; unscaled, where W is
-    much smaller than p, the pseudo-inverse put errors up to 3e-10 into x_F.
-    The matrix depends on F alone, so the free sets of one size share one
-    stacked pseudo-inverse and every 0/1 choice of the other levels is one
-    right-hand side: 2^n pseudo-inverses for the 3^n assignments of n
-    populated levels. P_S enters only the last entry of the right-hand side, so
-    each candidate is affine in P_S. A row is kept when its stationarity
-    residual is at most 1e-8 (a singular system may get a pseudo-solution),
-    its P_S residual at most 1e-12 and every free intensity lies in
-    [-1e-12, 1 + 1e-12]; the free intensities are then clipped to [0, 1].
+    where c couples F to the levels at 1 and to the unpopulated levels, and
+    fixed P_S is what the levels at 1 pass. The last row and column are
+    multiplied by s = max W / max p (the unknown becomes lam/s), which leaves
+    x_F as it is; unscaled, where W is much smaller than p, the
+    pseudo-inverse put errors up to 3e-10 into x_F. The matrix depends on F
+    alone, so the free sets of one size share one stacked inverse
+    (:func:`_kkt_inverses`: LU where it verifies, the pseudo-inverse where it
+    does not) and every 0/1 choice of the other levels is one right-hand side:
+    2^n inverted blocks for the 3^n assignments of n populated levels. P_S
+    enters only the last entry of the right-hand side, so each candidate is
+    affine in P_S. A row is kept when its stationarity residual is at most
+    1e-8 (a singular system may get a pseudo-solution), its P_S residual at
+    most 1e-12 and every free intensity lies in [-1e-12, 1 + 1e-12]; the
+    free intensities are then clipped to [0, 1]. Only the kept rows are laid
+    out as intensity vectors.
 
     Returns the feasible candidates, one per row, in no particular order.
     """
-    d = pops.size
     act_idx = np.flatnonzero(active)
     n = act_idx.size
-    base = (~active).astype(float)  # zero-population levels never affect any objective
+    # zero-population levels pass untouched and never affect any objective
+    idle = np.flatnonzero(~active)
     scale = overlap.max() / pops.max()
+    w = overlap[np.ix_(act_idx, act_idx)].ravel()
+    neg_w = -w
+    neg_idle = -overlap[np.ix_(act_idx, idle)].sum(axis=1) if idle.size else None
+    p = pops[act_idx]
+    border = scale * p
+    half_border = -border / 2.0
     cands = []
     for k in range(n + 1):
-        free_pos = np.array(list(itertools.combinations(range(n), k)), dtype=int)
-        sets = free_pos.shape[0]
-        rest_mask = np.ones((sets, n), dtype=bool)
-        rest_mask[np.arange(sets)[:, None], free_pos] = False
-        rest_pos = np.nonzero(rest_mask)[1].reshape(sets, n - k)
-        bits = (np.arange(2 ** (n - k))[:, None] >> np.arange(n - k)) & 1
-        free, rest = act_idx[free_pos], act_idx[rest_pos]
-        # one row per (free set, 0/1 choice): the ones plus the untouched levels
-        rows = (np.arange(sets)[:, None, None], np.arange(bits.shape[0])[None, :, None])
-        m = np.broadcast_to(base, (sets, bits.shape[0], d)).copy()
-        m[rows + (rest[:, None, :],)] = bits[None, :, :]
+        free, rest, bits, order, free_free, rest_free = _tsallis_layout(n, k)
+        sets = free.shape[0]
         kkt = np.zeros((sets, k + 1, k + 1))
-        kkt[:, :k, :k] = overlap[free[:, :, None], free[:, None, :]]
-        border = scale * pops[free]
-        kkt[:, :k, k] = -border / 2.0
-        kkt[:, k, :k] = border
+        kkt[:, :k, :k] = w.take(free_free)
+        kkt[:, :k, k] = half_border[free]
+        kkt[:, k, :k] = border[free]
         rhs = np.empty((sets, bits.shape[0], k + 1))
-        rhs[:, :, :k] = -(m @ overlap[free].transpose(0, 2, 1))
-        rhs[:, :, k] = scale * (p_success - pops[rest] @ bits.T)
-        sol = rhs @ np.linalg.pinv(kkt).transpose(0, 2, 1)
+        np.matmul(bits, neg_w.take(rest_free), out=rhs[:, :, :k])
+        if neg_idle is not None:
+            rhs[:, :, :k] += neg_idle[free][:, None, :]
+        rhs[:, :, k] = scale * (p_success - p[rest] @ bits.T)
+        sol = rhs @ _kkt_inverses(kkt).transpose(0, 2, 1)
         resid = np.abs(sol @ kkt.transpose(0, 2, 1) - rhs)
         m_free = sol[:, :, :k]
         ok = (
-            np.all(resid[:, :, :k] <= 1e-8, axis=2)
+            (resid[:, :, :k] <= 1e-8).all(axis=2)
             & (resid[:, :, k] <= 1e-12 * scale)
-            & np.all((m_free >= -1e-12) & (m_free <= 1.0 + 1e-12), axis=2)
+            & ((m_free >= -1e-12) & (m_free <= 1.0 + 1e-12)).all(axis=2)
         )
-        m[rows + (free[:, None, :],)] = np.clip(m_free, 0.0, 1.0)
-        cands.append(m[ok])
-    return np.concatenate(cands)
+        set_idx, bit_idx = ok.nonzero()
+        x = np.concatenate([m_free[ok].clip(0.0, 1.0), bits[bit_idx]], axis=1)
+        cands.append(x[np.arange(set_idx.size)[:, None], order[set_idx]])
+    x = np.concatenate(cands)
+    if not idle.size:
+        return x
+    m = np.ones((x.shape[0], pops.size))
+    m[:, act_idx] = x
+    return m
 
 
 def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
@@ -404,7 +460,8 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
 
     The optimum is exact: every 0/1/free assignment of the n populated
     levels is solved through its bordered KKT system (3^n candidates from
-    2^n pseudo-inverses). The candidates whose gain x^T W x is at least the
+    2^n inverted blocks, each an LU inverse verified against its block or
+    else the pseudo-inverse). The candidates whose gain x^T W x is at least the
     best minus 1e-15 tie; level by level, those within 1e-12 of that
     level's minimum are kept, and the first survivor is returned. The
     survivors agree to 1e-12 on every level, so the pick does not depend on
@@ -421,7 +478,7 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
             f"{TSALLIS_MAX_LEVELS} populated levels; the state has {levels}"
         )
     message = "P_S must lie in (0, 1]"
-    _check_success_range(p_success, 0.0, message, above=message, open_lower=True)
+    _check_success_range(p_success, 0.0, message, above=message)
     p_success = min(p_success, 1.0)
     m = state.matrix
     off = m - np.diag(np.diag(m))
@@ -631,7 +688,7 @@ def factorized_filter(state: QState, p_success: float) -> DiagonalFilter:
     """Factorized filter whose success probability on ``state`` equals ``p_success``."""
     _qubit_count(state.dim)  # a wrong dimension is reported before the P_S range
     lo = float(state.populations[-1])
-    message = f"factorized family reaches only [{lo:.6g}, 1]"
+    message = "factorized family reaches only [{:.6g}, 1]"
     _check_success_range(p_success, lo, message, above=message)
     return DiagonalFilter(_factorized_rows(state, np.array([p_success], dtype=float))[0])
 

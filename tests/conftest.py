@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
@@ -7,7 +9,12 @@ from coherence_forge import DiagonalFilter, QState
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None
 )
-hypothesis.settings.load_profile("default")
+# CI runs set HYPOTHESIS_PROFILE=ci: the same examples on every run, so a
+# failure there reproduces; local runs keep drawing new ones
+hypothesis.settings.register_profile(
+    "ci", hypothesis.settings.get_profile("default"), derandomize=True
+)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _finite = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 

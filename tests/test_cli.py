@@ -667,6 +667,20 @@ class TestBadInputs:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("ps", ["-5e-13", "0"])
+    def test_non_positive_ps_exits_2_where_the_range_starts_near_0(self, capsys, tmp_path, ps):
+        """The full-equalization minimum is 6e-14, within round-off of 0; a
+        P_S of -5e-13 used to print the identity filter and exit 0."""
+        state_path = tmp_path / "near_zero.txt"
+        state_path.write_text(qstate_to_text(QState.pure(np.sqrt([2e-14, 0.5, 0.5 - 2e-14]))))
+        code, out, err = run(
+            capsys, "filter", "--state", str(state_path), f"--ps={ps}",
+            "--target", "coherence", "--mode", "general", "--spectrum", "0,1,2",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "P_S below the full-equalization minimum" in err
+
     def test_tsallis_state_above_level_limit_exits_2(self, capsys, tmp_path):
         state_path = tmp_path / "state13.txt"
         state_path.write_text(qstate_to_text(QState.pure(np.ones(13))))

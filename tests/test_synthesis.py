@@ -669,6 +669,92 @@ class TestNonFiniteSuccessProbability:
             two_qubit_closed_form(0.1, 0.01, FilterTarget.COHERENCE)
 
 
+class TestNonPositiveSuccessProbability:
+    """A P_S at or below 0 is rejected even where the reachable range starts
+    within round-off of 0, instead of yielding a filter of another P_S."""
+
+    # the full-equalization minimum is 6e-14, below the 1e-12 round-off margin
+    NEAR_ZERO_MINIMUM = QState.pure(np.sqrt([2e-14, 0.5, 0.5 - 2e-14]))
+    # the highest-energy level is empty, so its class holds population 0
+    EMPTY_TOP_CLASS = QState.pure(np.sqrt([0.25, 0.25, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("ps", [-5e-13, -1e-16, 0.0, -0.0])
+    def test_coherence_synthesizer_rejects(self, ps):
+        # before: the identity filter at -5e-13, a NaN coefficient at -1e-16
+        # and the all-zero filter at 0
+        with pytest.raises(
+            UnreachableSuccessProbability, match="P_S below the full-equalization minimum 6e-14"
+        ):
+            coherence_optimal_filter_pure(self.NEAR_ZERO_MINIMUM, ps)
+
+    @pytest.mark.parametrize("ps", [-5e-13, 0.0])
+    def test_energy_synthesizer_rejects(self, ps):
+        # before: the annihilating diag(0, 0, 0, 1)
+        with pytest.raises(
+            UnreachableSuccessProbability,
+            match="P_S below the population 0 of the highest-energy class",
+        ):
+            energy_optimal_filter(self.EMPTY_TOP_CLASS, TWO_QUBIT_SPECTRUM, ps)
+
+    def test_smallest_positive_ps_still_synthesizes(self):
+        lo = 3 * 2e-14
+        filt = coherence_optimal_filter_pure(self.NEAR_ZERO_MINIMUM, lo)
+        assert success_probability(self.NEAR_ZERO_MINIMUM, filt) == pytest.approx(lo, abs=1e-15)
+
+    @pytest.mark.parametrize("ps", [0.0, -1e-3])
+    def test_every_synthesizer_rejects(self, ps):
+        state = product_pure_state(0.1, 2)
+        calls = [
+            lambda: energy_optimal_filter(state, TWO_QUBIT_SPECTRUM, ps),
+            lambda: coherence_optimal_filter_pure(state, ps),
+            lambda: tsallis_optimal_filter(state, ps),
+            lambda: factorized_filter(state, ps),
+            lambda: two_qubit_closed_form(0.1, ps, FilterTarget.ENERGY),
+            lambda: two_qubit_closed_form(0.1, ps, FilterTarget.COHERENCE),
+            lambda: grid_search(state, TWO_QUBIT_SPECTRUM, FilterTarget.ENERGY, ps, 0.1),
+        ]
+        for call in calls:
+            with pytest.raises(UnreachableSuccessProbability):
+                call()
+
+    def test_messages_are_formatted_as_before(self):
+        state = product_pure_state(0.1, 2)
+        pops = state.populations
+        cases = [
+            (
+                lambda: energy_optimal_filter(state, TWO_QUBIT_SPECTRUM, 0.001),
+                f"P_S below the population {pops[3]:.6g} of the highest-energy class",
+            ),
+            (
+                lambda: coherence_optimal_filter_pure(state, 0.001),
+                f"P_S below the full-equalization minimum {4 * pops[3]:.6g}",
+            ),
+            (
+                lambda: factorized_filter(state, 0.001),
+                f"factorized family reaches only [{pops[3]:.6g}, 1]",
+            ),
+            (
+                lambda: factorized_filter(state, 1.5),
+                f"factorized family reaches only [{pops[3]:.6g}, 1]",
+            ),
+            (
+                lambda: two_qubit_closed_form(0.1, 0.001, FilterTarget.ENERGY),
+                f"P_S below p^2 = {0.1 * 0.1:.6g}",
+            ),
+            (
+                lambda: two_qubit_closed_form(0.1, 0.001, FilterTarget.COHERENCE),
+                f"P_S below 4p^2 = {4.0 * 0.1 * 0.1:.6g}",
+            ),
+            (lambda: tsallis_optimal_filter(state, 0.0), "P_S must lie in (0, 1]"),
+            (lambda: tsallis_optimal_filter(state, 1.5), "P_S must lie in (0, 1]"),
+            (lambda: coherence_optimal_filter_pure(state, 1.5), "P_S exceeds 1"),
+        ]
+        for call, message in cases:
+            with pytest.raises(UnreachableSuccessProbability) as info:
+                call()
+            assert str(info.value) == message
+
+
 class TestOptimalFilter:
     """``optimal_filter`` is the one dispatch from a target to its synthesizer."""
 
