@@ -16,10 +16,12 @@ builds only the winning row. For a mixed input and the relative-entropy
 target the columns are stacked into rows for ``statecore.apply_filter_rows``,
 which checks each filtered state as ``apply_filter`` and ``QState`` check it
 and diagonalizes the batch with one stacked ``eigvalsh`` per bounded slice.
-The tail block is sorted by success probability once, so the P_S band of
-each grid head is one contiguous run of it and its candidates are evaluated
-in P_S order; of a head's maximal candidates the one first in enumeration
-order wins. Each refinement sweep evaluates its trial moves in one batch.
+The tail block (every grid value of the last min(d, 3) intensities) is
+built once; its rows that some grid head's P_S band can reach are sorted by
+success probability and kept as contiguous columns, so the band of each head
+is one contiguous run of them and its candidates are evaluated in P_S order;
+of a head's maximal candidates the one first in enumeration order wins.
+Each refinement sweep evaluates its trial moves in one batch.
 The candidates, the winners and the first-improvement order are those of a
 one-candidate-at-a-time search, so results for the energy and both
 relative-entropy targets match it bit for bit. The Tsallis target sums its
@@ -61,15 +63,16 @@ _REFINE_FLOOR = 1e-6
 # tail P_S + head P_S; the exact band test is applied inside the window.
 _BAND_MARGIN = 1e-9
 # Rows of the tail block (every grid value of the last min(d, 3)
-# intensities), built whole before the search: 24 MB of float64 at the limit,
-# which admits grid_step 0.01 (101^3 rows).
+# intensities). Its lattice is built whole to compute each row's P_S and freed
+# before the search: 24 MB of float64 at the limit, which admits grid_step
+# 0.01 (101^3 rows).
 MAX_TAIL_ROWS = 2**20
 # Grid points of a whole search (heads x tail rows). The head loop makes one
 # band slice and one objective batch per head, so this bounds its time: at
 # the limit a d = 6 search (16^6 points, 4096 heads, P_S 0.5, 2 cores) took
-# 0.4-0.6 s for the energy and 0.6-1.0 s for the Tsallis target on a random
-# full-rank state, 1.0 s for the relative entropy of a random pure state and
-# 47-61 s for the relative entropy of a mixed one. It admits d = 4 at
+# 0.3-0.6 s for the energy and 0.5-0.7 s for the Tsallis target on a random
+# full-rank state, 0.7-1.1 s for the relative entropy of a random pure state
+# and 44-45 s for the relative entropy of a mixed one. It admits d = 4 at
 # grid_step 0.02 (51^4 points) and d = 5 at 0.1, but not d = 5 at 0.02 (51^5
 # points: 5-10 s for a pure state, 5 minutes for the relative entropy of a
 # mixed one).
@@ -176,6 +179,19 @@ def _grid_axis(grid_step: float) -> np.ndarray:
     if axis[-1] < 1.0 - 1e-12:
         axis = np.append(axis, 1.0)
     return axis
+
+
+def _tail_columns(axis: np.ndarray, k: int, index: np.ndarray) -> list[np.ndarray]:
+    """The rows of the ``k``-intensity grid in meshgrid ("ij") order at the
+    enumeration indices ``index``, as ``k`` contiguous columns: column j of
+    row r is ``axis[r // n**(k - 1 - j) % n]``."""
+    n = axis.size
+    cols = []
+    for j in range(k):
+        digit = index // n ** (k - 1 - j)
+        digit %= n
+        cols.append(axis.take(digit))
+    return cols
 
 
 def _fractional(m: np.ndarray, pops: np.ndarray) -> list[int]:
@@ -352,29 +368,31 @@ def grid_search(
     pops = np.clip(state.populations, 0.0, None)
     objective = _Objective(state, spectrum, target)
     axis = _grid_axis(grid_step)
-    tail = (
-        np.stack(
-            np.meshgrid(*([axis] * n_tail), indexing="ij"), axis=-1
-        ).reshape(-1, n_tail)
-        if n_tail
-        else np.zeros((1, 0))
-    )
-    tail_ps = tail @ pops[n_head:]
-    # Tail rows in P_S order, reordered in place one column at a time; the
-    # order itself is each row's enumeration index.
-    tail_order = np.argsort(tail_ps)
+    n = axis.size
+    # The tail lattice in meshgrid ("ij") order, written one column at a time.
+    tail = np.empty((n,) * n_tail + (n_tail,))
+    for j in range(n_tail):
+        tail[..., j] = axis.reshape([n if i == j else 1 for i in range(n_tail)])
+    tail_ps = tail.reshape(-1, n_tail) @ pops[n_head:]
+    del tail
+    pops_head = pops[:n_head]
+    heads = list(itertools.product(*([axis.tolist()] * n_head)))
+    offsets = [float(np.dot(head, pops_head)) for head in heads]
+    reach = tolerance + _BAND_MARGIN
+    # Every head's window below lies inside [lowest, highest], so only the
+    # tail rows in there are sorted; the order holds their enumeration indices.
+    lowest = p_success - max(offsets) - reach
+    highest = p_success - min(offsets) + reach
+    tail_order = np.flatnonzero((tail_ps >= lowest) & (tail_ps <= highest))
+    tail_order = tail_order[np.argsort(tail_ps[tail_order])]
     sorted_ps = tail_ps[tail_order]
     del tail_ps
-    for j in range(n_tail):
-        tail[:, j] = tail[tail_order, j]
-    pops_head = pops[:n_head]
-    reach = tolerance + _BAND_MARGIN
+    cols = _tail_columns(axis, n_tail, tail_order)
     # Best banded candidate under each head. The band is one contiguous run
     # of the sorted tail; of its maximal candidates the one first in
     # enumeration order wins.
     winners = []
-    for head in itertools.product(*([axis.tolist()] * n_head)):
-        offset = float(np.dot(head, pops_head))
+    for head, offset in zip(heads, offsets):
         lo, hi = np.searchsorted(sorted_ps, (p_success - offset - reach, p_success - offset + reach))
         ps = sorted_ps[lo:hi] + offset
         band = (np.abs(ps - p_success) <= tolerance) & (ps > 1e-12)
@@ -384,13 +402,13 @@ def grid_search(
         skip = int(np.argmax(band))
         cand_ps = ps[skip : skip + count]
         lo += skip
-        rows = tail[lo : lo + count]
-        vals = objective.columns((*head, *rows.T), cand_ps)
+        vals = objective.columns((*head, *(col[lo : lo + count] for col in cols)), cand_ps)
         i = int(np.argmax(vals))
         tied = np.flatnonzero(vals == vals[i])
         if tied.size > 1:
             i = int(tied[np.argmin(tail_order[lo + tied])])
-        winners.append((float(vals[i]), np.concatenate([head, rows[i]]), float(cand_ps[i])))
+        row = np.array([*head, *(col[lo + i] for col in cols)])
+        winners.append((float(vals[i]), row, float(cand_ps[i])))
     if not winners:
         raise InfeasibleGrid(
             "no grid point satisfies the success-probability tolerance; "

@@ -189,7 +189,7 @@ def energy_optimal_filter(
 
     amplitudes = [1.0] * state.dim
     to_remove = max(1.0 - min(p_success, 1.0), 0.0)
-    for group in classes:
+    for c, group in enumerate(classes):
         if to_remove <= 1e-15:
             break
         live = [j for j in group if pops[j] >= ZERO_POPULATION]
@@ -201,9 +201,12 @@ def energy_optimal_filter(
             to_remove -= group_pop
         else:
             kept = (group_pop - to_remove) / group_pop
-            # snap round-off at the class boundaries to the crisp pattern
+            # snap round-off at the class boundaries to the crisp pattern; a
+            # tiny kept fraction is a tiny P_S, not round-off, when no class
+            # above passes population
             if kept < 1e-12:
-                kept = 0.0
+                if any(pops[j] >= ZERO_POPULATION for above in classes[c + 1 :] for j in above):
+                    kept = 0.0
             elif kept > 1.0 - 1e-12:
                 kept = 1.0
             amplitude = math.sqrt(kept)
@@ -363,7 +366,7 @@ def _kkt_inverses(kkt: np.ndarray) -> np.ndarray:
     """Inverses of a stack of KKT blocks: the LU inverse of every block for
     which it is finite and max|K K^-1 - I| <= ``_LU_INVERSE_TOL``, the
     pseudo-inverse of the others, and of the whole stack when LU meets an
-    exactly singular block (such as the 1 x 1 zero block of no free level)."""
+    exactly singular block."""
     with np.errstate(all="ignore"):
         try:
             inv = np.linalg.inv(kkt)
@@ -398,7 +401,8 @@ def _tsallis_candidates(
     alone, so the free sets of one size share one stacked inverse
     (:func:`_kkt_inverses`: LU where it verifies, the pseudo-inverse where it
     does not) and every 0/1 choice of the other levels is one right-hand side:
-    2^n inverted blocks for the 3^n assignments of n populated levels. P_S
+    2^n - 1 inverted blocks for the 3^n assignments of n populated levels (the
+    1 x 1 zero block of no free level has the pseudo-inverse 0). P_S
     enters only the last entry of the right-hand side, so each candidate is
     affine in P_S. A row is kept when its stationarity residual is at most
     1e-8 (a singular system may get a pseudo-solution), its P_S residual at
@@ -432,8 +436,12 @@ def _tsallis_candidates(
         if neg_idle is not None:
             rhs[:, :, :k] += neg_idle[free][:, None, :]
         rhs[:, :, k] = scale * (p_success - p[rest] @ bits.T)
-        sol = rhs @ _kkt_inverses(kkt).transpose(0, 2, 1)
-        resid = np.abs(sol @ kkt.transpose(0, 2, 1) - rhs)
+        if k:
+            sol = rhs @ _kkt_inverses(kkt).transpose(0, 2, 1)
+            resid = np.abs(sol @ kkt.transpose(0, 2, 1) - rhs)
+        else:
+            # no free level: the solution is 0 and its residual |rhs|
+            sol, resid = np.zeros_like(rhs), np.abs(rhs)
         m_free = sol[:, :, :k]
         ok = (
             (resid[:, :, :k] <= 1e-8).all(axis=2)

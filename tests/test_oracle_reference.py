@@ -35,6 +35,7 @@ from coherence_forge.oracle import (
     _fractional,
     _grid_axis,
     _project,
+    _tail_columns,
     grid_search,
 )
 from coherence_forge.statecore import _row_entropy
@@ -239,6 +240,17 @@ def _cases():
         # three grid heads ahead of the tail block
         case(_random_ket(rng, 6), FilterTarget.COHERENCE, 0.4, 0.25, None, id="d6-pure"),
         case(_random_mixed(rng, 6), FilterTarget.COHERENCE, 0.5, 0.25, None, id="d6-mixed"),
+        # the tail rows a head can reach: only the top ones near P_S 1, only
+        # the lowest ones at a small P_S, every one under a wide tolerance
+        case(_random_ket(rng, 6), FilterTarget.ENERGY, 0.97, 0.2, 0.05, id="d6-top-rows"),
+        case(_random_mixed(rng, 5), FilterTarget.COHERENCE_TSALLIS, 0.98, 0.1, None, id="d5-top-rows"),
+        case(_random_ket(rng, 5), FilterTarget.COHERENCE, 0.04, 0.1, None, id="d5-lowest-rows"),
+        case(_random_mixed(rng, 6), FilterTarget.ENERGY, 0.03, 0.25, 0.02, id="d6-lowest-rows"),
+        case(_random_ket(rng, 5), FilterTarget.COHERENCE_TSALLIS, 0.5, 0.2, 2.0, id="d5-every-row"),
+        # no grid head: the tail block is the whole grid
+        case(_random_ket(rng, 2), FilterTarget.ENERGY, 0.3, 0.02, None, id="d2-pure"),
+        case(_random_mixed(rng, 2), FilterTarget.COHERENCE, 0.7, 0.05, None, id="d2-mixed"),
+        case(_random_mixed(rng, 3), FilterTarget.COHERENCE_TSALLIS, 0.95, 0.02, None, id="d3-tsallis"),
     ]
     return cases
 
@@ -253,6 +265,21 @@ def test_matches_reference_search(state, target, ps, step, tolerance):
     assert res.objective == ref_obj
     assert np.array_equal(res.filter.coeffs, ref_coeffs)
     assert res.p_success == ref_ps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("step", [0.02, 0.1, 0.3])
+def test_tail_columns_are_the_meshgrid_rows(step, k):
+    axis = _grid_axis(step)
+    if step == 0.3:  # 0, 0.3, 0.6, 0.9 and an appended 1.0
+        assert len(axis) == 5 and axis[-1] == 1.0
+    rows = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
+    rng = np.random.default_rng(k)
+    for index in (np.arange(len(rows)), rng.permutation(len(rows))[: len(rows) // 3 + 1]):
+        cols = _tail_columns(axis, k, index)
+        assert len(cols) == k
+        assert all(col.flags.c_contiguous for col in cols)
+        assert np.array_equal(np.column_stack(cols), rows[index])
 
 
 def _objectives(state):

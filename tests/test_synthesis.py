@@ -78,6 +78,21 @@ class TestEnergyOptimal:
         assert mean_energy(out, TWO_QUBIT_SPECTRUM) == pytest.approx(2.0, abs=1e-12)
         assert coherence(out) == pytest.approx(0.0, abs=1e-12)
 
+    def test_tiny_success_probability_in_the_top_populated_class(self):
+        # the highest level is empty, so the cut class {1, 2} alone passes
+        # P_S: a kept fraction of 1e-13 is the answer, not round-off to snap
+        s = QState.pure(np.sqrt([0.25, 0.25, 0.5, 0.0]))
+        filt = energy_optimal_filter(s, TWO_QUBIT_SPECTRUM, 1e-13)
+        mags = np.abs(filt.coeffs)
+        assert mags[0] == 0.0 and mags[1] == mags[2] > 0.0 and mags[3] == 1.0
+        out, ps = apply_filter(s, filt)
+        assert ps == pytest.approx(1e-13, abs=1e-15)
+        assert mean_energy(out, TWO_QUBIT_SPECTRUM) == pytest.approx(1.0, abs=1e-12)
+        # with population above the cut, the same kept fraction is snapped
+        s = QState.pure(np.sqrt([0.25, 0.25, 0.25, 0.25]))
+        filt = energy_optimal_filter(s, TWO_QUBIT_SPECTRUM, 0.25 + 1e-14)
+        assert np.array_equal(filt.coeffs, [0, 0, 0, 1])
+
     def test_rejects_unreachable(self):
         s = product_pure_state(0.1, 2)
         with pytest.raises(UnreachableSuccessProbability):
