@@ -83,10 +83,9 @@ class SequentialPovm:
             p = _diag_or_raise(plus, "plus operator")
             m = _diag_or_raise(minus, "minus operator")
             closure = np.abs(np.diag(p)) ** 2 + np.abs(np.diag(m)) ** 2
+            # completeness bounds |p|^2 by 1 + tol, so M^dag M <= I holds too
             if np.max(np.abs(closure - 1.0)) > _COMPLETENESS_TOL:
                 raise StateValidationError("stage operators do not complete to identity")
-            if np.max(np.abs(np.diag(p))) > 1.0 + _COMPLETENESS_TOL:
-                raise StateValidationError("plus operator violates M^dag M <= I")
             p.flags.writeable = False
             m.flags.writeable = False
             checked.append((p, m))

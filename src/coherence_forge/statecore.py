@@ -18,14 +18,14 @@ a fresh writable copy. The synthesizers call these once per grid point.
 
 ``apply_filter_rows`` is the batched form of ``apply_filter`` that the
 frontier tracer, the mixed-state scans and the oracle share: it filters a
-state (or a stack of states) by many coefficient rows at once, makes every
-check ``DiagonalFilter``, ``apply_filter`` and ``QState`` make for each row,
-and diagonalizes the outputs with one stacked ``eigvalsh`` per bounded
-slice, without building a ``QState`` per row; its first failing row raises
-what ``DiagonalFilter`` or ``QState`` raises for it. ``coherence_rows`` turns
-its output into relative-entropy coherences with ``_row_entropy``, whose
-per-entry terms (``_entropy_terms``) the oracle shares. Both give, row for row, the same floats as the one-state
-functions.
+state (or a stack of states) by many coefficient rows at once, checks each
+row as ``DiagonalFilter``, ``apply_filter`` and ``QState`` would (a
+symmetrized row is Hermitian by construction) and diagonalizes the outputs
+with one stacked ``eigvalsh`` per bounded slice; its first failing row
+raises what ``DiagonalFilter`` or ``QState`` raises for it. ``coherence_rows``
+turns its output into relative-entropy coherences with ``_row_entropy``,
+whose per-entry terms (``_entropy_terms``) the oracle shares. Both give, row
+for row, the same floats as the one-state functions.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ class QState:
     def purity(self) -> float:
         return self._purity
 
-    def is_pure(self, tol: float = 1e-10) -> bool:
-        return self.purity() > 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity() > 1.0 - 1e-10
 
     @classmethod
     def pure(cls, amplitudes: Iterable[complex]) -> "QState":
@@ -223,19 +223,14 @@ def _row_entropy(values: np.ndarray) -> np.ndarray:
     unit-trace state do. numpy adds fewer than 8 terms from left to right,
     starting from +0.0, so in rows shorter than that a dropped entry can stand
     in place as an exact 0.0 (a zero entropy is then 0.0, where the kept terms
-    alone give -0.0). Longer sums are pairwise, so there the kept terms of the
-    rows with equal counts are gathered and summed together.
+    alone give -0.0). Longer sums are pairwise, and a 0.0 in place would move
+    the pairs, so there each row sums its own kept terms.
     """
     terms = _entropy_terms(values)
     if values.shape[1] < 8:
         return terms.sum(axis=1)
     keep = values > ZERO_EIGENVALUE
-    counts = keep.sum(axis=1)
-    out = np.empty(len(values))
-    for k in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == k)
-        out[rows] = terms[rows][keep[rows]].reshape(rows.size, k).sum(axis=1)
-    return out
+    return np.array([row[kept].sum() for row, kept in zip(terms, keep)])
 
 
 def dephase(state: QState) -> QState:
@@ -336,13 +331,13 @@ def _filter_slice(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_s = (magnitude**2 * matrix.diagonal(axis1=-2, axis2=-1).real).sum(axis=1)
         rho = matrix * (c[:, :, None] * c.conj()[:, None, :]) / p_s[:, None, None]
+        # exactly Hermitian where finite (a - b is exactly -(b - a)); a row
+        # that is not finite fails the coefficient bound or the P_S floor
         rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        skew = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         trace = np.trace(rho, axis1=1, axis2=2)
     big = ~(magnitude.max(axis=1) <= 1.0 + 1e-12)
-    skewed = ~(skew <= HERMITICITY_TOL)
     off_trace = (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL)
-    bad = big | (p_s < _ANNIHILATION_TOL) | skewed | off_trace
+    bad = big | (p_s < _ANNIHILATION_TOL) | off_trace
     n_ok = int(bad.argmax()) if bad.any() else len(c)
     # rows before the first failure reach the eigenvalue floor check
     eigenvalues = np.linalg.eigvalsh(rho[:n_ok])

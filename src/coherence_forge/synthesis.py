@@ -15,8 +15,8 @@ it solves the bordered KKT system of all 3^n assignments of the levels to 0,
 blocks: an LU inverse that is checked against the block, or the
 pseudo-inverse where that check fails). It keeps a solution whose
 stationarity residual is at most 1e-8 and whose P_S residual is at most
-1e-12, breaks gain ties (1e-15) by the lexicographic minimum with a 1e-12
-tolerance per level, and rejects states with more than
+1e-12 P_S, breaks gain ties (1e-15 P_S^2) by the lexicographic minimum with
+a 1e-12 P_S tolerance per level, and rejects states with more than
 ``TSALLIS_MAX_LEVELS`` = 12 populated levels.
 
 The factorized family is computed over a whole vector of success
@@ -62,6 +62,7 @@ from .statecore import (
     QubitParams,
     ZERO_EIGENVALUE,
     ZERO_POPULATION,
+    _ANNIHILATION_TOL,
     _BATCH_ROWS,
     apply_filter_rows,
     coherence_rows,
@@ -134,16 +135,21 @@ class MixedScanPoint:
 def _check_success_range(
     p_success: float, lo: float, below: str, above: str = "P_S exceeds 1"
 ) -> None:
-    """Reject a non-finite P_S, a P_S at or below 0 (a filter that passes
-    nothing has no output state) and one outside the reachable [lo, 1] by
-    more than round-off. ``below`` and ``above`` are the messages as format
-    strings of ``lo``, so a P_S in range costs no formatting."""
+    """Reject a non-finite P_S, a P_S at or below 0, one outside the reachable
+    [lo, 1] by more than round-off, and then one below twice the annihilation
+    floor: a filter made for a P_S at the floor may pass a little less. ``below``
+    and ``above`` are format strings of ``lo``: a P_S in range costs no formatting."""
     if not math.isfinite(p_success):
         raise UnreachableSuccessProbability(f"P_S must be a finite number, got {p_success!r}")
     if p_success > 1.0 + _RANGE_TOL:
         raise UnreachableSuccessProbability(above.format(lo))
     if p_success <= 0.0 or p_success < lo - _RANGE_TOL:
         raise UnreachableSuccessProbability(below.format(lo))
+    if p_success < 2.0 * _ANNIHILATION_TOL:
+        raise UnreachableSuccessProbability(
+            f"P_S below {2.0 * _ANNIHILATION_TOL:g}, twice the success probability "
+            f"{_ANNIHILATION_TOL:g} under which a filter annihilates the state"
+        )
 
 
 def _clipped(state: QState) -> list[float]:
@@ -406,8 +412,8 @@ def _tsallis_candidates(
     enters only the last entry of the right-hand side, so each candidate is
     affine in P_S. A row is kept when its stationarity residual is at most
     1e-8 (a singular system may get a pseudo-solution), its P_S residual at
-    most 1e-12 and every free intensity lies in [-1e-12, 1 + 1e-12]; the
-    free intensities are then clipped to [0, 1]. Only the kept rows are laid
+    most 1e-12 P_S and every free intensity lies in [-1e-12 P_S, 1 + 1e-12];
+    the free intensities are then clipped to [0, 1]. Only the kept rows are laid
     out as intensity vectors.
 
     Returns the feasible candidates, one per row, in no particular order.
@@ -445,8 +451,8 @@ def _tsallis_candidates(
         m_free = sol[:, :, :k]
         ok = (
             (resid[:, :, :k] <= 1e-8).all(axis=2)
-            & (resid[:, :, k] <= 1e-12 * scale)
-            & ((m_free >= -1e-12) & (m_free <= 1.0 + 1e-12)).all(axis=2)
+            & (resid[:, :, k] <= 1e-12 * scale * p_success)
+            & ((m_free >= -1e-12 * p_success) & (m_free <= 1.0 + 1e-12)).all(axis=2)
         )
         set_idx, bit_idx = ok.nonzero()
         x = np.concatenate([m_free[ok].clip(0.0, 1.0), bits[bit_idx]], axis=1)
@@ -470,12 +476,12 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
     levels is solved through its bordered KKT system (3^n candidates from
     2^n inverted blocks, each an LU inverse verified against its block or
     else the pseudo-inverse). The candidates whose gain x^T W x is at least the
-    best minus 1e-15 tie; level by level, those within 1e-12 of that
-    level's minimum are kept, and the first survivor is returned. The
-    survivors agree to 1e-12 on every level, so the pick does not depend on
-    the order of the candidates. The cost still grows exponentially, so a
-    state with more than ``TSALLIS_MAX_LEVELS`` = 12 populated levels raises
-    :class:`DomainError` before any work.
+    best minus 1e-15 P_S^2 tie; level by level, those within 1e-12 P_S of
+    that level's minimum are kept, and the first survivor is returned. The
+    survivors agree to 1e-12 P_S on every level, so the pick does not depend
+    on the order of the candidates, at any P_S. The cost still grows
+    exponentially, so a state with more than ``TSALLIS_MAX_LEVELS`` = 12
+    populated levels raises :class:`DomainError` before any work.
     """
     pops = np.clip(state.populations, 0.0, None)
     active = pops >= ZERO_POPULATION
@@ -501,9 +507,10 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
             "no feasible filter attains the requested success probability"
         )
     gains = ((cands @ overlap) * cands).sum(axis=1)
-    best = cands[gains >= gains.max() - 1e-15]
+    # the gain scales as P_S^2 and an intensity as P_S: so do the tolerances
+    best = cands[gains >= gains.max() - 1e-15 * p_success**2]
     for level in range(best.shape[1]):
-        best = best[best[:, level] <= best[:, level].min() + 1e-12]
+        best = best[best[:, level] <= best[:, level].min() + 1e-12 * p_success]
     return DiagonalFilter(np.sqrt(best[0]).astype(complex))
 
 

@@ -1,3 +1,4 @@
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,6 +30,7 @@ from coherence_forge import (
 from coherence_forge.statecore import (
     _BATCH_ROWS,
     apply_filter_rows,
+    coherence_rows,
     filter_from_text,
     filter_to_text,
     qstate_from_text,
@@ -321,6 +323,62 @@ class TestFilterRowsFirstFailure:
         rows[_BATCH_ROWS + 50] = self.BAD["nan"]
         rows[n - 1] = self.BAD["annihilating"]
         self.check(rows, stacked=False)
+
+
+def _state_with_zeros(rng, d, rank, zeros):
+    """A rank-``rank`` state on d levels whose first ``zeros`` levels (in a
+    random order) are empty, so its populations and its spectrum keep
+    different numbers of entries."""
+    live = rng.permutation(d)[zeros:]
+    g = np.zeros((d, rank), dtype=complex)
+    g[live] = rng.normal(size=(live.size, rank)) + 1j * rng.normal(size=(live.size, rank))
+    rho = g @ g.conj().T
+    return QState(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+
+
+class TestCoherenceRowsAtEightOrMoreLevels:
+    """Rows of 8 or more entries sum their own kept terms: a stacked batch
+    with different kept counts per row gives each state's ``coherence`` bit
+    for bit."""
+
+    def test_stacked_rows_equal_each_state(self):
+        rng = np.random.default_rng(20)
+        for d in range(8, 17):
+            states = [
+                _state_with_zeros(rng, d, rank, zeros)
+                for rank in (1, 2, d)
+                for zeros in (0, 1, d // 2, d - 2)
+            ]
+            populations = np.array([s.populations for s in states])
+            eigenvalues = np.array([s._eigenvalues for s in states])
+            batch = coherence_rows(populations, eigenvalues)
+            assert batch.tolist() == [coherence(s) for s in states]
+            assert len({int((p > 1e-14).sum()) for p in populations}) > 2
+
+    def test_filtered_rows_equal_each_filtered_state(self):
+        rng = np.random.default_rng(21)
+        for d in (8, 9, 12, 16):
+            state = _state_with_zeros(rng, d, d, 2)
+            rows = np.sqrt(rng.uniform(0.0, 1.0, size=(40, d)))
+            rows[rng.random((40, d)) < 0.3] = 0.0
+            rows[:, 0] = 1.0
+            p_s, populations, eigenvalues = apply_filter_rows(state.matrix, rows)
+            want = [coherence(apply_filter(state, DiagonalFilter(row))[0]) for row in rows]
+            assert coherence_rows(populations, eigenvalues).tolist() == want
+
+
+@given(state=density_matrices(dims=(2, 3, 4, 6, 8)), data=st.data())
+def test_symmetrized_rows_are_exactly_hermitian(state, data):
+    """Why ``apply_filter_rows`` has no Hermiticity mask: M rho M^dag / P_S
+    symmetrized as 0.5 (A + A^dag) is Hermitian to the last bit for any
+    finite A, since IEEE addition commutes and a - b is exactly -(b - a)."""
+    filt = data.draw(diagonal_filters(state.dim))
+    c = filt.coeffs
+    p_s = float((np.abs(c) ** 2 * state.populations).sum())
+    hypothesis.assume(p_s >= 1e-14)
+    a = state.matrix * np.outer(c, c.conj()) / p_s
+    rho = 0.5 * (a + a.conj().T)
+    assert np.array_equal(rho, rho.conj().T)
 
 
 class TestStateBuilders:

@@ -30,7 +30,9 @@ from coherence_forge import (
     two_qubit_closed_form,
 )
 from coherence_forge import synthesis
+from coherence_forge.cli import EXIT_DOMAIN, EXIT_OK, main
 from coherence_forge.oracle import grid_search, objective_value
+from coherence_forge.statecore import _ANNIHILATION_TOL, qstate_to_text
 from coherence_forge.synthesis import (
     _brent_root,
     coherence_lower_branch,
@@ -768,6 +770,153 @@ class TestNonPositiveSuccessProbability:
             with pytest.raises(UnreachableSuccessProbability) as info:
                 call()
             assert str(info.value) == message
+
+
+FLOOR = 2.0 * _ANNIHILATION_TOL
+FLOOR_MESSAGE = "P_S below 2e-14, twice the success probability 1e-14"
+# P_S ranges that reach below the floor: the highest-energy class is empty,
+# the full-equalization minimum is 6e-14 (admitted down to 0 by round-off),
+# and p = 1e-8 puts p^2 = 1e-16 at the bottom of the qubit-product families
+EMPTY_TOP_CLASS = TestNonPositiveSuccessProbability.EMPTY_TOP_CLASS
+NEAR_ZERO_MINIMUM = TestNonPositiveSuccessProbability.NEAR_ZERO_MINIMUM
+TINY_P = 1e-8
+TINY_P_PAIR = product_pure_state(TINY_P, 2)
+MIXED_PAIR = mixed_qubit_product(QubitParams(0.3, 0.6), 2)
+SYNTHESIZERS_DOWN_TO_THE_FLOOR = {
+    "energy": (
+        EMPTY_TOP_CLASS, lambda ps: energy_optimal_filter(EMPTY_TOP_CLASS, TWO_QUBIT_SPECTRUM, ps)
+    ),
+    "coherence": (
+        NEAR_ZERO_MINIMUM, lambda ps: coherence_optimal_filter_pure(NEAR_ZERO_MINIMUM, ps)
+    ),
+    "tsallis": (MIXED_PAIR, lambda ps: tsallis_optimal_filter(MIXED_PAIR, ps)),
+    "factorized": (TINY_P_PAIR, lambda ps: factorized_filter(TINY_P_PAIR, ps)),
+    "closed-form-energy": (
+        TINY_P_PAIR, lambda ps: two_qubit_closed_form(TINY_P, ps, FilterTarget.ENERGY).to_filter()
+    ),
+    "closed-form-coherence": (
+        TINY_P_PAIR,
+        lambda ps: two_qubit_closed_form(TINY_P, ps, FilterTarget.COHERENCE).to_filter(),
+    ),
+}
+
+
+class TestAnnihilationFloor:
+    """No filtered state has a P_S below ``_ANNIHILATION_TOL``, and a filter
+    made for a P_S at it may pass a little less, so every synthesizer serves
+    P_S >= twice that floor and rejects a smaller P_S with its own message."""
+
+    @pytest.mark.parametrize("ps", [1e-15, 1e-14, np.nextafter(FLOOR, 0.0)])
+    @pytest.mark.parametrize("name", list(SYNTHESIZERS_DOWN_TO_THE_FLOOR))
+    def test_below_the_floor_is_rejected(self, name, ps):
+        # before: energy at 1e-15 and tsallis at 1e-14 ended in "filter
+        # annihilates the state" when the filter was applied
+        _, synthesize = SYNTHESIZERS_DOWN_TO_THE_FLOOR[name]
+        with pytest.raises(UnreachableSuccessProbability, match=FLOOR_MESSAGE):
+            synthesize(ps)
+
+    @pytest.mark.parametrize("name", list(SYNTHESIZERS_DOWN_TO_THE_FLOOR))
+    def test_smallest_admitted_ps_filters_the_state(self, name):
+        state, synthesize = SYNTHESIZERS_DOWN_TO_THE_FLOOR[name]
+        out, p_s = apply_filter(state, synthesize(FLOOR))
+        assert p_s >= _ANNIHILATION_TOL
+        # the energy synthesizer's P_S is exact to about 1e-16 (it removes
+        # 1 - P_S from the populations), the others' to a few ulps
+        assert abs(p_s - FLOOR) <= 1e-15
+        assert out.dim == state.dim
+
+    def test_oracle_rejects_below_the_floor(self):
+        with pytest.raises(UnreachableSuccessProbability, match=FLOOR_MESSAGE):
+            grid_search(EMPTY_TOP_CLASS, TWO_QUBIT_SPECTRUM, FilterTarget.ENERGY, 1e-15, 0.1)
+
+    def test_cli_rejects_below_the_floor(self, capsys, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text(qstate_to_text(EMPTY_TOP_CLASS))
+        argv = ["filter", "--mode", "general", "--target", "energy", "--state", str(path)]
+        assert main([*argv, "--ps", "1e-15"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert FLOOR_MESSAGE in captured.err
+        assert main([*argv, "--ps", repr(FLOOR)]) == EXIT_OK
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "P_S achieved" in ln)
+        assert abs(float(line.split("=")[1]) - FLOOR) <= 1e-15
+
+
+def _random_full_rank(seed: int, d: int) -> QState:
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    return QState(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+
+
+def _best_candidate_tsallis(state: QState, ps: float) -> float:
+    """The largest output Tsallis coherence of any KKT candidate."""
+    pops = np.clip(state.populations, 0.0, None)
+    overlap = np.abs(state.matrix) ** 2
+    np.fill_diagonal(overlap, 0.0)
+    cands = synthesis._tsallis_candidates(pops, overlap, pops >= 1e-14, ps)
+    return max(
+        coherence_tsallis(apply_filter(state, DiagonalFilter(np.sqrt(x)))[0]) for x in cands
+    )
+
+
+SMALL_PS_STATES = {
+    "mixed-product": MIXED_PAIR,
+    "full-rank-d4": _random_full_rank(1, 4),
+    "full-rank-d5": _random_full_rank(2, 5),
+}
+
+
+class TestTsallisAtSmallSuccessProbability:
+    """The gain x^T W x scales as P_S^2 and the intensities as P_S; with the
+    candidate and tie tolerances scaled to match, the synthesizer keeps the
+    optimum at any P_S it serves. Before, every candidate tied below P_S of
+    about 3e-8 and a zero-coherence one won: on the mixed product state the
+    output coherence was 0 at 3e-8, 0.18 at 1e-7 (optimum 0.2124), and below
+    1e-12 the filter annihilated the state."""
+
+    @pytest.mark.parametrize("ps", [1e-13, 1e-11, 1e-9, 3e-8, 1e-7, 1e-6])
+    @pytest.mark.parametrize("name", list(SMALL_PS_STATES))
+    def test_output_is_the_best_candidate(self, name, ps):
+        state = SMALL_PS_STATES[name]
+        out, p_s = apply_filter(state, tsallis_optimal_filter(state, ps))
+        assert p_s == pytest.approx(ps, rel=1e-12)
+        best = _best_candidate_tsallis(state, ps)
+        assert best > 0.1
+        assert coherence_tsallis(out) == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(SMALL_PS_STATES))
+    def test_optimum_is_scale_free_at_small_ps(self, name):
+        """Where no intensity reaches 1 the problem is homogeneous in P_S:
+        the intensities scale with P_S and the output state does not move."""
+        state = SMALL_PS_STATES[name]
+        reference = tsallis_optimal_filter(state, 1e-9).intensities / 1e-9
+        for ps in (1e-13, 1e-11, 1e-7):
+            got = tsallis_optimal_filter(state, ps).intensities / ps
+            np.testing.assert_allclose(got, reference, rtol=1e-9, atol=1e-9 * reference.max())
+
+    def test_pick_does_not_depend_on_candidate_order(self, monkeypatch):
+        state = SMALL_PS_STATES["mixed-product"]
+        forward = tsallis_optimal_filter(state, 1e-11).intensities
+        original = synthesis._tsallis_candidates
+        monkeypatch.setattr(synthesis, "_tsallis_candidates", lambda *args: original(*args)[::-1])
+        backward = tsallis_optimal_filter(state, 1e-11).intensities
+        assert np.max(np.abs(forward - backward)) <= 1e-12 * 1e-11
+
+    def test_cli_general_mode(self, capsys, tmp_path):
+        state = SMALL_PS_STATES["mixed-product"]
+        path = tmp_path / "state.txt"
+        path.write_text(qstate_to_text(state))
+        code = main(
+            ["filter", "--mode", "general", "--target", "tsallis", "--state", str(path),
+             "--ps", "3e-08"]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        filtered = apply_filter(state, tsallis_optimal_filter(state, 3e-8))[0]
+        assert coherence(filtered) > 0.1
+        assert f"output coherence = {coherence(filtered):.12g} nats" in out
+        assert "P_S achieved = 3e-08" in out
 
 
 class TestOptimalFilter:
