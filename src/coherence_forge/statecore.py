@@ -16,7 +16,10 @@ levels into degeneracy classes at ``DEGENERACY_TOL`` when it is built, and
 populations and purity from their first use; ``populations`` still hands out
 a fresh writable copy. The synthesizers call these once per grid point.
 
-``apply_filter_rows`` is the batched form of ``apply_filter`` that the
+``diagonal_filter_rows`` is the batched form of ``DiagonalFilter``: it checks
+a whole array of coefficient rows at once and hands out filters whose
+coefficients are read-only rows of one frozen array. ``apply_filter_rows``
+is the batched form of ``apply_filter`` that the
 frontier tracer, the mixed-state scans and the oracle share: it filters a
 state (or a stack of states) by many coefficient rows at once, checks each
 row as ``DiagonalFilter``, ``apply_filter`` and ``QState`` would (a
@@ -190,6 +193,29 @@ class DiagonalFilter:
     @classmethod
     def identity(cls, dim: int) -> "DiagonalFilter":
         return cls(np.ones(dim, dtype=complex))
+
+
+def diagonal_filter_rows(coeffs: np.ndarray) -> list[DiagonalFilter]:
+    """``DiagonalFilter(row)`` for every row of a batch of filter coefficients
+    (shape (n, d)), with the constructor's checks run on all rows at once: at
+    least one coefficient, and every |m| <= 1 + 1e-12 and finite. A batch
+    raises what its first failing row raises. The coefficients are copied
+    into one read-only complex array, and each filter's ``coeffs`` is a 1-D
+    row view of it."""
+    c = _frozen(np.array(coeffs, dtype=complex))
+    if c.shape[0]:
+        if not c.shape[1]:
+            DiagonalFilter(c[0])
+        # a NaN or infinite coefficient also fails the bound
+        within = np.abs(c).max(axis=1) <= 1.0 + 1e-12
+        if not within.all():
+            DiagonalFilter(c[int(within.argmin())])
+    filters = []
+    for row in c:
+        filt = object.__new__(DiagonalFilter)
+        object.__setattr__(filt, "coeffs", row)
+        filters.append(filt)
+    return filters
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,19 @@ stationarity residual is at most 1e-8 and whose P_S residual is at most
 a 1e-12 P_S tolerance per level, and rejects states with more than
 ``TSALLIS_MAX_LEVELS`` = 12 populated levels.
 
-The factorized family is computed over a whole vector of success
-probabilities, its ``b`` by one lockstep Brent iteration;
-``factorized_filter`` is that code on one row. ``trace_frontier`` calls the
-closed-form optimal synthesizers once per grid point, takes the factorized
-grid in one batch and measures every filter with one
-``statecore.apply_filter_rows`` call. Per point, the energy and water-fill
-synthesizers only read what the spectrum and the state compute once per
-object (the degeneracy classes, the populations and the purity) and do their
+The factorized family and the pure-state water-fill are computed over a
+whole vector of success probabilities, one coefficient row each: the
+factorized ``b`` by one lockstep Brent iteration, the water-fill ceiling by
+one pass over the sorted populated levels. ``factorized_filter`` and
+``coherence_optimal_filter_pure`` are that code on one row.
+``trace_frontier`` builds those frontiers from their rows, checked as one
+batch by ``statecore.diagonal_filter_rows``; the energy and Tsallis
+frontiers call their synthesizer once per grid point. One
+``statecore.apply_filter_rows`` call measures every filter. Per point, the
+energy synthesizer only reads what the spectrum and the state compute once
+per object (the degeneracy classes and the populations) and does its
 per-level arithmetic on Python floats, in the order of the numpy expressions
-they replace, so their filters are the same bit for bit. ``mixed_scan`` runs
+it replaces, so its filters are the same bit for bit. ``mixed_scan`` runs
 the golden-section searches of its populations in lockstep, one batch per
 step; every result equals the per-point computation bit for bit.
 ``plateau_threshold`` needs no search: the a=0 output depends on p and b only
@@ -66,6 +69,7 @@ from .statecore import (
     _BATCH_ROWS,
     apply_filter_rows,
     coherence_rows,
+    diagonal_filter_rows,
     mixed_qubit_product,
 )
 
@@ -227,28 +231,18 @@ def energy_optimal_filter(
 # ---------------------------------------------------------------------------
 
 
-def _waterfill_level(pops: list[float], p_success: float) -> float:
-    """Solve sum_j min(K, p_j) = p_success for the common output ceiling K."""
-    qs = sorted(pops)
-    n = len(qs)
-    prefix = 0.0  # the running sum of qs[:i], added up as np.cumsum adds it
-    for i in range(n):
-        lo = 0.0 if i == 0 else qs[i - 1]
-        hi = qs[i]
-        k = (p_success - prefix) / (n - i)
-        if lo - 1e-15 <= k <= hi + 1e-15:
-            return k
-        prefix += hi
-    return qs[-1]
+def _waterfill_rows(state: QState, ps: Sequence[float]) -> np.ndarray:
+    """Coefficients of the pure-state coherence optimum at each success
+    probability in ``ps``, one row each (shape (len(ps), d)).
 
-
-def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFilter:
-    """Coherence-maximizing filter for a pure state at fixed success probability.
-
-    Output intensities have the clipping form min(K/p_j, 1): every dominant
-    population is attenuated down to a common ceiling while smaller ones
-    pass untouched. Reachable down to full equalization of the populated
-    levels; mixed inputs are rejected (use :func:`tsallis_optimal_filter`).
+    The common output ceiling K solves sum_j min(K, p_j) = P_S over the n
+    populated levels, sorted ascending: with the prefix sums s_i of the
+    smallest i populations (added left to right), K is the first
+    (P_S - s_i)/(n - i) that lies in [p_(i-1) - 1e-15, p_i + 1e-15] (p_(-1)
+    = 0), or the largest population if none does, for min(P_S, 1). A level
+    passes sqrt(min(K/p_j, 1)); unpopulated levels pass 1. The checks run in
+    the order of :func:`coherence_optimal_filter_pure`, the range check on
+    the first P_S that fails it.
     """
     if not state.is_pure():
         raise DomainError(
@@ -261,12 +255,43 @@ def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFi
         raise DomainError("state must populate at least two levels")
     act = [pops[j] for j in active]
     ps_min = _sum([min(act)] * len(act))
-    _check_success_range(p_success, ps_min, "P_S below the full-equalization minimum {:.6g}")
-    k = _waterfill_level(act, min(p_success, 1.0))
-    amplitudes = [1.0] * state.dim
-    for j, x in zip(active, act):
-        amplitudes[j] = math.sqrt(min(k / x, 1.0))
-    return DiagonalFilter(np.array(amplitudes, dtype=complex))
+    values = np.array(ps, dtype=float)
+    # the range of _check_success_range: its floor is positive, so a NaN or a
+    # P_S at or below 0 fails too
+    floor = max(ps_min - _RANGE_TOL, 2.0 * _ANNIHILATION_TOL)
+    if values.size and not (values.min() >= floor and values.max() <= 1.0 + _RANGE_TOL):
+        in_range = (values >= floor) & (values <= 1.0 + _RANGE_TOL)
+        _check_success_range(
+            ps[int(in_range.argmin())], ps_min, "P_S below the full-equalization minimum {:.6g}"
+        )
+    qs = sorted(act)
+    n = len(qs)
+    prefix, floors = [0.0] * n, [-1e-15] * n
+    for i in range(1, n):
+        prefix[i] = prefix[i - 1] + qs[i - 1]
+        floors[i] = qs[i - 1] - 1e-15
+    ceilings = [q + 1e-15 for q in qs]
+    level = (np.minimum(values, 1.0)[:, None] - prefix) / np.arange(n, 0, -1)
+    bracketed = (floors <= level) & (level <= ceilings)
+    first = bracketed.argmax(axis=1)
+    rows = np.arange(values.size)
+    k = np.where(bracketed[rows, first], level[rows, first], qs[-1])
+    coeffs = np.ones((values.size, state.dim), dtype=complex)
+    coeffs[:, active] = np.sqrt(np.minimum(k[:, None] / act, 1.0))
+    return coeffs
+
+
+def coherence_optimal_filter_pure(state: QState, p_success: float) -> DiagonalFilter:
+    """Coherence-maximizing filter for a pure state at fixed success probability.
+
+    Output intensities have the clipping form min(K/p_j, 1): every dominant
+    population is attenuated down to a common ceiling while smaller ones
+    pass untouched. Reachable down to full equalization of the populated
+    levels; mixed inputs are rejected (use :func:`tsallis_optimal_filter`).
+    This is the row water-fill (``_waterfill_rows``) on one P_S, so a frontier
+    built from rows gives this filter at each of its points, bit for bit.
+    """
+    return DiagonalFilter(_waterfill_rows(state, [p_success])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +395,19 @@ def _tsallis_layout(n: int, k: int) -> tuple[np.ndarray, ...]:
 
 def _kkt_inverses(kkt: np.ndarray) -> np.ndarray:
     """Inverses of a stack of KKT blocks: the LU inverse of every block for
-    which it is finite and max|K K^-1 - I| <= ``_LU_INVERSE_TOL``, the
-    pseudo-inverse of the others, and of the whole stack when LU meets an
-    exactly singular block."""
+    which it is finite and max|K K^-1 - I| <= ``_LU_INVERSE_TOL``, and the
+    pseudo-inverse of the others. When LU meets an exactly singular block,
+    the stack is split in halves until that block stands alone, so only
+    exactly singular blocks and blocks that fail the check reach the
+    pseudo-inverse."""
     with np.errstate(all="ignore"):
         try:
             inv = np.linalg.inv(kkt)
         except np.linalg.LinAlgError:
-            return np.linalg.pinv(kkt)
+            if kkt.shape[0] == 1:
+                return np.linalg.pinv(kkt)
+            half = kkt.shape[0] // 2
+            return np.concatenate([_kkt_inverses(kkt[:half]), _kkt_inverses(kkt[half:])])
         check = kkt @ inv
         check.reshape(check.shape[0], -1)[:, :: kkt.shape[-1] + 1] -= 1.0
         # an inf or NaN in an inverse leaves inf or NaN in K K^-1 - I, which
@@ -773,12 +803,19 @@ def trace_frontier(
 
     Points are sorted by success probability; each point's stored measures
     are recomputed from its own filter, so the frontier invariants hold by
-    construction. The optimal family calls :func:`optimal_filter` at each
-    grid point; the factorized family solves the whole grid with one
-    lockstep Brent. All filters are measured with one
-    :func:`statecore.apply_filter_rows` call, and the points, equal to what
-    ``apply_filter``, ``coherence`` and ``mean_energy`` give, are built at
-    the end. ``grid`` must lie in [2, ``MAX_SAMPLE_POINTS``].
+    construction. The factorized family solves the whole grid with one
+    lockstep Brent, and the optimal pure-state coherence frontier takes every
+    grid point from one row water-fill; their coefficient rows become filters
+    through one :func:`statecore.diagonal_filter_rows` batch, each equal bit
+    for bit to what :func:`factorized_filter` or
+    :func:`coherence_optimal_filter_pure` gives at that point. The optimal
+    energy and Tsallis frontiers call :func:`optimal_filter` at each grid
+    point and keep the filters it returns: the Tsallis enumerator has no row
+    form, and the benchmark self-test patches ``energy_optimal_filter`` to
+    check that a wrong energy filter is caught. All filters are measured
+    with one :func:`statecore.apply_filter_rows` call, and the points, equal
+    to what ``apply_filter``, ``coherence`` and ``mean_energy`` give, are
+    built at the end. ``grid`` must lie in [2, ``MAX_SAMPLE_POINTS``].
     """
     if not isinstance(grid, numbers.Integral):
         raise DomainError(f"grid must be an integer, got {grid!r}")
@@ -797,13 +834,14 @@ def trace_frontier(
             raise DomainError("empty reachable success-probability range")
         ps_values = np.linspace(lo, hi, grid)
 
-    if family is FilterFamily.FACTORIZED:
-        filters = [DiagonalFilter(row) for row in _factorized_rows(state, ps_values)]
+    if family is FilterFamily.FACTORIZED or target is FilterTarget.COHERENCE:
+        row_synthesizer = _factorized_rows if family is FilterFamily.FACTORIZED else _waterfill_rows
+        rows = row_synthesizer(state, ps_values)
+        filters = diagonal_filter_rows(rows)
     else:
         filters = [optimal_filter(state, spectrum, target, p) for p in ps_values.tolist()]
-    p_s, populations, eigenvalues = apply_filter_rows(
-        state.matrix, np.array([filt.coeffs for filt in filters])
-    )
+        rows = np.array([filt.coeffs for filt in filters])
+    p_s, populations, eigenvalues = apply_filter_rows(state.matrix, rows)
     values = zip(
         p_s.tolist(),
         coherence_rows(populations, eigenvalues).tolist(),

@@ -31,6 +31,7 @@ from coherence_forge.statecore import (
     _BATCH_ROWS,
     apply_filter_rows,
     coherence_rows,
+    diagonal_filter_rows,
     filter_from_text,
     filter_to_text,
     qstate_from_text,
@@ -323,6 +324,91 @@ class TestFilterRowsFirstFailure:
         rows[_BATCH_ROWS + 50] = self.BAD["nan"]
         rows[n - 1] = self.BAD["annihilating"]
         self.check(rows, stacked=False)
+
+
+class TestDiagonalFilterRows:
+    """``diagonal_filter_rows`` checks a batch as ``DiagonalFilter`` checks each
+    row, and raises what ``DiagonalFilter`` raises for the first failing row."""
+
+    GOOD = np.array([0.5, 1.0, 0.8j, 1.0])
+    BAD = {
+        "nan": [0.5, np.nan, 1.0, 1.0],
+        "inf": [0.5, 1.0, 1.0, -np.inf],
+        "complex-inf": [0.5, 1.0, complex(0.0, np.inf), 1.0],
+        "above-one": [0.5, 1.0 + 1e-9, 1.0, 1.0],
+        "just-above-the-bound": [0.5, 1.0 + 2e-12, 1.0, 1.0],
+    }
+
+    @staticmethod
+    def check(rows):
+        first_bad = next(
+            i for i, row in enumerate(rows) if not np.abs(row).max() <= 1.0 + 1e-12
+        )
+        with pytest.raises(StateValidationError) as want:
+            DiagonalFilter(rows[first_bad])
+        with pytest.raises(StateValidationError) as got:
+            diagonal_filter_rows(rows)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", list(BAD))
+    def test_one_bad_row(self, kind, where):
+        rows = np.tile(self.GOOD, (7, 1))
+        rows[where] = self.BAD[kind]
+        self.check(rows)
+
+    @pytest.mark.parametrize(
+        "kinds", [("above-one", "nan"), ("nan", "above-one"), ("inf", "above-one")]
+    )
+    def test_only_the_first_bad_row_counts(self, kinds):
+        rows = np.tile(self.GOOD, (6, 1))
+        rows[2], rows[4] = self.BAD[kinds[0]], self.BAD[kinds[1]]
+        self.check(rows)
+
+    def test_the_bound_admits_round_off(self):
+        rows = np.tile(self.GOOD, (3, 1))
+        rows[1, 1] = 1.0 + 1e-12
+        assert diagonal_filter_rows(rows)[1].coeffs[1] == 1.0 + 1e-12
+
+    def test_zero_width_rows(self):
+        with pytest.raises(StateValidationError) as want:
+            DiagonalFilter(np.zeros(0))
+        with pytest.raises(StateValidationError) as got:
+            diagonal_filter_rows(np.zeros((3, 0)))
+        assert str(got.value) == str(want.value) == "filter needs at least one coefficient"
+        assert diagonal_filter_rows(np.zeros((0, 0))) == []
+        assert diagonal_filter_rows(np.zeros((0, 4))) == []
+
+    def test_filters_are_read_only_row_views(self):
+        rows = np.array([[0.5, 1.0, 0.25, 1.0], [1.0, 0.0, 0.5j, 0.75]])
+        filters = diagonal_filter_rows(rows)
+        assert len(filters) == 2
+        for filt, row in zip(filters, rows):
+            assert type(filt) is DiagonalFilter
+            assert filt.coeffs.ndim == 1 and filt.coeffs.dtype == complex
+            assert not filt.coeffs.flags.writeable
+            assert filt.coeffs.view(float).tobytes() == DiagonalFilter(row).coeffs.view(float).tobytes()
+            with pytest.raises(ValueError):
+                filt.coeffs[0] = 0.0
+        # one frozen copy: the caller's array stays writable and unshared
+        assert filters[0].coeffs.base is filters[1].coeffs.base
+        assert rows.flags.writeable and not np.shares_memory(rows, filters[0].coeffs)
+        rows[0, 0] = 0.0
+        assert filters[0].coeffs[0] == 0.5
+        with pytest.raises(AttributeError):
+            filters[0].coeffs = np.ones(4)
+
+    def test_filters_work_as_constructed_ones(self):
+        state = product_pure_state(0.1, 2)
+        rows = np.array([[0.5, 1.0, 0.8, 1.0], [0.1, 0.3, 0.3, 1.0]])
+        for filt, row in zip(diagonal_filter_rows(rows), rows):
+            built = DiagonalFilter(row)
+            assert filt.dim == built.dim == 4
+            assert np.array_equal(filt.intensities, built.intensities)
+            assert np.array_equal(filt.matrix(), built.matrix())
+            assert success_probability(state, filt) == success_probability(state, built)
+            assert repr(filt) == repr(built)
 
 
 def _state_with_zeros(rng, d, rank, zeros):

@@ -39,6 +39,7 @@ from coherence_forge.synthesis import (
     coherence_upper_branch,
     energy_lower_branch,
     energy_upper_branch,
+    reachable_success_range,
     solve_inverse_temperature,
     success_threshold,
 )
@@ -941,7 +942,6 @@ class TestOptimalFilter:
         "target, name",
         [
             (FilterTarget.ENERGY, "energy_optimal_filter"),
-            (FilterTarget.COHERENCE, "coherence_optimal_filter_pure"),
         ],
     )
     def test_optimal_frontier_traces_the_public_synthesizer(self, monkeypatch, target, name):
@@ -952,6 +952,38 @@ class TestOptimalFilter:
         pts = trace_frontier(self.STATE, TWO_QUBIT_SPECTRUM, target, FilterFamily.OPTIMAL, grid=5)
         assert all(np.array_equal(pt.filter.coeffs, np.ones(4)) for pt in pts)
         assert [pt.p_success for pt in pts] == pytest.approx([1.0] * 5)
+
+    def test_optimal_frontier_and_synthesizer_share_the_row_water_fill(self, monkeypatch):
+        """The pure-state coherence frontier and ``coherence_optimal_filter_pure``
+        both come from ``_waterfill_rows``: they agree bit for bit, and a
+        patched row water-fill moves both."""
+        grid = 5
+        requested = np.linspace(
+            *reachable_success_range(
+                self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget.COHERENCE, FilterFamily.OPTIMAL
+            ),
+            grid,
+        ).tolist()
+
+        def frontier_and_single():
+            pts = trace_frontier(
+                self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget.COHERENCE, FilterFamily.OPTIMAL, grid=grid
+            )
+            singles = [coherence_optimal_filter_pure(self.STATE, ps) for ps in requested]
+            return [pt.filter for pt in pts], singles
+
+        traced, singles = frontier_and_single()
+        for got, want in zip(traced, singles):
+            assert got.coeffs.view(float).tobytes() == want.coeffs.view(float).tobytes()
+        assert not all(np.array_equal(filt.coeffs, np.ones(4)) for filt in traced)
+
+        def unfiltered(state, ps):
+            return np.ones((len(ps), state.dim), dtype=complex)
+
+        monkeypatch.setattr(synthesis, "_waterfill_rows", unfiltered)
+        traced, singles = frontier_and_single()
+        assert len(traced) == len(singles) == grid
+        assert all(np.array_equal(filt.coeffs, np.ones(4)) for filt in traced + singles)
 
     def test_mixed_input_needs_the_tsallis_target(self):
         state = mixed_qubit_product(QubitParams(p=0.3, eta=0.5), 2)

@@ -162,6 +162,34 @@ def test_free_intensities_match_an_exact_solve(state, p_success):
     assert max((abs(got[j] - v) for j, v in zip(free, exact)), default=0.0) <= 5e-13
 
 
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(_block_diagonal(np.random.default_rng(1809)), id="block-diagonal"),
+        pytest.param(_isolated_level(np.random.default_rng(1809)), id="isolated-level"),
+        pytest.param(_clique(5, [0, 2, 4]), id="clique-3-of-5"),
+    ],
+)
+@pytest.mark.parametrize("p_success", [0.2, 0.55, 1.0])
+def test_only_exactly_singular_blocks_reach_the_pseudo_inverse(state, p_success, monkeypatch):
+    """A coherence-free pair of levels makes some KKT blocks exactly singular;
+    the blocks around them in their stack stay on LU."""
+    pinv = np.linalg.pinv
+    seen = []
+
+    def recording_pinv(a, *args, **kwargs):
+        seen.extend(np.array(a).reshape(-1, *np.shape(a)[-2:]))
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
+    tsallis_optimal_filter(state, p_success)
+    monkeypatch.undo()
+    assert seen
+    for block in seen:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(block)
+
+
 class TestKktInverses:
     def test_verified_blocks_keep_the_lu_inverse(self):
         kkt = np.array([[[2.0, 1.0], [1.0, 3.0]], [[0.0, -0.5], [1.0, 0.0]]])
@@ -179,9 +207,19 @@ class TestKktInverses:
         np.testing.assert_array_equal(got[0], np.linalg.inv(regular))
         np.testing.assert_array_equal(got[1], np.linalg.pinv(nearly))
 
-    def test_an_exactly_singular_block_sends_the_stack_to_the_pseudo_inverse(self):
-        kkt = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]]])
-        np.testing.assert_array_equal(_kkt_inverses(kkt), np.linalg.pinv(kkt))
+    def test_an_exactly_singular_block_alone_gets_the_pseudo_inverse(self):
+        """LU meets a zero pivot in the stack; the regular blocks keep their
+        LU inverses, and only the singular ones get the pseudo-inverse."""
+        regular = np.array([[2.0, 1.0], [1.0, 3.0]])
+        other = np.array([[0.0, -0.5], [1.0, 0.0]])
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+        kkt = np.array([regular, singular, other, singular, regular])
+        got = _kkt_inverses(kkt)
+        for block, inverse in zip(kkt, got):
+            if np.array_equal(block, singular):
+                np.testing.assert_array_equal(inverse, np.linalg.pinv(singular))
+            else:
+                np.testing.assert_array_equal(inverse, np.linalg.inv(block))
 
     def test_the_zero_block_of_no_free_level(self):
         np.testing.assert_array_equal(_kkt_inverses(np.zeros((1, 1, 1))), np.zeros((1, 1, 1)))

@@ -43,7 +43,7 @@ from coherence_forge import (
 )
 from coherence_forge.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from coherence_forge.oracle import check_search_args
-from coherence_forge.statecore import qstate_to_text
+from coherence_forge.statecore import diagonal_filter_rows, qstate_to_text
 from coherence_forge.svgplot import line_plot
 
 PAIR = product_pure_state(0.1, 2)
@@ -79,6 +79,12 @@ LIBRARY_CASES = {
     "state-one-dimensional": (lambda: QState(np.array([1.0])), StateValidationError,
                               "density matrix must be square"),
     "zero-ket": (lambda: QState.pure([0.0, 0.0]), StateValidationError, "zero amplitude vector"),
+    "filter-rows-no-coefficients": (lambda: diagonal_filter_rows(np.zeros((2, 0))),
+                                    StateValidationError, "filter needs at least one coefficient"),
+    "filter-rows-nan": (lambda: diagonal_filter_rows([[0.5, 1.0], [np.nan, 1.0]]),
+                        StateValidationError, "filter coefficients must be finite"),
+    "filter-rows-above-one": (lambda: diagonal_filter_rows([[0.5, 1.0], [0.5, 1.5]]),
+                              StateValidationError, r"filter coefficients must satisfy \|m\| <= 1"),
     "product-no-qubits": (lambda: product_pure_state(0.1, 0), StateValidationError,
                           "n_qubits must be at least 1"),
     "mixed-product-no-qubits": (lambda: mixed_qubit_product(QubitParams(0.1, 0.5), 0),
