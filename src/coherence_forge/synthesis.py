@@ -186,7 +186,10 @@ def energy_optimal_filter(
     The optimal structure zeroes every level below a cut energy, carries a
     single shared fractional amplitude on the degeneracy class at the cut,
     and passes everything above untouched. Reachable success probabilities
-    are bounded below by the population of the highest-energy class.
+    are bounded below by the population of the highest-energy class. Where
+    that class is unpopulated and no class above the cut passes population,
+    the cut class passes P_S alone and keeps the fraction P_S / its
+    population, so a tiny P_S is met to its own relative precision.
     """
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
@@ -210,7 +213,15 @@ def energy_optimal_filter(
             amplitude = 0.0
             to_remove -= group_pop
         else:
-            kept = (group_pop - to_remove) / group_pop
+            if top_pop < ZERO_POPULATION and not any(
+                pops[j] >= ZERO_POPULATION for above in classes[c + 1 :] for j in above
+            ):
+                # the cut class is the highest to pass population, so it
+                # passes P_S alone: P_S keeps the relative precision that
+                # 1 - P_S has lost at a tiny P_S
+                kept = min(p_success, 1.0) / group_pop
+            else:
+                kept = (group_pop - to_remove) / group_pop
             # snap round-off at the class boundaries to the crisp pattern; a
             # tiny kept fraction is a tiny P_S, not round-off, when no class
             # above passes population
@@ -371,23 +382,28 @@ def _tsallis_layout(n: int, k: int) -> tuple[np.ndarray, ...]:
     which depend on nothing else; read-only, since every call shares them:
 
     * ``free`` and ``rest``: the free and the other positions, one row per set;
-    * ``bits``: every 0/1 choice of the other positions, one row per choice,
-      as floats;
+    * ``bits``: every 0/1 choice of the other positions as one column of an
+      (n-k) x 2^(n-k) matrix of floats;
     * ``order``: per set, the gather that puts [free values, choice] in
       level order;
-    * ``free_free`` and ``rest_free``: per set, the flat indices into an
-      n x n matrix W of W[F, F] and of W[F, R]^T.
+    * ``kkt``: per set, the (k+1) x (k+1) flat indices of the bordered block
+      into [W.ravel(), -s p/2, s p, 0] for an n x n matrix W and n-vector p:
+      W[F, F], the column -s p_F/2, the row s p_F and the corner 0;
+    * ``rest_free``: per set, the flat indices into W of W[F, R].
     """
     free = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     sets = free.shape[0]
     rest_mask = np.ones((sets, n), dtype=bool)
     rest_mask[np.arange(sets)[:, None], free] = False
     rest = np.nonzero(rest_mask)[1].reshape(sets, n - k)
-    bits = ((np.arange(2 ** (n - k))[:, None] >> np.arange(n - k)) & 1).astype(float)
+    bits = ((np.arange(2 ** (n - k)) >> np.arange(n - k)[:, None]) & 1).astype(float)
     order = np.argsort(np.concatenate([free, rest], axis=1), axis=1)
-    free_free = n * free[:, :, None] + free[:, None, :]
-    rest_free = n * free[:, None, :] + rest[:, :, None]
-    tables = (free, rest, bits, order, free_free, rest_free)
+    kkt = np.full((sets, k + 1, k + 1), n * n + 2 * n, dtype=np.intp)
+    kkt[:, :k, :k] = n * free[:, :, None] + free[:, None, :]
+    kkt[:, :k, k] = n * n + free
+    kkt[:, k, :k] = n * n + n + free
+    rest_free = n * free[:, :, None] + rest[:, None, :]
+    tables = (free, rest, bits, order, kkt, rest_free)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -440,11 +456,20 @@ def _tsallis_candidates(
     2^n - 1 inverted blocks for the 3^n assignments of n populated levels (the
     1 x 1 zero block of no free level has the pseudo-inverse 0). P_S
     enters only the last entry of the right-hand side, so each candidate is
-    affine in P_S. A row is kept when its stationarity residual is at most
-    1e-8 (a singular system may get a pseudo-solution), its P_S residual at
-    most 1e-12 P_S and every free intensity lies in [-1e-12 P_S, 1 + 1e-12];
-    the free intensities are then clipped to [0, 1]. Only the kept rows are laid
-    out as intensity vectors.
+    affine in P_S.
+
+    The stacks of one size k are set-major, with the choices as columns: the
+    blocks K, of shape (sets, k+1, k+1), come from one gather of
+    [W, -s p/2, s p, 0] through the cached index table of
+    :func:`_tsallis_layout`; the right-hand sides, of shape
+    (sets, k+1, 2^(n-k)), from W[F, R] times the choice columns; and the
+    solutions K^-1 rhs and residuals |K sol - rhs| keep that shape. A column
+    is kept when its stationarity residual is at most 1e-8 (a singular system
+    may get a pseudo-solution), its P_S residual at most 1e-12 P_S and every
+    free intensity lies in [-1e-12 P_S, 1 + 1e-12], each tested by one max or
+    min across the free axis (a NaN fails it); the free intensities are then
+    clipped to [0, 1]. Only the kept columns are laid out as intensity
+    vectors.
 
     Returns the feasible candidates, one per row, in no particular order.
     """
@@ -458,34 +483,34 @@ def _tsallis_candidates(
     neg_idle = -overlap[np.ix_(act_idx, idle)].sum(axis=1) if idle.size else None
     p = pops[act_idx]
     border = scale * p
-    half_border = -border / 2.0
+    entries = np.concatenate([w, -border / 2.0, border, [0.0]])
+    ps_tol = 1e-12 * scale * p_success
     cands = []
     for k in range(n + 1):
-        free, rest, bits, order, free_free, rest_free = _tsallis_layout(n, k)
-        sets = free.shape[0]
-        kkt = np.zeros((sets, k + 1, k + 1))
-        kkt[:, :k, :k] = w.take(free_free)
-        kkt[:, :k, k] = half_border[free]
-        kkt[:, k, :k] = border[free]
-        rhs = np.empty((sets, bits.shape[0], k + 1))
-        np.matmul(bits, neg_w.take(rest_free), out=rhs[:, :, :k])
-        if neg_idle is not None:
-            rhs[:, :, :k] += neg_idle[free][:, None, :]
-        rhs[:, :, k] = scale * (p_success - p[rest] @ bits.T)
+        free, rest, bits, order, kkt_idx, rest_free = _tsallis_layout(n, k)
+        rhs = np.empty((free.shape[0], k + 1, bits.shape[1]))
+        rhs[:, k] = scale * (p_success - p[rest] @ bits)
         if k:
-            sol = rhs @ _kkt_inverses(kkt).transpose(0, 2, 1)
-            resid = np.abs(sol @ kkt.transpose(0, 2, 1) - rhs)
+            np.matmul(neg_w.take(rest_free), bits, out=rhs[:, :k])
+            if neg_idle is not None:
+                rhs[:, :k] += neg_idle[free][:, :, None]
+            kkt = entries.take(kkt_idx)
+            sol = _kkt_inverses(kkt) @ rhs
+            resid = np.abs(kkt @ sol - rhs)
+            m_free = sol[:, :k]
+            # NaN propagates through max and min, and fails every comparison
+            ok = (
+                (resid[:, :k].max(axis=1) <= 1e-8)
+                & (resid[:, k] <= ps_tol)
+                & (m_free.min(axis=1) >= -1e-12 * p_success)
+                & (m_free.max(axis=1) <= 1.0 + 1e-12)
+            )
         else:
             # no free level: the solution is 0 and its residual |rhs|
-            sol, resid = np.zeros_like(rhs), np.abs(rhs)
-        m_free = sol[:, :, :k]
-        ok = (
-            (resid[:, :, :k] <= 1e-8).all(axis=2)
-            & (resid[:, :, k] <= 1e-12 * scale * p_success)
-            & ((m_free >= -1e-12 * p_success) & (m_free <= 1.0 + 1e-12)).all(axis=2)
-        )
+            m_free = rhs[:, :0]
+            ok = np.abs(rhs[:, 0]) <= ps_tol
         set_idx, bit_idx = ok.nonzero()
-        x = np.concatenate([m_free[ok].clip(0.0, 1.0), bits[bit_idx]], axis=1)
+        x = np.concatenate([m_free[set_idx, :, bit_idx].clip(0.0, 1.0), bits.T[bit_idx]], axis=1)
         cands.append(x[np.arange(set_idx.size)[:, None], order[set_idx]])
     x = np.concatenate(cands)
     if not idle.size:

@@ -110,16 +110,19 @@ class TestFilterCommand:
         assert code == EXIT_OK
         assert "P_S achieved = 0.3" in out
 
-    def test_energy_target_at_a_tiny_success_probability(self, capsys, tmp_path):
-        # the cut class is the highest one with population: it alone passes P_S
+    @pytest.mark.parametrize("ps", ["2e-14", "1e-13"])
+    def test_energy_target_at_a_tiny_success_probability(self, capsys, tmp_path, ps):
+        # the cut class is the highest one with population: it alone passes
+        # P_S, met to the last digits printed
         state_path = tmp_path / "state.txt"
         state_path.write_text(qstate_to_text(QState.pure(np.sqrt([0.25, 0.25, 0.5, 0.0]))))
         code, out, err = run(
-            capsys, "filter", "--state", str(state_path), "--ps", "1e-13",
-            "--target", "energy", "--mode", "general",
+            capsys, "filter", "--mode", "general", "--target", "energy",
+            "--state", str(state_path), "--ps", ps,
         )
         assert (code, err) == (EXIT_OK, "")
-        assert "P_S achieved = 1.00" in out
+        achieved = float(out.split("P_S achieved = ")[1].split()[0])
+        assert abs(achieved - float(ps)) <= 1e-12 * float(ps)
         assert "output mean energy = 1\n" in out
 
     def test_log_base_2_leads_with_bits(self, capsys):

@@ -96,6 +96,26 @@ class TestEnergyOptimal:
         filt = energy_optimal_filter(s, TWO_QUBIT_SPECTRUM, 0.25 + 1e-14)
         assert np.array_equal(filt.coeffs, [0, 0, 0, 1])
 
+    @pytest.mark.parametrize(
+        "state, spectrum",
+        [
+            pytest.param(
+                QState.pure(np.sqrt([0.25, 0.25, 0.5, 0.0])), TWO_QUBIT_SPECTRUM, id="d4-top-empty"
+            ),
+            pytest.param(
+                QState.pure(np.sqrt([0.1, 0.15, 0.2, 0.25, 0.3, 0.0, 0.0, 0.0])),
+                EnergySpectrum(np.array([0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0])),
+                id="d8-two-top-classes-empty",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("ps", [2e-14, 1e-12, 1e-10, 1e-6])
+    def test_tiny_success_probability_is_met_to_relative_precision(self, state, spectrum, ps):
+        # the cut class is the highest with population, so it passes P_S
+        # alone; 1 - P_S would hold only the leading digits of a tiny P_S
+        filt = energy_optimal_filter(state, spectrum, ps)
+        assert abs(success_probability(state, filt) - ps) <= 1e-12 * ps
+
     def test_rejects_unreachable(self):
         s = product_pure_state(0.1, 2)
         with pytest.raises(UnreachableSuccessProbability):

@@ -225,21 +225,32 @@ class TestKktInverses:
         np.testing.assert_array_equal(_kkt_inverses(np.zeros((1, 1, 1))), np.zeros((1, 1, 1)))
 
 
-@pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (4, 2), (6, 0), (6, 6)])
-def test_layout_tables_are_read_only_and_consistent(n, k):
-    free, rest, bits, order, free_free, rest_free = _tsallis_layout(n, k)
-    for table in (free, rest, bits, order, free_free, rest_free):
+@pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (4, 2), (6, 0), (6, 3), (6, 6)])
+def test_layout_tables_are_read_only_cached_and_rebuild_the_blocks(n, k):
+    tables = _tsallis_layout(n, k)
+    free, rest, bits, order, kkt, rest_free = tables
+    for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[...] = 0
-    assert _tsallis_layout(n, k)[0] is free  # filled once per (n, k)
-    assert free.shape[1] == k and rest.shape[1] == n - k and bits.shape == (2 ** (n - k), n - k)
+    assert _tsallis_layout(n, k) is tables  # filled once per (n, k)
+    sets = free.shape[0]
+    assert free.shape[1] == k and rest.shape == (sets, n - k) and bits.shape == (n - k, 2 ** (n - k))
+    assert kkt.shape == (sets, k + 1, k + 1) and rest_free.shape == (sets, k, n - k)
     positions = np.concatenate([free, rest], axis=1)
     np.testing.assert_array_equal(
         np.take_along_axis(positions, order, axis=1), np.broadcast_to(np.arange(n), positions.shape)
     )
-    w = np.arange(n * n, dtype=float).reshape(n, n)
-    np.testing.assert_array_equal(w.take(free_free), w[free[:, :, None], free[:, None, :]])
-    np.testing.assert_array_equal(
-        w.take(rest_free), w[free[:, :, None], rest[:, None, :]].transpose(0, 2, 1)
-    )
+    # column b of ``bits`` is the binary expansion of b, lowest position first
+    np.testing.assert_array_equal(2 ** np.arange(n - k) @ bits, np.arange(2 ** (n - k)))
+    # the blocks as they were built before the index table: zeros, then W[F, F],
+    # the column -s p_F/2 and the row s p_F
+    rng = np.random.default_rng(n * 10 + k)
+    w, border = rng.random((n, n)), 0.7 * rng.random(n)
+    blocks = np.zeros((sets, k + 1, k + 1))
+    blocks[:, :k, :k] = w[free[:, :, None], free[:, None, :]]
+    blocks[:, :k, k] = (-border / 2.0)[free]
+    blocks[:, k, :k] = border[free]
+    entries = np.concatenate([w.ravel(), -border / 2.0, border, [0.0]])
+    np.testing.assert_array_equal(entries.take(kkt), blocks)
+    np.testing.assert_array_equal(w.ravel().take(rest_free), w[free[:, :, None], rest[:, None, :]])
