@@ -21,7 +21,15 @@ built once; its rows that some grid head's P_S band can reach are sorted by
 success probability and kept as contiguous columns, so the band of each head
 is one contiguous run of them and its candidates are evaluated in P_S order;
 of a head's maximal candidates the one first in enumeration order wins.
-Each refinement sweep evaluates its trial moves in one batch.
+The heads' winners are snapped onto the exact constraint in one batch: every
+winner's projections are built as arrays and scored in one objective call.
+Each refinement sweep builds its remaining trial moves as one ``(k, d)``
+array (the move, its box test and the projection onto the exact P_S) and
+scores them in one call. Every per-row P_S in the snap and the refinement is
+the stacked product ``rows[:, None, :] @ pops[:, None]``, which equals
+``float(np.dot(row, pops))`` of each row bit for bit, so bit identity with
+the one-vector search rests on that identity; it is verified, by
+``tests/test_oracle_reference.py``, only on the numpy and BLAS builds CI runs.
 The candidates, the winners and the first-improvement order are those of a
 one-candidate-at-a-time search, so results for the energy and both
 relative-entropy targets match it bit for bit. The Tsallis target sums its
@@ -201,50 +209,11 @@ def _fractional(m: np.ndarray, pops: np.ndarray) -> list[int]:
     ]
 
 
-def _project(
-    vec: np.ndarray, comp: int, pops: np.ndarray, p_success: float
-) -> np.ndarray | None:
-    """Rescale one coordinate so the success probability is exactly on target."""
-    rest = float(np.dot(vec, pops)) - vec[comp] * pops[comp]
-    val = (p_success - rest) / pops[comp]
-    if not -1e-12 <= val <= 1.0 + 1e-12:
-        return None
-    out = vec.copy()
-    out[comp] = min(max(val, 0.0), 1.0)
-    return out
-
-
-def _snap_to_constraint(
-    m: np.ndarray, objective: _Objective, pops: np.ndarray, p_success: float
-) -> tuple[np.ndarray, float] | None:
-    """Best exact-constraint projection of a banded grid candidate, or the
-    candidate itself when it already sits on the constraint.
-
-    Prefers rescaling a fractional coordinate (preserving the boundary
-    pattern); when the pattern cannot absorb the gap, the nearest boundary
-    coordinate is moved instead.
-    """
-    if abs(float(np.dot(m, pops)) - p_success) <= 1e-12:
-        return m.copy(), float(objective(m[None, :], np.array([p_success]))[0])
-    for compensators in (
-        _fractional(m, pops),
-        [int(j) for j in np.flatnonzero(pops > 1e-14)],
-    ):
-        snapped = [
-            vec
-            for vec in (_project(m, comp, pops, p_success) for comp in compensators)
-            if vec is not None
-        ]
-        if snapped:
-            vals = objective(np.array(snapped), np.full(len(snapped), p_success))
-            best = int(np.argmax(vals))
-            return snapped[best], float(vals[best])
-    return None
-
-
-def _values(objective: _Objective, rows: list[np.ndarray], pops: np.ndarray) -> np.ndarray:
-    """Objective of each intensity vector at its own success probability."""
-    return objective(np.array(rows), np.array([float(np.dot(vec, pops)) for vec in rows]))
+def _row_dots(rows: np.ndarray, pops: np.ndarray) -> np.ndarray:
+    """``float(np.dot(row, pops))`` of each row of ``rows``, bit for bit: the
+    stacked product takes one vector dot per row (a 2-D ``rows @ pops``
+    rounds otherwise)."""
+    return (rows[:, None, :] @ pops[:, None])[:, 0, 0]
 
 
 def _refine(
@@ -261,41 +230,45 @@ def _refine(
     success probability stays exactly on target.
 
     A sweep tries the moves (j, comp, sign) in a fixed order and takes the
-    first that improves. The moves left in the sweep are built from the
-    current ``m`` and evaluated in one batch; after an improvement the moves
-    that follow it are rebuilt from the new ``m``.
+    first that improves. The moves left in the sweep are one ``(k, d)`` trial
+    array built from the current ``m``: coordinate j moves to ``m[j] +
+    sign*step`` and must stay in [0, 1]; coordinate comp becomes ``(P_S -
+    rest) / pops[comp]``, with ``rest`` the trial's P_S without comp, and must
+    lie in [-1e-12, 1 + 1e-12] before it is clipped to [0, 1]. The trials
+    that pass are scored in one batch; after an improvement the moves that
+    follow it are rebuilt from the new ``m``.
     """
-    m = m.copy()
     frac = _fractional(m, pops)
-    if not frac:
+    pairs = [(j, comp) for j in frac for comp in frac if comp != j]
+    if not pairs:
         return m
-    moves = [(j, comp, sign) for j in frac for comp in frac if comp != j for sign in (1.0, -1.0)]
-
-    best_val = float(_values(objective, [m], pops)[0])
+    moved_at, comp_at = np.repeat(pairs, 2, axis=0).T
+    signs = np.tile([1.0, -1.0], len(pairs))
+    best_val = float(objective(m[None, :], _row_dots(m[None, :], pops))[0])
     step = grid_step
     while step > _REFINE_FLOOR:
         improved = False
         start = 0
-        while start < len(moves):
-            trials, after = [], []
-            for k in range(start, len(moves)):
-                j, comp, sign = moves[k]
-                trial = m.copy()
-                trial[j] += sign * step
-                if not 0.0 <= trial[j] <= 1.0:
-                    continue
-                trial = _project(trial, comp, pops, p_success)
-                if trial is not None:
-                    trials.append(trial)
-                    after.append(k + 1)
-            if not trials:
+        while start < signs.size:
+            j, comp = moved_at[start:], comp_at[start:]
+            at = np.arange(j.size)
+            trials = np.repeat(m[None, :], j.size, axis=0)
+            moved = m[j] + signs[start:] * step
+            trials[at, j] = moved
+            val = (p_success - (_row_dots(trials, pops) - m[comp] * pops[comp])) / pops[comp]
+            trials[at, comp] = np.clip(val, 0.0, 1.0)
+            keep = np.flatnonzero(
+                (moved >= 0.0) & (moved <= 1.0) & (val >= -1e-12) & (val <= 1.0 + 1e-12)
+            )
+            if not keep.size:
                 break
-            vals = _values(objective, trials, pops)
+            trials = trials[keep]
+            vals = objective(trials, _row_dots(trials, pops))
             better = np.flatnonzero(vals > best_val + 1e-15)
             if not better.size:
                 break
             i = int(better[0])
-            m, best_val, start = trials[i], float(vals[i]), after[i]
+            m, best_val, start = trials[i], float(vals[i]), start + int(keep[i]) + 1
             improved = True
         if not improved:
             step *= 0.5
@@ -416,13 +389,23 @@ def grid_search(
         )
 
     # Banded candidates are only comparable after exact projection: a lower
-    # actual P_S inside the band would otherwise inflate the objective.
-    start: tuple[np.ndarray, float] | None = None
-    for _, cand, _ in winners:  # head order keeps ties lexicographic
-        snapped = _snap_to_constraint(cand, objective, pops, p_success)
-        if snapped is not None and (start is None or snapped[1] > start[1]):
-            start = snapped
-    if start is None:
+    # actual P_S inside the band would otherwise inflate the objective. A
+    # winner on the constraint (to 1e-12) is its own projection; otherwise
+    # each coordinate in turn absorbs the gap, from the fractional ones when
+    # one of them can (keeping the boundary pattern), else from every
+    # populated one. All projections are scored in one batch, in head order
+    # and coordinate order, so its first maximum is each winner's first
+    # maximum, taken where a later winner does not strictly beat it.
+    cand = np.array([row for _, row, _ in winners])
+    dots = _row_dots(cand, pops)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = (p_success - (dots[:, None] - cand * pops)) / pops
+    fits = (val >= -1e-12) & (val <= 1.0 + 1e-12) & (pops > 1e-14)
+    frac = fits & (cand > 1e-12) & (cand < 1.0 - 1e-12)
+    on = np.abs(dots - p_success) <= 1e-12
+    tier = np.where(frac.any(axis=1)[:, None], frac, fits) & ~on[:, None]
+    owner, comp = np.nonzero(np.column_stack([tier, on]))  # column d: the winner itself
+    if not owner.size:
         # every winner is stuck on the box boundary; fall back to the best
         # raw candidate with its own (banded) success probability
         raw = max(winners, key=lambda r: r[0])
@@ -431,8 +414,12 @@ def grid_search(
             objective=raw[0],
             p_success=raw[2],
         )
+    snapped = cand[owner]
+    proj = np.flatnonzero(comp < d)
+    snapped[proj, comp[proj]] = np.clip(val[owner[proj], comp[proj]], 0.0, 1.0)
+    start = snapped[int(np.argmax(objective(snapped, np.full(owner.size, p_success))))]
 
-    refined = _refine(start[0], objective, pops, p_success, grid_step)
+    refined = _refine(start, objective, pops, p_success, grid_step)
     actual_ps = float(np.dot(refined, pops))
     value = float(objective(refined[None, :], np.array([actual_ps]))[0])
     return OracleResult(

@@ -178,6 +178,13 @@ def _sum(values: list[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _passed_above(pops: list[float], classes: list[list[int]], c: int) -> float:
+    """Population of the populated levels of the classes above class ``c``."""
+    return _sum(
+        [pops[j] for upper in classes[c + 1 :] for j in upper if pops[j] >= ZERO_POPULATION]
+    )
+
+
 def energy_optimal_filter(
     state: QState, spectrum: EnergySpectrum, p_success: float
 ) -> DiagonalFilter:
@@ -186,10 +193,14 @@ def energy_optimal_filter(
     The optimal structure zeroes every level below a cut energy, carries a
     single shared fractional amplitude on the degeneracy class at the cut,
     and passes everything above untouched. Reachable success probabilities
-    are bounded below by the population of the highest-energy class. Where
-    that class is unpopulated and no class above the cut passes population,
-    the cut class passes P_S alone and keeps the fraction P_S / its
-    population, so a tiny P_S is met to its own relative precision.
+    are bounded below by the population of the highest-energy class. Below
+    P_S = 1e-4, where ``1 - P_S`` has lost the digits of P_S, a class is cut
+    where the population the classes above it pass stops meeting P_S, and
+    the cut class keeps the fraction (P_S - that population) / its own
+    population, 0 only where that difference is round-off of P_S. The same
+    fraction serves a larger P_S when the highest-energy class is
+    unpopulated and no class above the cut passes population. So a tiny P_S
+    is met to its own relative precision.
     """
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
@@ -201,39 +212,37 @@ def energy_optimal_filter(
     )
 
     amplitudes = [1.0] * state.dim
-    to_remove = max(1.0 - min(p_success, 1.0), 0.0)
+    ps = min(p_success, 1.0)
+    tiny = ps < 1e-4
+    to_remove = max(1.0 - ps, 0.0)
     for c, group in enumerate(classes):
-        if to_remove <= 1e-15:
+        if to_remove <= 1e-15 and not tiny:
             break
         live = [j for j in group if pops[j] >= ZERO_POPULATION]
         group_pop = _sum([pops[j] for j in live])
         if group_pop <= 0.0:
             continue
-        if group_pop <= to_remove:
-            amplitude = 0.0
+        if (_passed_above(pops, classes, c) >= ps) if tiny else (group_pop <= to_remove):
+            for j in live:
+                amplitudes[j] = 0.0
             to_remove -= group_pop
+            continue
+        if tiny or (top_pop < ZERO_POPULATION and not _passed_above(pops, classes, c)):
+            rest = ps - _passed_above(pops, classes, c)
+            kept = rest / group_pop if rest > 1e-12 * ps else 0.0
         else:
-            if top_pop < ZERO_POPULATION and not any(
-                pops[j] >= ZERO_POPULATION for above in classes[c + 1 :] for j in above
-            ):
-                # the cut class is the highest to pass population, so it
-                # passes P_S alone: P_S keeps the relative precision that
-                # 1 - P_S has lost at a tiny P_S
-                kept = min(p_success, 1.0) / group_pop
-            else:
-                kept = (group_pop - to_remove) / group_pop
+            kept = (group_pop - to_remove) / group_pop
             # snap round-off at the class boundaries to the crisp pattern; a
             # tiny kept fraction is a tiny P_S, not round-off, when no class
             # above passes population
-            if kept < 1e-12:
-                if any(pops[j] >= ZERO_POPULATION for above in classes[c + 1 :] for j in above):
-                    kept = 0.0
-            elif kept > 1.0 - 1e-12:
-                kept = 1.0
-            amplitude = math.sqrt(kept)
-            to_remove = 0.0
+            if kept < 1e-12 and _passed_above(pops, classes, c):
+                kept = 0.0
+        if kept > 1.0 - 1e-12:
+            kept = 1.0
+        amplitude = math.sqrt(kept)
         for j in live:
             amplitudes[j] = amplitude
+        break
     return DiagonalFilter(np.array(amplitudes, dtype=complex))
 
 

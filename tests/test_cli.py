@@ -125,6 +125,21 @@ class TestFilterCommand:
         assert abs(achieved - float(ps)) <= 1e-12 * float(ps)
         assert "output mean energy = 1\n" in out
 
+    def test_energy_target_at_a_tiny_success_probability_under_a_populated_top(
+        self, capsys, tmp_path
+    ):
+        # the top level passes 1e-13 whole, the cut class the other 5e-14
+        state_path = tmp_path / "state.txt"
+        state = QState.pure(np.sqrt([0.5, 0.25, 0.25 - 1e-13, 1e-13]))
+        state_path.write_text(qstate_to_text(state))
+        code, out, err = run(
+            capsys, "filter", "--mode", "general", "--target", "energy",
+            "--state", str(state_path), "--ps", "1.5e-13",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        achieved = float(out.split("P_S achieved = ")[1].split()[0])
+        assert abs(achieved - 1.5e-13) <= 1e-12 * 1.5e-13
+
     def test_log_base_2_leads_with_bits(self, capsys):
         code, out, _ = run(
             capsys,

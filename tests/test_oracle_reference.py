@@ -3,11 +3,13 @@
 ``_reference_grid_search`` keeps that search verbatim: the mixed-state
 relative-entropy objective builds a ``DiagonalFilter`` and a filtered
 ``QState`` per candidate, every grid head masks the whole tail block, and
-refinement and constraint snapping evaluate one vector at a time. The
-unchanged helpers (``_grid_axis``, ``_fractional``, ``_project`` and the
-other objectives) are shared.
+refinement and constraint snapping evaluate one vector at a time through
+``_project``. The unchanged helpers (``_grid_axis``, ``_fractional`` and the
+other objectives) are shared. ``_REACHED`` counts the branches the reference
+takes, so a case can show which branch of the batched search it exercises.
 """
 
+import collections
 import itertools
 import sys
 
@@ -34,11 +36,14 @@ from coherence_forge.oracle import (
     _Objective,
     _fractional,
     _grid_axis,
-    _project,
+    _row_dots,
     _tail_columns,
     grid_search,
 )
 from coherence_forge.statecore import _row_entropy
+
+# Branches the reference search took since the last clear().
+_REACHED = collections.Counter()
 
 
 class _ReferenceObjective(_Objective):
@@ -76,14 +81,28 @@ def _search_chunk(
     return float(vals[i]), full[i].copy(), float(cand_ps[i])
 
 
+def _project(
+    vec: np.ndarray, comp: int, pops: np.ndarray, p_success: float
+) -> np.ndarray | None:
+    """Rescale one coordinate so the success probability is exactly on target."""
+    rest = float(np.dot(vec, pops)) - vec[comp] * pops[comp]
+    val = (p_success - rest) / pops[comp]
+    if not -1e-12 <= val <= 1.0 + 1e-12:
+        return None
+    out = vec.copy()
+    out[comp] = min(max(val, 0.0), 1.0)
+    return out
+
+
 def _snap_to_constraint(
     m: np.ndarray, objective: _Objective, pops: np.ndarray, p_success: float
 ) -> tuple[np.ndarray, float] | None:
     if abs(float(np.dot(m, pops)) - p_success) <= 1e-12:
+        _REACHED["on-constraint"] += 1
         return m.copy(), float(objective(m[None, :], np.array([p_success]))[0])
-    for compensators in (
-        _fractional(m, pops),
-        [int(j) for j in np.flatnonzero(pops > 1e-14)],
+    for tier, compensators in (
+        ("fractional-tier", _fractional(m, pops)),
+        ("populated-tier", [int(j) for j in np.flatnonzero(pops > 1e-14)]),
     ):
         best: tuple[np.ndarray, float] | None = None
         for comp in compensators:
@@ -94,6 +113,7 @@ def _snap_to_constraint(
             if best is None or val > best[1]:
                 best = (snapped, val)
         if best is not None:
+            _REACHED[tier] += 1
             return best
     return None
 
@@ -125,9 +145,11 @@ def _refine(
                     trial = m.copy()
                     trial[j] += sign * step
                     if not 0.0 <= trial[j] <= 1.0:
+                        _REACHED["refine-box-rejected"] += 1
                         continue
                     trial = _project(trial, comp, pops, p_success)
                     if trial is None:
+                        _REACHED["refine-range-rejected"] += 1
                         continue
                     val = value(trial)
                     if val > best_val + 1e-15:
@@ -174,6 +196,7 @@ def _reference_grid_search(state, spectrum, target, p_success, grid_step, tolera
         if snapped is not None and (start is None or snapped[1] > start[1]):
             start = snapped
     if start is None:
+        _REACHED["raw-fallback"] += 1
         raw = max(winners, key=lambda r: r[0])
         return raw[0], np.sqrt(np.clip(raw[1], 0.0, 1.0)).astype(complex), raw[2]
 
@@ -252,7 +275,36 @@ def _cases():
         case(_random_mixed(rng, 2), FilterTarget.COHERENCE, 0.7, 0.05, None, id="d2-mixed"),
         case(_random_mixed(rng, 3), FilterTarget.COHERENCE_TSALLIS, 0.95, 0.02, None, id="d3-tsallis"),
     ]
-    return cases
+    return cases + [case(*values[1:], id=values[0]) for values in _BRANCH_CASES]
+
+
+# One search per branch of the batched snap and refinement, named by the
+# branch the reference takes on it: a grid winner already on the constraint,
+# a winner whose fractional coordinates cannot absorb the gap (projected on a
+# populated coordinate instead), every winner stuck on the box boundary (the
+# raw candidate is returned), and refinement trials rejected by the [0, 1]
+# box test and by the projection range.
+_PRODUCT = product_pure_state(0.3, 2)
+_BRANCH_CASES = [
+    ("on-constraint", _PRODUCT, FilterTarget.COHERENCE, 0.3, 0.5, None),
+    ("populated-tier", _PRODUCT, FilterTarget.ENERGY, 0.3, 0.5, None),
+    ("raw-fallback", QState.pure(np.sqrt([0.5, 0.5])), FilterTarget.COHERENCE, 0.9, 0.1, 2.0),
+    ("refine-box-rejected", _PRODUCT, FilterTarget.ENERGY, 0.5, 0.5, None),
+    ("refine-range-rejected", _PRODUCT, FilterTarget.COHERENCE_TSALLIS, 0.3, 0.25, None),
+]
+
+
+@pytest.mark.parametrize(
+    "branch, state, target, ps, step, tolerance",
+    _BRANCH_CASES,
+    ids=[values[0] for values in _BRANCH_CASES],
+)
+def test_branch_case_reaches_its_branch(branch, state, target, ps, step, tolerance):
+    _REACHED.clear()
+    _reference_grid_search(state, _spectrum(state.dim), target, ps, step, tolerance)
+    assert _REACHED[branch] > 0
+    if branch == "populated-tier":
+        assert not _REACHED["fractional-tier"] and not _REACHED["on-constraint"]
 
 
 @pytest.mark.parametrize("state, target, ps, step, tolerance", _cases())
@@ -265,6 +317,47 @@ def test_matches_reference_search(state, target, ps, step, tolerance):
     assert res.objective == ref_obj
     assert np.array_equal(res.filter.coeffs, ref_coeffs)
     assert res.p_success == ref_ps
+
+
+# Grid steps of the seeded sweep, coarse enough that the reference's
+# per-candidate mixed-state objective stays fast.
+_SWEEP_STEPS = {2: 0.05, 3: 0.1, 4: 0.2, 5: 0.25}
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("target", _TARGETS, ids=[t.value for t in _TARGETS])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_seeded_sweep_matches_reference_search(d, target, kind):
+    # 9 searches for each of 24 (d, target, kind): 216 in all
+    rng = np.random.default_rng([d, _TARGETS.index(target), kind == "mixed"])
+    spectrum = _spectrum(d)
+    for _ in range(9):
+        state = _random_ket(rng, d) if kind == "pure" else _random_mixed(rng, d)
+        ps = float(rng.uniform(0.05, 0.95))
+        tolerance = None if rng.random() < 0.7 else float(rng.uniform(0.05, 0.5))
+        step = _SWEEP_STEPS[d]
+        try:
+            ref = _reference_grid_search(state, spectrum, target, ps, step, tolerance)
+        except InfeasibleGrid:
+            with pytest.raises(InfeasibleGrid):
+                grid_search(state, spectrum, target, ps, grid_step=step, tolerance=tolerance)
+            continue
+        res = grid_search(state, spectrum, target, ps, grid_step=step, tolerance=tolerance)
+        assert np.array_equal(res.objective, ref[0])
+        assert np.array_equal(res.filter.coeffs, ref[1])
+        assert np.array_equal(res.p_success, ref[2])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_row_dots_are_the_vector_dots_bit_for_bit(d):
+    # the batched snap and refinement rest on this identity: each stacked row
+    # dot is the 1-D np.dot the one-vector-at-a-time search took
+    rng = np.random.default_rng(d)
+    rows, _ = _intensity_batch(rng, d, n=4000)
+    rows[1000:2000] = np.round(rows[1000:2000] / 0.02) * 0.02  # grid values
+    for pops in (rng.dirichlet(np.ones(d)), _random_mixed(rng, d).populations):
+        expected = [float(np.dot(row, pops)) for row in rows]
+        assert np.array_equal(_bits(_row_dots(rows, pops)), _bits(expected))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

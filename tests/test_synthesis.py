@@ -116,6 +116,16 @@ class TestEnergyOptimal:
         filt = energy_optimal_filter(state, spectrum, ps)
         assert abs(success_probability(state, filt) - ps) <= 1e-12 * ps
 
+    @pytest.mark.parametrize("ps", [1.5e-13, 3e-13, 5e-13, 1e-11])
+    def test_tiny_success_probability_under_a_populated_top_class(self, ps):
+        # the top class passes 1e-13 whole and the cut class {1, 2} the rest
+        # of P_S: a kept fraction near 1e-13 is the answer, not round-off
+        s = QState.pure(np.sqrt([0.5, 0.25, 0.25 - 1e-13, 1e-13]))
+        filt = energy_optimal_filter(s, TWO_QUBIT_SPECTRUM, ps)
+        mags = np.abs(filt.coeffs)
+        assert mags[0] == 0.0 and mags[1] == mags[2] > 0.0 and mags[3] == 1.0
+        assert abs(success_probability(s, filt) - ps) <= 1e-12 * ps
+
     def test_rejects_unreachable(self):
         s = product_pure_state(0.1, 2)
         with pytest.raises(UnreachableSuccessProbability):
