@@ -7,15 +7,17 @@ space is a subset of the feasible filters, so the oracle objective never
 exceeds the true optimum; a synthesizer passes when the oracle cannot beat
 the :func:`objective_value` of its filter at the same P_S.
 
-Every batch of intensity vectors is scored by one method,
-``_Objective.columns``. The energy, pure-state relative-entropy and Tsallis
-targets are scored term by term in one fixed order, so a candidate's value
-does not depend on its batch; a grid head scores its band straight from the
-columns of the sorted tail block, with its own intensities as scalars, and
-builds only the winning row. For a mixed input and the relative-entropy
-target the columns are stacked into rows for ``statecore.apply_filter_rows``,
-which checks each filtered state as ``apply_filter`` and ``QState`` check it
-and diagonalizes the batch with one stacked ``eigvalsh`` per bounded slice.
+Every batch of intensity vectors is scored by ``_Objective``. The energy,
+pure-state relative-entropy and Tsallis targets are scored term by term in
+one fixed order by ``_Objective.columns``, so a candidate's value does not
+depend on its batch; a grid head scores its band straight from the columns
+of the sorted tail block, with its own intensities as scalars, and builds
+only the winning row. For a mixed input and the relative-entropy target the
+rows (a grid head's columns stacked into rows) go to
+``statecore.apply_filter_rows``, which checks each filtered state as
+``apply_filter`` and ``QState`` check it and diagonalizes the batch with one
+stacked ``eigvalsh`` per bounded slice; it is the only objective that can
+raise, and a batch raises what its first failing row would raise.
 The tail block (every grid value of the last min(d, 3) intensities) is
 built once; its rows that some grid head's P_S band can reach are sorted by
 success probability and kept as contiguous columns, so the band of each head
@@ -23,10 +25,14 @@ is one contiguous run of them and its candidates are evaluated in P_S order;
 of a head's maximal candidates the one first in enumeration order wins.
 The heads' winners are snapped onto the exact constraint in one batch: every
 winner's projections are built as arrays and scored in one objective call.
-Each refinement sweep builds its remaining trial moves as one ``(k, d)``
-array (the move, its box test and the projection onto the exact P_S) and
-scores them in one call. Every per-row P_S in the snap and the refinement is
-the stacked product ``rows[:, None, :] @ pops[:, None]``, which equals
+The refinement builds its trial moves as one array (the move, its box test
+and the projection onto the exact P_S), and one objective call scores three
+segments of them: the moves left in the current pass, the moves the next
+pass at that step tries first, and every move at the halved step. So a chain
+of failing step levels costs one call per two levels. The first call also
+scores the starting point, and the refinement returns the value of the point
+it ends on. Every per-row P_S in the snap and the refinement is the stacked
+product ``rows[:, None, :] @ pops[:, None]``, which equals
 ``float(np.dot(row, pops))`` of each row bit for bit, so bit identity with
 the one-vector search rests on that identity; it is verified, by
 ``tests/test_oracle_reference.py``, only on the numpy and BLAS builds CI runs.
@@ -39,8 +45,10 @@ refinement that meets a near-tie at that level can end at another point,
 whose objective agrees to within 1e-12 relative. Which error is raised can
 differ: when the filtered-state checks reject several candidates of one
 band, the first of them in P_S order raises, not the first in enumeration
-order. A search is rejected before any work when its tail block exceeds
-``MAX_TAIL_ROWS`` rows or its grid exceeds ``MAX_GRID_POINTS`` points.
+order; and a refinement segment raises for a failing trial after its first
+improving one, which the one-candidate search never scores. A search is
+rejected before any work when its tail block exceeds ``MAX_TAIL_ROWS`` rows
+or its grid exceeds ``MAX_GRID_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -117,8 +125,10 @@ class _Objective:
     on the batch it is evaluated in. numpy sums rows shorter than 8 terms in
     the same order from the same +0.0, so for d <= 6 the energy and coherence
     values equal the row sums of the same terms bit for bit. The mixed-state
-    relative entropy stacks the columns into rows for ``apply_filter_rows``.
-    Calling the objective scores the columns of a row batch.
+    relative entropy is scored on rows by ``apply_filter_rows``: calling the
+    objective passes it a row batch as it is, and ``columns`` stacks its
+    columns into rows first. For the other targets, calling the objective
+    scores the columns of a row batch.
     """
 
     def __init__(self, state: QState, spectrum: EnergySpectrum, target: FilterTarget):
@@ -137,6 +147,8 @@ class _Objective:
     def __call__(self, m: np.ndarray, ps: np.ndarray) -> np.ndarray:
         """Objective of each row of the ``(n, d)`` intensities ``m`` at the
         success probabilities ``ps``."""
+        if self.target is FilterTarget.COHERENCE and not self.pure:
+            return self._mixed_rows(m)
         return self.columns(list(m.T), ps)
 
     def columns(self, cols, ps: np.ndarray) -> np.ndarray:
@@ -159,6 +171,11 @@ class _Objective:
         m = np.empty((len(ps), len(cols)))
         for j, m_j in enumerate(cols):
             m[:, j] = m_j
+        return self._mixed_rows(m)
+
+    def _mixed_rows(self, m: np.ndarray) -> np.ndarray:
+        """Relative-entropy coherence of the mixed input filtered by each row
+        of the intensities ``m``."""
         coeffs = np.sqrt(np.clip(m, 0.0, 1.0)).astype(complex)
         _, populations, eigenvalues = apply_filter_rows(self.state.matrix, coeffs)
         return coherence_rows(populations, eigenvalues)
@@ -222,57 +239,106 @@ def _refine(
     pops: np.ndarray,
     p_success: float,
     grid_step: float,
-) -> np.ndarray:
-    """Constraint-projected coordinate descent on the fractional coordinates.
+) -> tuple[np.ndarray, float]:
+    """Constraint-projected coordinate descent on the fractional coordinates;
+    returns the point it ends on and the objective value of that point.
 
     The boundary pattern (coordinates at 0 or 1) found by the grid is kept;
     a designated fractional coordinate re-absorbs each trial move so the
     success probability stays exactly on target.
 
-    A sweep tries the moves (j, comp, sign) in a fixed order and takes the
-    first that improves. The moves left in the sweep are one ``(k, d)`` trial
-    array built from the current ``m``: coordinate j moves to ``m[j] +
-    sign*step`` and must stay in [0, 1]; coordinate comp becomes ``(P_S -
-    rest) / pops[comp]``, with ``rest`` the trial's P_S without comp, and must
-    lie in [-1e-12, 1 + 1e-12] before it is clipped to [0, 1]. The trials
-    that pass are scored in one batch; after an improvement the moves that
-    follow it are rebuilt from the new ``m``.
+    The walk: a pass tries the moves (j, comp, sign) in a fixed order and
+    takes each one that improves the current value by more than 1e-15; a
+    pass that improved is followed by another at the same step, one that did
+    not halves the step, until it is at most ``_REFINE_FLOOR``. A trial moves
+    coordinate j to ``m[j] + sign*step``, which must stay in [0, 1]; coordinate
+    comp becomes ``(P_S - rest) / pops[comp]``, with ``rest`` the trial's P_S
+    without comp, and must lie in [-1e-12, 1 + 1e-12] before it is clipped to
+    [0, 1].
+
+    One objective call scores three segments of trials from the current
+    point, in walk order: the moves left in the pass; the moves ahead of
+    them, which the next pass at this step tries first (only once the pass
+    has improved; the rest of that pass are the moves just scored from the
+    same point); and every move at the halved step. The first call also
+    scores the starting point. A row's value does not depend on its batch,
+    so the first improving row is the one the walk takes, and the next call
+    starts from it. Only the mixed relative-entropy objective can raise: if
+    a batch raises, its segments are scored one at a time in walk order, up
+    to the first that improves, so the error raised is the one the walk
+    meets.
     """
     frac = _fractional(m, pops)
     pairs = [(j, comp) for j in frac for comp in frac if comp != j]
-    if not pairs:
-        return m
+    if not pairs or grid_step <= _REFINE_FLOOR:
+        return m, float(objective(m[None, :], _row_dots(m[None, :], pops))[0])
     moved_at, comp_at = np.repeat(pairs, 2, axis=0).T
     signs = np.tile([1.0, -1.0], len(pairs))
-    best_val = float(objective(m[None, :], _row_dots(m[None, :], pops))[0])
-    step = grid_step
+    n = signs.size
+    every = np.arange(n)
+    best_val = None  # the starting point is scored with the first batch
+    step, start = grid_step, 0  # start > 0: the pass has improved
     while step > _REFINE_FLOOR:
-        improved = False
-        start = 0
-        while start < signs.size:
-            j, comp = moved_at[start:], comp_at[start:]
-            at = np.arange(j.size)
-            trials = np.repeat(m[None, :], j.size, axis=0)
-            moved = m[j] + signs[start:] * step
-            trials[at, j] = moved
-            val = (p_success - (_row_dots(trials, pops) - m[comp] * pops[comp])) / pops[comp]
-            trials[at, comp] = np.clip(val, 0.0, 1.0)
-            keep = np.flatnonzero(
-                (moved >= 0.0) & (moved <= 1.0) & (val >= -1e-12) & (val <= 1.0 + 1e-12)
-            )
-            if not keep.size:
-                break
-            trials = trials[keep]
-            vals = objective(trials, _row_dots(trials, pops))
-            better = np.flatnonzero(vals > best_val + 1e-15)
-            if not better.size:
-                break
+        half = step * 0.5
+        sizes = (n - start, start, n if half > _REFINE_FLOOR else 0)
+        moves = np.concatenate([every[start:], every[:start], every[: sizes[2]]])
+        steps = np.repeat((step, step, half), sizes)
+        j, comp = moved_at[moves], comp_at[moves]
+        at = np.arange(moves.size)
+        trials = np.repeat(m[None, :], moves.size, axis=0)
+        moved = m[j] + signs[moves] * steps
+        trials[at, j] = moved
+        val = (p_success - (_row_dots(trials, pops) - m[comp] * pops[comp])) / pops[comp]
+        trials[at, comp] = np.clip(val, 0.0, 1.0)
+        keep = np.flatnonzero(
+            (moved >= 0.0) & (moved <= 1.0) & (val >= -1e-12) & (val <= 1.0 + 1e-12)
+        )
+        opening = best_val is None
+        rows = np.concatenate([m[None, :], trials[keep]]) if opening else trials[keep]
+        better = keep[:0]  # with no trial to score, none improves
+        if rows.size:
+            try:
+                vals = objective(rows, _row_dots(rows, pops))
+            except DomainError:
+                cuts = np.searchsorted(keep, np.cumsum(sizes)) + opening
+                vals = _segment_scores(objective, rows, pops, [0, opening, *cuts], best_val)
+            if opening:
+                best_val = float(vals[0])
+            better = np.flatnonzero(vals[opening:] > best_val + 1e-15)
+        if better.size:
             i = int(better[0])
-            m, best_val, start = trials[i], float(vals[i]), start + int(keep[i]) + 1
-            improved = True
-        if not improved:
-            step *= 0.5
-    return m
+            m, best_val = rows[opening + i], float(vals[opening + i])
+            start = int(moves[keep[i]]) + 1
+            if keep[i] >= n:  # found at the halved step
+                step = half
+        else:
+            # the halved step failed too; when it was not scored (at most
+            # _REFINE_FLOOR), the walk ends either way
+            step, start = half * 0.5, 0
+    return m, best_val
+
+
+def _segment_scores(
+    objective: _Objective,
+    rows: np.ndarray,
+    pops: np.ndarray,
+    bounds: list[int],
+    best_val: float | None,
+) -> np.ndarray:
+    """Objective of ``rows`` one segment ``rows[bounds[k]:bounds[k + 1]]``
+    at a time, in order, up to the first segment with a value above
+    ``best_val + 1e-15``; the rows after it read -inf. When ``best_val`` is
+    None, the first non-empty segment is the starting point and sets it."""
+    vals = np.full(len(rows), -np.inf)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        vals[lo:hi] = objective(rows[lo:hi], _row_dots(rows[lo:hi], pops))
+        if best_val is None:
+            best_val = vals[lo]
+        elif (vals[lo:hi] > best_val + 1e-15).any():
+            break
+    return vals
 
 
 def check_search_args(
@@ -419,12 +485,10 @@ def grid_search(
     snapped[proj, comp[proj]] = np.clip(val[owner[proj], comp[proj]], 0.0, 1.0)
     start = snapped[int(np.argmax(objective(snapped, np.full(owner.size, p_success))))]
 
-    refined = _refine(start, objective, pops, p_success, grid_step)
-    actual_ps = float(np.dot(refined, pops))
-    value = float(objective(refined[None, :], np.array([actual_ps]))[0])
+    refined, value = _refine(start, objective, pops, p_success, grid_step)
     return OracleResult(
         filter=DiagonalFilter(np.sqrt(np.clip(refined, 0.0, 1.0)).astype(complex)),
         objective=value,
-        p_success=actual_ps,
+        p_success=float(np.dot(refined, pops)),
     )
 

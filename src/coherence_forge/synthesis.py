@@ -180,9 +180,7 @@ def _sum(values: list[float]) -> float:
 
 def _passed_above(pops: list[float], classes: list[list[int]], c: int) -> float:
     """Population of the populated levels of the classes above class ``c``."""
-    return _sum(
-        [pops[j] for upper in classes[c + 1 :] for j in upper if pops[j] >= ZERO_POPULATION]
-    )
+    return _sum([pops[j] for upper in classes[c + 1 :] for j in upper if pops[j] > 0.0])
 
 
 def energy_optimal_filter(
@@ -200,7 +198,10 @@ def energy_optimal_filter(
     population, 0 only where that difference is round-off of P_S. The same
     fraction serves a larger P_S when the highest-energy class is
     unpopulated and no class above the cut passes population. So a tiny P_S
-    is met to its own relative precision.
+    is met to its own relative precision. A level counts in its class
+    whenever its population is positive, however far below
+    ``ZERO_POPULATION``, so it is zeroed or cut with its class; a level of
+    population 0 passes whole.
     """
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
@@ -218,7 +219,7 @@ def energy_optimal_filter(
     for c, group in enumerate(classes):
         if to_remove <= 1e-15 and not tiny:
             break
-        live = [j for j in group if pops[j] >= ZERO_POPULATION]
+        live = [j for j in group if pops[j] > 0.0]
         group_pop = _sum([pops[j] for j in live])
         if group_pop <= 0.0:
             continue

@@ -140,6 +140,22 @@ class TestFilterCommand:
         achieved = float(out.split("P_S achieved = ")[1].split()[0])
         assert abs(achieved - 1.5e-13) <= 1e-12 * 1.5e-13
 
+    def test_energy_target_at_a_tiny_success_probability_with_a_level_below_zero_population(
+        self, capsys, tmp_path
+    ):
+        # level 1 holds 2e-17: it is zeroed with its class, not passed on top
+        # of P_S (the achieved P_S read 1.47002e-12 when it kept amplitude 1)
+        state_path = tmp_path / "state.txt"
+        state = QState.pure(np.sqrt([0.4, 2e-17, 0.3, 0.15, 0.1, 0.05 - 3e-12, 2e-12, 1e-12]))
+        state_path.write_text(qstate_to_text(state))
+        code, out, err = run(
+            capsys, "filter", "--mode", "general", "--target", "energy",
+            "--state", str(state_path), "--spectrum", "0,1,2,3,4,5,6,7", "--ps", "1.47e-12",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        achieved = float(out.split("P_S achieved = ")[1].split()[0])
+        assert abs(achieved - 1.47e-12) <= 1e-12 * 1.47e-12
+
     def test_log_base_2_leads_with_bits(self, capsys):
         code, out, _ = run(
             capsys,

@@ -40,6 +40,7 @@ from coherence_forge.oracle import (
     _tail_columns,
     grid_search,
 )
+from coherence_forge.oracle import _refine as _batched_refine
 from coherence_forge.statecore import _row_entropy
 
 # Branches the reference search took since the last clear().
@@ -135,6 +136,8 @@ def _refine(
 
     best_val = value(m)
     step = grid_step
+    before = None  # whether the pass before this one improved
+    scored = changed = 0
     while step > _REFINE_FLOOR:
         improved = False
         for j in frac:
@@ -152,11 +155,24 @@ def _refine(
                         _REACHED["refine-range-rejected"] += 1
                         continue
                     val = value(trial)
+                    scored += 1
                     if val > best_val + 1e-15:
+                        _REACHED[
+                            "refine-rest-of-pass" if improved
+                            else "refine-first-pass" if before is None
+                            else "refine-next-pass" if before
+                            else "refine-halved-step"
+                        ] += 1
                         m, best_val = trial, val
                         improved = True
+                        changed += 1
         if not improved:
             step *= 0.5
+        before = improved
+    if not scored:
+        _REACHED["refine-no-valid-trial"] += 1
+    elif not changed:
+        _REACHED["refine-no-improvement"] += 1
     return m
 
 
@@ -346,6 +362,169 @@ def test_seeded_sweep_matches_reference_search(d, target, kind):
         assert np.array_equal(res.objective, ref[0])
         assert np.array_equal(res.filter.coeffs, ref[1])
         assert np.array_equal(res.p_success, ref[2])
+
+
+# The refinement walk alone, from given starts, against the reference walk.
+# The batched walk scores, in one objective call, the moves left in the pass,
+# the moves the next pass tries first (once the pass has improved) and every
+# move at the halved step. The reference counts the improvement it takes: the
+# first of the walk, one after another in the same pass, the first of a pass
+# after a pass that improved, or the first of a pass at a halved step.
+
+
+def _walk(state, target, m, step):
+    """(point, value) of the batched walk and of the reference walk from
+    ``m``, whose own P_S is the target."""
+    spectrum = _spectrum(state.dim)
+    pops = np.clip(state.populations, 0.0, None)
+    m = np.array(m, dtype=float)
+    ps = float(np.dot(m, pops))
+    got = _batched_refine(m, _Objective(state, spectrum, target), pops, ps, step)
+    ref_objective = _ReferenceObjective(state, spectrum, target)
+    ref = _refine(m, ref_objective, pops, ps, step)
+    ref_value = float(ref_objective(ref[None, :], np.array([float(np.dot(ref, pops))]))[0])
+    return got, (ref, ref_value)
+
+
+# (outcome, state, target, start, grid step): each start reaches its outcome
+# in the reference walk.
+_MIXED_PRODUCT = mixed_qubit_product(QubitParams(p=0.27, eta=0.75), 2)
+_WALK_CASES = [
+    ("refine-rest-of-pass", _PRODUCT, FilterTarget.COHERENCE_TSALLIS, [0.64, 0.27, 0.04, 0.02], 0.1),
+    ("refine-next-pass", _PRODUCT, FilterTarget.COHERENCE_TSALLIS, [1.0, 0.24, 0.8, 1.0], 0.1),
+    # no move improves at step 0.1; the move (3, 2, +) does at 0.05, inside
+    # the first call's halved segment
+    ("refine-halved-step", _PRODUCT, FilterTarget.ENERGY, [1.0, 1.0, 0.94, 0.95], 0.1),
+    # every valid move passes population to a lower level; coordinate 0
+    # cannot move down nor coordinate 3 up by 1e-6
+    ("refine-no-improvement", _PRODUCT, FilterTarget.ENERGY, [1e-9, 1.0, 1.0, 1.0 - 1e-9], 0.02),
+    # every move leaves the box or needs a negative intensity
+    ("refine-no-valid-trial", _PRODUCT, FilterTarget.ENERGY, [1.0, 1e-8, 1e-8, 1.0], 0.1),
+    ("refine-rest-of-pass", _MIXED_PRODUCT, FilterTarget.COHERENCE, [0.64, 0.27, 0.04, 0.02], 0.1),
+]
+_WALK_IDS = [f"{case[0]}-{case[2].value}" for case in _WALK_CASES]
+
+
+@pytest.mark.parametrize("outcome, state, target, start, step", _WALK_CASES, ids=_WALK_IDS)
+def test_walk_case_reaches_its_outcome(outcome, state, target, start, step):
+    _REACHED.clear()
+    (got, value), (ref, ref_value) = _walk(state, target, start, step)
+    assert _REACHED[outcome] > 0
+    if outcome in ("refine-no-improvement", "refine-no-valid-trial"):
+        assert np.array_equal(ref, start)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(_bits(value), _bits(ref_value))
+
+
+_WALK_KINDS = {
+    "energy": (FilterTarget.ENERGY, _random_ket),
+    "pure-coherence": (FilterTarget.COHERENCE, _random_ket),
+    "mixed-coherence": (FilterTarget.COHERENCE, _random_mixed),
+    "tsallis": (FilterTarget.COHERENCE_TSALLIS, _random_mixed),
+}
+
+
+@pytest.mark.parametrize("kind", list(_WALK_KINDS))
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_seeded_walks_match_the_reference_walk(d, kind):
+    # grid starts, a quarter of their coordinates at 1, at the P_S they sit on
+    target, draw = _WALK_KINDS[kind]
+    rng = np.random.default_rng([d, list(_WALK_KINDS).index(kind)])
+    _REACHED.clear()
+    for _ in range(5):
+        state = draw(rng, d)
+        step = float(rng.choice([0.05, 0.1, 0.25]))
+        start = np.minimum(np.round(rng.uniform(0.0, 1.0, size=d) / step) * step, 1.0)
+        start[rng.random(d) < 0.25] = 1.0
+        (got, value), (ref, ref_value) = _walk(state, target, start, step)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(_bits(value), _bits(ref_value))
+    if d >= 3:
+        assert _REACHED["refine-rest-of-pass"] + _REACHED["refine-first-pass"] > 0
+
+
+def _trial(start, state, move, step):
+    """The trial row of ``move`` = (j, comp, sign) at ``step`` from ``start``,
+    as both walks build it."""
+    pops = np.clip(state.populations, 0.0, None)
+    j, comp, sign = move
+    row = np.array(start, dtype=float)
+    row[j] += sign * step
+    return _project(row, comp, pops, float(np.dot(start, pops)))
+
+
+class _RaisingObjective(_Objective):
+    """Raises ``AnnihilatedState`` for a batch that holds the row ``bad``, as
+    the mixed relative-entropy objective raises for a bad row."""
+
+    def __init__(self, state, target, bad):
+        super().__init__(state, _spectrum(state.dim), target)
+        self.bad, self.raised = bad, 0
+
+    def __call__(self, m, ps):
+        if np.all(m == self.bad, axis=1).any():
+            self.raised += 1
+            raise AnnihilatedState(f"bad row {self.bad.tolist()}")
+        return super().__call__(m, ps)
+
+
+@pytest.mark.parametrize(
+    "start, target, move, walk_raises",
+    [
+        # the walk reaches the halved step: it raises at its first move there
+        ([1.0, 1.0, 0.94, 0.95], FilterTarget.ENERGY, (2, 3, 1.0), True),
+        # the walk reaches the halved step and raises at the move that
+        # would improve
+        ([1.0, 1.0, 0.94, 0.95], FilterTarget.ENERGY, (3, 2, 1.0), True),
+        # the first pass improves, so the walk never tries the halved step
+        # from the start: only the one-call batch meets the bad row
+        ([0.64, 0.27, 0.04, 0.02], FilterTarget.COHERENCE_TSALLIS, (0, 1, 1.0), False),
+    ],
+    ids=["halved-first-move", "halved-improving-move", "not-reached"],
+)
+def test_a_raising_batch_raises_only_where_the_walk_does(start, target, move, walk_raises):
+    step = 0.1
+    bad = _trial(start, _PRODUCT, move, 0.5 * step)
+    assert bad is not None
+    pops = np.clip(_PRODUCT.populations, 0.0, None)
+    ps = float(np.dot(start, pops))
+    m = np.array(start)
+    batched = _RaisingObjective(_PRODUCT, target, bad)
+    reference = _RaisingObjective(_PRODUCT, target, bad)
+    if walk_raises:
+        with pytest.raises(AnnihilatedState) as ref_error:
+            _refine(m, reference, pops, ps, step)
+        with pytest.raises(AnnihilatedState) as error:
+            _batched_refine(m, batched, pops, ps, step)
+        assert str(error.value) == str(ref_error.value)
+        assert batched.raised == 2  # the whole batch, then the halved segment alone
+        return
+    got, value = _batched_refine(m, batched, pops, ps, step)
+    ref = _refine(m, reference, pops, ps, step)
+    assert reference.raised == 0 and batched.raised == 1
+    assert np.array_equal(got, ref)
+    assert value == float(reference(ref[None, :], np.array([float(np.dot(ref, pops))]))[0])
+
+
+class _CountingObjective(_Objective):
+    calls = 0
+
+    def __call__(self, m, ps):
+        self.calls += 1
+        return super().__call__(m, ps)
+
+
+def test_pure_energy_halving_chain_takes_two_step_levels_a_call():
+    # no move improves at any of the 15 step levels from 0.02 down to the
+    # floor: the walk scores the start and two levels a call
+    start = np.array([1e-9, 1.0, 1.0, 1.0 - 1e-9])
+    pops = np.clip(_PRODUCT.populations, 0.0, None)
+    objective = _CountingObjective(_PRODUCT, TWO_QUBIT_SPECTRUM, FilterTarget.ENERGY)
+    m, _ = _batched_refine(start, objective, pops, float(np.dot(start, pops)), 0.02)
+    assert np.array_equal(m, start)
+    levels = int(np.ceil(np.log2(0.02 / _REFINE_FLOOR)))
+    assert levels == 15
+    assert objective.calls == 8
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

@@ -32,7 +32,7 @@ from coherence_forge import (
 from coherence_forge import synthesis
 from coherence_forge.cli import EXIT_DOMAIN, EXIT_OK, main
 from coherence_forge.oracle import grid_search, objective_value
-from coherence_forge.statecore import _ANNIHILATION_TOL, qstate_to_text
+from coherence_forge.statecore import _ANNIHILATION_TOL, ZERO_POPULATION, qstate_to_text
 from coherence_forge.synthesis import (
     _brent_root,
     coherence_lower_branch,
@@ -121,6 +121,39 @@ class TestEnergyOptimal:
         # the top class passes 1e-13 whole and the cut class {1, 2} the rest
         # of P_S: a kept fraction near 1e-13 is the answer, not round-off
         s = QState.pure(np.sqrt([0.5, 0.25, 0.25 - 1e-13, 1e-13]))
+        filt = energy_optimal_filter(s, TWO_QUBIT_SPECTRUM, ps)
+        mags = np.abs(filt.coeffs)
+        assert mags[0] == 0.0 and mags[1] == mags[2] > 0.0 and mags[3] == 1.0
+        assert abs(success_probability(s, filt) - ps) <= 1e-12 * ps
+
+    @pytest.mark.parametrize("ps", [1.47e-12, 2.5e-12, 3e-11, 1e-6])
+    def test_tiny_success_probability_with_a_level_below_zero_population(self, ps):
+        # level 1 holds 2e-17, below ZERO_POPULATION: it is zeroed with its
+        # class instead of passing its population on top of P_S (1.4e-5
+        # relative at P_S 1.47e-12 when it kept amplitude 1)
+        s = QState.pure(
+            np.sqrt([0.4, 2e-17, 0.3, 0.15, 0.1, 0.05 - 3e-12, 2e-12, 1e-12])
+        )
+        assert 0.0 < s.populations[1] < ZERO_POPULATION
+        filt = energy_optimal_filter(s, EnergySpectrum(np.arange(8.0)), ps)
+        assert np.abs(filt.coeffs)[1] == 0.0
+        assert abs(success_probability(s, filt) - ps) <= 1e-12 * ps
+
+    @pytest.mark.parametrize(
+        "pops, top",
+        [
+            # the cut class {1, 2} holds the level of 1e-16 and keeps one
+            # fraction for both of its levels
+            pytest.param([0.5, 1e-16, 0.5 - 1e-16, 0.0], 1, id="in-the-cut-class"),
+            # the top level holds 1e-16 and passes it whole: the population
+            # passed above the cut class counts it
+            pytest.param([0.5, 0.3, 0.2 - 1e-16, 1e-16], 3, id="above-the-cut-class"),
+        ],
+    )
+    @pytest.mark.parametrize("ps", [1e-13, 2e-13, 1e-11])
+    def test_level_below_zero_population_counts_in_its_class(self, pops, top, ps):
+        s = QState.pure(np.sqrt(pops))
+        assert 0.0 < s.populations[top] < ZERO_POPULATION
         filt = energy_optimal_filter(s, TWO_QUBIT_SPECTRUM, ps)
         mags = np.abs(filt.coeffs)
         assert mags[0] == 0.0 and mags[1] == mags[2] > 0.0 and mags[3] == 1.0
