@@ -10,15 +10,19 @@ and filters are safe to share between threads. Entropies use the natural
 logarithm throughout (nats).
 
 Each object computes its invariants once. An ``EnergySpectrum`` groups its
-levels into degeneracy classes at ``DEGENERACY_TOL`` when it is built, and
-``degeneracy_classes()`` at that tolerance returns those read-only arrays. A
-``QState`` keeps the spectrum of its matrix from validation, and its
-populations and purity from their first use; ``populations`` still hands out
-a fresh writable copy. The synthesizers call these once per grid point.
+levels, given in the basis order of the system, into degeneracy classes at
+``DEGENERACY_TOL`` when it is built, and ``degeneracy_classes()`` at that
+tolerance returns those read-only arrays. A ``QState`` keeps the spectrum of
+its matrix from validation, and its populations and purity from their first
+use; ``populations`` still hands out a fresh writable copy. For the scalar
+synthesizers, the classes and the clipped populations are also kept as
+tuples of Python numbers from their first use, so a grid point reads them
+without converting an array.
 
 ``diagonal_filter_rows`` is the batched form of ``DiagonalFilter``: it checks
 a whole array of coefficient rows at once and hands out filters whose
-coefficients are read-only rows of one frozen array. ``apply_filter_rows``
+coefficients are read-only rows of one frozen array. ``diagonal_filter_row``
+is its one-row form for a row of Python floats. ``apply_filter_rows``
 is the batched form of ``apply_filter`` that the
 frontier tracer, the mixed-state scans and the oracle share: it filters a
 state (or a stack of states) by many coefficient rows at once, checks each
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,9 +70,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EnergySpectrum:
-    """Ordered energy levels defining the incoherent basis.
-
-    Levels must be nondecreasing; the default unit is one level spacing.
+    """Energy levels defining the incoherent basis, in the basis order of the
+    system: the n-qubit excitation counts 0, 1, 1, 2, 1, 2, 2, 3 are a
+    3-qubit spectrum as they stand. The default unit is one level spacing.
     """
 
     levels: np.ndarray
@@ -79,8 +83,6 @@ class EnergySpectrum:
             raise StateValidationError("spectrum needs at least two energy levels")
         if not np.all(np.isfinite(arr)):
             raise StateValidationError("energies must be finite")
-        if np.any(np.diff(arr) < 0):
-            raise StateValidationError("energy levels must be nondecreasing")
         object.__setattr__(self, "levels", _frozen(arr))
         object.__setattr__(self, "_classes", self._group(DEGENERACY_TOL))
 
@@ -89,13 +91,28 @@ class EnergySpectrum:
         return int(self.levels.size)
 
     def degeneracy_classes(self, tol: float = DEGENERACY_TOL) -> list[np.ndarray]:
-        """Indices grouped by energy, ascending; levels within ``tol`` share a
-        class. The index arrays are read-only."""
+        """Indices grouped by energy, the classes in ascending energy and each
+        class in ascending index; in energy order, a level within ``tol`` of
+        the one before it shares its class. The index arrays are read-only."""
         return list(self._classes if tol == DEGENERACY_TOL else self._group(tol))
 
+    @cached_property
+    def _class_lists(self) -> tuple[tuple[int, ...], ...]:
+        """The classes at ``DEGENERACY_TOL`` as tuples of Python ints."""
+        return tuple(tuple(group.tolist()) for group in self._classes)
+
     def _group(self, tol: float) -> tuple[np.ndarray, ...]:
-        bounds = [0, *(np.flatnonzero(np.diff(self.levels) > tol) + 1).tolist(), self.dim]
-        return tuple(_frozen(np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+        # runs of the levels in a stable energy order: a sorted spectrum's
+        # order is the identity, so its classes are its index ranges. Each run
+        # is put in index order by Python's sort, since numpy's integer sort
+        # would page in about 0.3 MB of its code for a few indices.
+        order = np.argsort(self.levels, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.levels[order]) > tol) + 1
+        bounds = [0, *cuts.tolist(), self.dim]
+        return tuple(
+            _frozen(np.array(sorted(order[lo:hi].tolist()), dtype=np.intp))
+            for lo, hi in zip(bounds, bounds[1:])
+        )
 
 
 TWO_QUBIT_SPECTRUM = EnergySpectrum(np.array([0.0, 1.0, 1.0, 2.0]))
@@ -139,6 +156,12 @@ class QState:
     @cached_property
     def _populations(self) -> np.ndarray:
         return _frozen(self.matrix.diagonal().real.copy())
+
+    @cached_property
+    def _clipped_populations(self) -> tuple[float, ...]:
+        """The populations with negative round-off raised to 0.0, as Python
+        floats: ``tuple(np.clip(state.populations, 0.0, None).tolist())``."""
+        return tuple([x if x > 0.0 else 0.0 for x in self._populations.tolist()])
 
     @cached_property
     def _purity(self) -> float:
@@ -193,6 +216,23 @@ class DiagonalFilter:
     @classmethod
     def identity(cls, dim: int) -> "DiagonalFilter":
         return cls(np.ones(dim, dtype=complex))
+
+
+def diagonal_filter_row(values: Sequence[float]) -> DiagonalFilter:
+    """``DiagonalFilter(values)`` for one row of Python floats: the one-row
+    form of :func:`diagonal_filter_rows`. The constructor's bound is tested on
+    each value in turn, so a NaN fails wherever it stands (``max`` would skip
+    one that is not first); a failing row raises what the constructor raises
+    for it. The coefficients are a read-only complex array."""
+    for value in values:
+        if not abs(value) <= 1.0 + 1e-12:
+            break
+    else:
+        if len(values):
+            filt = object.__new__(DiagonalFilter)
+            object.__setattr__(filt, "coeffs", _frozen(np.array(values, dtype=complex)))
+            return filt
+    return DiagonalFilter(values)  # raises the constructor's error
 
 
 def diagonal_filter_rows(coeffs: np.ndarray) -> list[DiagonalFilter]:

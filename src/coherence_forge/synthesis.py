@@ -27,11 +27,14 @@ one pass over the sorted populated levels. ``factorized_filter`` and
 ``trace_frontier`` builds those frontiers from their rows, checked as one
 batch by ``statecore.diagonal_filter_rows``; the energy and Tsallis
 frontiers call their synthesizer once per grid point. One
-``statecore.apply_filter_rows`` call measures every filter. Per point, the
-energy synthesizer only reads what the spectrum and the state compute once
-per object (the degeneracy classes and the populations) and does its
-per-level arithmetic on Python floats, in the order of the numpy expressions
-it replaces, so its filters are the same bit for bit. ``mixed_scan`` runs
+``statecore.apply_filter_rows`` call measures every filter, and the points
+are built without the frozen dataclass ``__init__``. Per point, the energy
+synthesizer reads the degeneracy classes and the clipped populations as
+tuples of Python numbers that the spectrum and the state compute once per
+object, does its per-level arithmetic on Python floats, in the order of the
+numpy expressions it replaces, and hands its amplitudes to
+``statecore.diagonal_filter_row``, so its filters are the same bit for bit
+and no ``DiagonalFilter`` check runs on a numpy array. ``mixed_scan`` runs
 the golden-section searches of its populations in lockstep, one batch per
 step; every result equals the per-point computation bit for bit.
 ``plateau_threshold`` needs no search: the a=0 output depends on p and b only
@@ -69,6 +72,7 @@ from .statecore import (
     _BATCH_ROWS,
     apply_filter_rows,
     coherence_rows,
+    diagonal_filter_row,
     diagonal_filter_rows,
     mixed_qubit_product,
 )
@@ -156,12 +160,6 @@ def _check_success_range(
         )
 
 
-def _clipped(state: QState) -> list[float]:
-    """The state's populations with negative round-off raised to 0.0, as
-    Python floats: ``np.clip(state.populations, 0.0, None).tolist()``."""
-    return [x if x > 0.0 else 0.0 for x in state.populations.tolist()]
-
-
 def _sum(values: list[float]) -> float:
     """``float(np.sum(values))``. numpy adds fewer than 8 terms one by one
     from +0.0, so a short list is added up the same way in Python."""
@@ -178,7 +176,7 @@ def _sum(values: list[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _passed_above(pops: list[float], classes: list[list[int]], c: int) -> float:
+def _passed_above(pops: Sequence[float], classes: Sequence[Sequence[int]], c: int) -> float:
     """Population of the populated levels of the classes above class ``c``."""
     return _sum([pops[j] for upper in classes[c + 1 :] for j in upper if pops[j] > 0.0])
 
@@ -205,8 +203,8 @@ def energy_optimal_filter(
     """
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
-    pops = _clipped(state)
-    classes = [group.tolist() for group in spectrum.degeneracy_classes(DEGENERACY_TOL)]
+    pops = state._clipped_populations
+    classes = spectrum._class_lists
     top_pop = _sum([pops[j] for j in classes[-1]])
     _check_success_range(
         p_success, top_pop, "P_S below the population {:.6g} of the highest-energy class"
@@ -244,7 +242,7 @@ def energy_optimal_filter(
         for j in live:
             amplitudes[j] = amplitude
         break
-    return DiagonalFilter(np.array(amplitudes, dtype=complex))
+    return diagonal_filter_row(amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +268,7 @@ def _waterfill_rows(state: QState, ps: Sequence[float]) -> np.ndarray:
             "input is not pure; the relative-entropy optimum is only "
             "closed-form for pure states (use tsallis_optimal_filter)"
         )
-    pops = _clipped(state)
+    pops = state._clipped_populations
     active = [j for j, x in enumerate(pops) if x >= ZERO_POPULATION]
     if len(active) < 2:
         raise DomainError("state must populate at least two levels")
@@ -715,7 +713,7 @@ def solve_inverse_temperature(spectrum: EnergySpectrum, target_energy: float) ->
     the full real-beta range (including negative temperatures) is supported.
     """
     levels = spectrum.levels
-    e_min, e_max = float(levels[0]), float(levels[-1])
+    e_min, e_max = float(levels.min()), float(levels.max())
     if not e_min < target_energy < e_max:
         raise DomainError(
             f"mean energy must lie strictly inside ({e_min:.6g}, {e_max:.6g})"
@@ -850,7 +848,10 @@ def trace_frontier(
     check that a wrong energy filter is caught. All filters are measured
     with one :func:`statecore.apply_filter_rows` call, and the points, equal
     to what ``apply_filter``, ``coherence`` and ``mean_energy`` give, are
-    built at the end. ``grid`` must lie in [2, ``MAX_SAMPLE_POINTS``].
+    built at the end: each frozen ``FrontierPoint`` gets its five fields
+    written once, without the dataclass ``__init__``, and compares and hashes
+    as one built by ``FrontierPoint(...)``. ``grid`` must lie in
+    [2, ``MAX_SAMPLE_POINTS``].
     """
     if not isinstance(grid, numbers.Integral):
         raise DomainError(f"grid must be an integer, got {grid!r}")
@@ -883,10 +884,17 @@ def trace_frontier(
         (spectrum.levels * populations).sum(axis=1).tolist(),
         filters,
     )
-    return [
-        FrontierPoint(p_success=p, coherence=c, mean_energy=e, filter=filt, family=family)
-        for p, c, e, filt in values
-    ]
+    points = []
+    for p, c, e, filt in values:
+        # the fields go straight into a new instance's dict, as
+        # diagonal_filter_rows builds its filters: the frozen __init__ writes
+        # each through object.__setattr__, about 3x the time per point
+        point = object.__new__(FrontierPoint)
+        fields = point.__dict__
+        fields["p_success"], fields["coherence"], fields["mean_energy"] = p, c, e
+        fields["filter"], fields["family"] = filt, family
+        points.append(point)
+    return points
 
 
 # ---------------------------------------------------------------------------

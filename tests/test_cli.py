@@ -156,6 +156,22 @@ class TestFilterCommand:
         achieved = float(out.split("P_S achieved = ")[1].split()[0])
         assert abs(achieved - 1.47e-12) <= 1e-12 * 1.47e-12
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_energy_target_with_the_physical_spectrum(self, capsys, tmp_path, n):
+        # excitation counts in basis order; at P_S = p^n the optimum keeps only
+        # the all-excited level, which holds the top energy n
+        levels = [bin(j).count("1") for j in range(2**n)]
+        state_path = tmp_path / "state.txt"
+        state_path.write_text(qstate_to_text(product_pure_state(0.3, n)))
+        argv = ["filter", "--mode", "general", "--target", "energy", "--state", str(state_path),
+                "--spectrum", ",".join(map(str, levels))]
+        code, out, err = run(capsys, *argv, "--ps", repr(0.3**n))
+        assert (code, err) == (EXIT_OK, "")
+        assert float(out.split("output mean energy = ")[1].split()[0]) == pytest.approx(n, abs=1e-9)
+        for bad in (",".join(map(str, levels[:-1])), ",".join(map(str, levels[:-1] + [float("nan")]))):
+            code, out, err = run(capsys, *argv[:-1], bad, "--ps", "0.5")
+            assert code == EXIT_DOMAIN and out == ""
+
     def test_log_base_2_leads_with_bits(self, capsys):
         code, out, _ = run(
             capsys,
@@ -813,7 +829,9 @@ class TestBadInputs:
         assert out == ""
         assert "3 levels" in err
 
-    @pytest.mark.parametrize("spectrum", ["0,1,2,3", "0,1,1,1", "0,0,1,2", "0,0,0,0"])
+    @pytest.mark.parametrize(
+        "spectrum", ["0,1,2,3", "0,1,1,1", "0,0,1,2", "0,0,0,0", "1,0,0,2", "0,1,2,1", "2,1,1,0"]
+    )
     def test_closed_form_energy_needs_one_degenerate_middle_pair(self, capsys, spectrum):
         code, out, err = run(
             capsys, "filter", "--p", "0.1", "--ps", "0.1", "--target", "energy",

@@ -52,9 +52,17 @@ def shannon(v):
 
 
 class TestValidation:
-    def test_spectrum_must_be_sorted(self):
-        with pytest.raises(StateValidationError):
-            EnergySpectrum([1.0, 0.0])
+    def test_unsorted_spectrum_gets_its_classes(self):
+        # the 3-qubit excitation counts in basis order: classes in ascending
+        # energy, each in ascending index; levels within the tolerance join
+        spectrum = EnergySpectrum([0, 1, 1, 2, 1, 2, 2, 3])
+        assert [c.tolist() for c in spectrum.degeneracy_classes()] == [
+            [0], [1, 2, 4], [3, 5, 6], [7]
+        ]
+        assert [c.tolist() for c in EnergySpectrum([1.0, 0.0]).degeneracy_classes()] == [[1], [0]]
+        near = EnergySpectrum([2.0, 1.0 + 5e-10, 0.0, 1.0])
+        assert [c.tolist() for c in near.degeneracy_classes()] == [[2], [1, 3], [0]]
+        assert [c.tolist() for c in near.degeneracy_classes(1e-10)] == [[2], [3], [1], [0]]
 
     def test_spectrum_needs_two_levels(self):
         with pytest.raises(StateValidationError):

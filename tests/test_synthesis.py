@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -418,6 +420,17 @@ class TestThermalBenchmark:
         with pytest.raises(DomainError):
             thermal_benchmark_state(EnergySpectrum([0.0, 1.0]), 1.5)
 
+    def test_unsorted_spectrum(self):
+        # the range check and the root use the lowest and the highest level
+        spec = EnergySpectrum(_excitation_counts(3))
+        for target in (0.01, 1.5, 2.99):
+            state = thermal_benchmark_state(spec, target)
+            assert mean_energy(state, spec) == pytest.approx(target, abs=1e-10)
+            pops = state.populations
+            assert np.allclose(pops[[1, 2, 4]], pops[1]) and np.allclose(pops[[3, 5, 6]], pops[3])
+        with pytest.raises(DomainError, match=r"strictly inside \(0, 3\)"):
+            thermal_benchmark_state(spec, 3.0)
+
     def test_mean_energy_matches_and_is_monotone(self):
         spec = TWO_QUBIT_SPECTRUM
         targets = np.linspace(0.05, 1.95, 21)
@@ -483,6 +496,31 @@ class TestFrontier:
         assert abs(gaps[0]) < 1e-9
         assert abs(gaps[-1]) < 1e-9
 
+    @pytest.mark.parametrize(
+        "target, family",
+        [(FilterTarget.ENERGY, FilterFamily.OPTIMAL), (FilterTarget.COHERENCE, FilterFamily.OPTIMAL),
+         (FilterTarget.ENERGY, FilterFamily.FACTORIZED),
+         (FilterTarget.COHERENCE_TSALLIS, FilterFamily.OPTIMAL)],
+    )
+    def test_points_are_frozen_and_equal_constructed_points(self, target, family):
+        s = product_pure_state(0.2, 2)
+        pts = trace_frontier(s, TWO_QUBIT_SPECTRUM, target, family, grid=5)
+        for pt in pts:
+            built = synthesis.FrontierPoint(
+                p_success=pt.p_success, coherence=pt.coherence, mean_energy=pt.mean_energy,
+                filter=pt.filter, family=pt.family,
+            )
+            assert pt == built and hash(pt) == hash(built)
+            assert repr(pt) == repr(built)
+            assert type(pt) is synthesis.FrontierPoint and pt.family is family
+            for name in ("p_success", "coherence", "mean_energy", "filter", "family"):
+                assert getattr(pt, name) is getattr(built, name)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(pt, name, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pt.extra = 1.0
+        assert pts[0] != pts[1]
+
     def test_rejects_tiny_grid(self):
         s = product_pure_state(0.1, 2)
         with pytest.raises(DomainError):
@@ -517,6 +555,12 @@ def _waterfill_coherence(pops, ps):
 def _rounded_spectrum(rng, d):
     """Random levels rounded to 0.1, so some are degenerate."""
     return EnergySpectrum(np.sort(np.round(rng.uniform(0.0, 3.0, size=d), 1)))
+
+
+def _excitation_counts(n):
+    """The n-qubit spectrum in basis order: level j is the number of 1 bits
+    of j (0, 1, 1, 2, 1, 2, 2, 3 at n = 3), not sorted for n >= 3."""
+    return [float(bin(j).count("1")) for j in range(2**n)]
 
 
 class TestOptimalFrontierEveryPoint:
@@ -567,6 +611,33 @@ class TestOptimalFrontierEveryPoint:
             spectrum = TWO_QUBIT_SPECTRUM if n == 2 else _rounded_spectrum(rng, 2**n)
             self.check(product_pure_state(p, n), spectrum)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_product_pure_states_with_the_physical_spectrum(self, n):
+        spectrum = EnergySpectrum(_excitation_counts(n))
+        for p in (0.05, 0.1, 0.3, 0.5, 0.8):
+            self.check(product_pure_state(p, n), spectrum)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_pure_states_with_unsorted_spectra(self, d):
+        rng = np.random.default_rng(1620 + d)
+        for _ in range(10):
+            ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+            levels = np.round(rng.uniform(0.0, 3.0, size=d), 1)
+            self.check(QState.pure(ket), EnergySpectrum(levels))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_permuted_spectrum_gives_the_permuted_filter(self, n):
+        # the physical spectrum and its sorted multiset differ by a level
+        # permutation; permuting the state the same way gives the same values
+        levels = np.array(_excitation_counts(n))
+        order = np.argsort(levels, kind="stable")
+        state = product_pure_state(0.3, n)
+        sorted_state = QState(state.matrix[np.ix_(order, order)])
+        for ps in (0.05, 0.3, 0.7, 1.0):
+            physical = energy_optimal_filter(state, EnergySpectrum(levels), ps)
+            ordered = energy_optimal_filter(sorted_state, EnergySpectrum(levels[order]), ps)
+            assert np.array_equal(physical.coeffs[order], ordered.coeffs)
+
 
 class TestOtherDimensions:
     def test_single_qubit_factorized_filter(self):
@@ -577,7 +648,7 @@ class TestOtherDimensions:
 
     def test_three_qubit_energy_frontier_monotone(self):
         state = product_pure_state(0.2, 3)
-        spectrum = EnergySpectrum([0, 1, 1, 1, 2, 2, 2, 3.0])
+        spectrum = EnergySpectrum(_excitation_counts(3))
         pts = trace_frontier(
             state, spectrum, FilterTarget.ENERGY, FilterFamily.OPTIMAL, grid=9
         )
@@ -587,7 +658,7 @@ class TestOtherDimensions:
 
     def test_three_qubit_factorized_frontier(self):
         state = product_pure_state(0.2, 3)
-        spectrum = EnergySpectrum([0, 1, 1, 1, 2, 2, 2, 3.0])
+        spectrum = EnergySpectrum(_excitation_counts(3))
         pts = trace_frontier(
             state, spectrum, FilterTarget.COHERENCE, FilterFamily.FACTORIZED, grid=5
         )

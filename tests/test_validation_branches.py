@@ -43,7 +43,7 @@ from coherence_forge import (
 )
 from coherence_forge.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from coherence_forge.oracle import check_search_args
-from coherence_forge.statecore import diagonal_filter_rows, qstate_to_text
+from coherence_forge.statecore import diagonal_filter_row, diagonal_filter_rows, qstate_to_text
 from coherence_forge.svgplot import line_plot
 
 PAIR = product_pure_state(0.1, 2)
@@ -179,6 +179,36 @@ def test_library_rejects(call, error, message):
     with pytest.raises(error, match=message) as info:
         call()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[np.nan, 0.5, 1.0], [0.5, np.nan, 1.0], [0.5, 1.0, np.nan], [np.nan], [0.5, -np.inf, 1.0],
+     [np.inf], [0.5, 1.0 + 2e-12], [0.5, -1.5, 0.2], [1.5, np.nan], []],
+    ids=["nan-first", "nan-middle", "nan-last", "nan-alone", "inf", "inf-alone", "above-one",
+         "below-minus-one", "above-one-then-nan", "no-coefficients"],
+)
+def test_filter_row_raises_what_the_constructor_raises(values):
+    """``max`` over a list skips a NaN that is not first, so each value is
+    tested; the error is the constructor's own, type and message."""
+    with pytest.raises(StateValidationError) as row_error:
+        diagonal_filter_row(values)
+    with pytest.raises(StateValidationError) as constructor_error:
+        DiagonalFilter(np.array(values, dtype=complex))
+    assert type(row_error.value) is type(constructor_error.value)
+    assert str(row_error.value) == str(constructor_error.value)
+
+
+def test_filter_row_accepts_the_bound_and_freezes_its_coefficients():
+    values = [0.0, -1.0, 0.25, 1.0 + 1e-12]
+    filt = diagonal_filter_row(values)
+    assert type(filt) is DiagonalFilter
+    assert filt.coeffs.dtype == complex and not filt.coeffs.flags.writeable
+    assert filt.coeffs.tobytes() == DiagonalFilter(np.array(values, dtype=complex)).coeffs.tobytes()
+    with pytest.raises(ValueError):
+        filt.coeffs[0] = 0.5
+    values[0] = 0.5
+    assert filt.coeffs[0] == 0.0
 
 
 def test_the_plus_operator_bound_follows_from_completeness():
