@@ -256,6 +256,7 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     target = FilterTarget(args.target)
     spectrum = _parse_spectrum(args.spectrum)
     state = product_pure_state(args.p, 2)
+    _require_spectrum_dim(state, spectrum)
     families = list(FilterFamily) if args.family == "both" else [FilterFamily(args.family)]
     traced = {
         fam: synthesis.trace_frontier(state, spectrum, target, fam, grid=args.grid)

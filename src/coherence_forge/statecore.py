@@ -30,9 +30,10 @@ row as ``DiagonalFilter``, ``apply_filter`` and ``QState`` would (a
 symmetrized row is Hermitian by construction) and diagonalizes the outputs
 with one stacked ``eigvalsh`` per bounded slice; its first failing row
 raises what ``DiagonalFilter`` or ``QState`` raises for it. ``coherence_rows``
-turns its output into relative-entropy coherences with ``_row_entropy``,
-whose per-entry terms (``_entropy_terms``) the oracle shares. Both give, row
-for row, the same floats as the one-state functions.
+turns its output into relative-entropy coherences with one ``_row_entropy``
+pass over the populations and the eigenvalues stacked, whose per-entry terms
+(``_entropy_terms``) the oracle shares. Both give, row for row, the same
+floats as the one-state functions.
 """
 
 from __future__ import annotations
@@ -397,12 +398,14 @@ def _filter_slice(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_s = (magnitude**2 * matrix.diagonal(axis1=-2, axis2=-1).real).sum(axis=1)
         rho = matrix * (c[:, :, None] * c.conj()[:, None, :]) / p_s[:, None, None]
-        # exactly Hermitian where finite (a - b is exactly -(b - a)); a row
-        # that is not finite fails the coefficient bound or the P_S floor
+        # exactly Hermitian where finite (a - b is exactly -(b - a)), so each
+        # diagonal entry's imaginary part is +0.0, or NaN where the entry is
+        # not finite; a row that is not finite fails the coefficient bound or
+        # the P_S floor
         rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        trace = np.trace(rho, axis1=1, axis2=2)
+        trace = np.trace(rho, axis1=1, axis2=2).real
     big = ~(magnitude.max(axis=1) <= 1.0 + 1e-12)
-    off_trace = (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL)
+    off_trace = np.abs(trace - 1.0) > TRACE_TOL
     bad = big | (p_s < _ANNIHILATION_TOL) | off_trace
     n_ok = int(bad.argmax()) if bad.any() else len(c)
     # rows before the first failure reach the eigenvalue floor check
@@ -420,8 +423,13 @@ def _filter_slice(
 
 def coherence_rows(populations: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """:func:`coherence` of each state given by a row of populations and a row
-    of eigenvalues, as :func:`apply_filter_rows` returns them."""
-    gap = _row_entropy(populations) - _row_entropy(eigenvalues)
+    of eigenvalues, as :func:`apply_filter_rows` returns them.
+
+    Both entropies come from one ``_row_entropy`` call on the two arrays
+    stacked; each row's terms and sum are those of a call on its own array.
+    """
+    entropies = _row_entropy(np.concatenate([populations, eigenvalues]))
+    gap = entropies[: len(populations)] - entropies[len(populations) :]
     return np.where(gap < 0.0, 0.0, gap)
 
 

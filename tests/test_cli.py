@@ -293,6 +293,24 @@ class TestFrontierCommand:
         )
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("spectrum", ["0,1,1,2,1,2,2,3", "0,1,2"])
+    def test_wrong_spectrum_size_gets_the_filter_message(self, capsys, tmp_path, spectrum):
+        csv = tmp_path / "f.csv"
+        frontier = ("frontier", "--p", "0.2", "--target", "energy", "--spectrum", spectrum,
+                    "--out-csv", str(csv))
+        code, out, err = run(capsys, *frontier)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        levels = len(spectrum.split(","))
+        assert err == f"error: spectrum has {levels} levels but the state has dimension 4\n"
+        assert not csv.exists()
+        # the filter command words the same mismatch the same way
+        filter_code, _, filter_err = run(
+            capsys, "filter", "--p", "0.2", "--ps", "0.5", "--target", "energy",
+            "--spectrum", spectrum,
+        )
+        assert (filter_code, filter_err) == (code, err)
+
 
 class TestMixedScanCommand:
     def test_csv_columns_and_plateau(self, capsys, tmp_path):

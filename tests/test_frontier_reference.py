@@ -6,10 +6,12 @@ synthesizers and Brent loop, then ``trace_frontier`` (one synthesizer call,
 ``apply_filter`` and ``QState`` per grid point) and ``mixed_scan`` (one
 golden-section search per population). Every output of the package must
 equal theirs exactly. ``plateau_threshold`` is checked against the exact
-plateau edge, computed below from the closed-form spectrum of the a=0 output.
+plateau edge, computed below from the closed-form spectrum of the a=0 output:
+by complex-step slopes in floats, and by the sign of its slope at 60 digits.
 """
 
 import cmath
+import decimal
 import math
 from typing import Callable, Sequence
 
@@ -657,6 +659,71 @@ def test_plateau_threshold_takes_both_exits():
     for eta in (0.0, 5e-5, 1.5, math.nan):
         with pytest.raises(DomainError, match=r"eta in \[0.0001, 1\]"):
             syn.plateau_threshold(eta)
+
+
+def test_coherence_slope_matches_the_complex_step_derivative():
+    rng = np.random.default_rng(28)
+    step = 1e-30
+    for eta, t in zip(rng.uniform(1e-3, 1.0, 3000).tolist(), rng.uniform(0.05, 20.0, 3000).tolist()):
+        got = syn._coherence_slope(eta, t)
+        assert type(got) is float
+        assert abs(got - _exact_coherence(eta, complex(t, step)).imag / step) <= 1e-13, (eta, t)
+
+
+def test_coherence_slope_at_eta_one_is_the_dephased_part():
+    # the antisymmetric and the small symmetric eigenvalue vanish, and the
+    # large one is 1 for every t, so only -(2/N^2) log t is left
+    for t in (0.05, 0.5, 1.0, 2.0, 20.0):
+        norm = 2.0 * t + 1.0
+        assert syn._coherence_slope(1.0, t) == -2.0 * math.log(t) / (norm * norm)
+
+
+def _decimal_slope(eta: float, t: decimal.Decimal) -> decimal.Decimal:
+    """dC/dt of ``_exact_coherence`` at 60 significant digits: a central
+    difference of step 1e-20, whose truncation and round-off are below 1e-35."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        eta = decimal.Decimal(eta)
+
+        def entropy_term(x):
+            return -x * x.ln() if x > 0 else decimal.Decimal(0)
+
+        def c(t):
+            norm, det = 2 * t + 1, t * (1 - eta * eta)
+            trace = t * (1 + eta * eta) + 1
+            big = trace + (trace * trace - 4 * det).sqrt()
+            spectrum = (det / norm, big / (2 * norm), 2 * det / (norm * big))
+            diagonal = (t / norm, t / norm, 1 / norm)
+            return sum(map(entropy_term, diagonal)) - sum(map(entropy_term, spectrum))
+
+        step = decimal.Decimal("1e-20")
+        return (c(t + step) - c(t - step)) / (2 * step)
+
+
+def _above_edge(eta: float, p: float) -> bool:
+    """Whether p lies above the exact plateau edge: dC/dt > 0 at t = (1 - p)/p,
+    the exact t of p, at 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p = decimal.Decimal(p)
+        return _decimal_slope(eta, (1 - p) / p) > 0
+
+
+def test_plateau_threshold_brackets_the_exact_edge():
+    # the docstring's claim: 0 to 1e-12 above the edge, moved either way by
+    # at most 2e-16/eta^2 of round-off in the sign of dC/dt (5e-13 at eta = 0.02)
+    for eta in np.random.default_rng(28).uniform(0.02, 1.0, 300).tolist():
+        got = syn.plateau_threshold(eta)
+        slack = 2e-16 / eta**2
+        assert _above_edge(eta, got + slack), eta
+        assert not _above_edge(eta, got - 1e-12 - slack), eta
+
+
+def test_plateau_threshold_calls_no_numpy(monkeypatch):
+    want = syn.plateau_threshold(0.75)
+    monkeypatch.setattr(syn, "np", None)  # any numpy call raises AttributeError
+    assert syn.plateau_threshold(0.75) == want
+    assert type(syn._coherence_slope(0.75, 1.0)) is float
 
 
 # ---------------------------------------------------------------------------

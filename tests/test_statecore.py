@@ -29,6 +29,9 @@ from coherence_forge import (
 )
 from coherence_forge.statecore import (
     _BATCH_ROWS,
+    TRACE_TOL,
+    ZERO_EIGENVALUE,
+    _row_entropy,
     apply_filter_rows,
     coherence_rows,
     diagonal_filter_rows,
@@ -260,6 +263,14 @@ class TestFiltering:
         assert np.allclose(out.matrix, direct.matrix, atol=1e-10)
 
 
+def _random_density_matrices(rng, d, count):
+    """``count`` random full-rank d x d density matrices."""
+    g = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    rho = g @ g.conj().transpose(0, 2, 1)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
 def _first_row_error(states, rows):
     """Type and message of what apply_filter raises for the first failing row."""
     for state, row in zip(states, rows):
@@ -325,6 +336,51 @@ class TestFilterRowsFirstFailure:
         if where is not None:
             rows[where] = self.BAD["above-one"][:3]
         self.check(rows, stacked)
+
+    def test_symmetrized_trace_has_no_imaginary_part_to_test(self):
+        """Why ``apply_filter_rows`` tests only the real part of each trace:
+        after 0.5 (rho + rho^dag) every diagonal entry of a finite row has an
+        imaginary part of exactly +0.0, and of a row that is not finite, NaN,
+        which no tolerance test catches. Those rows fail the coefficient
+        bound or the P_S floor first, with the errors of ``apply_filter``."""
+        rng = np.random.default_rng(28)
+        for d in (2, 3, 4, 6, 8):
+            states = [QState(m) for m in _random_density_matrices(rng, d, 6)]
+            stack = np.array([s.matrix for s in states])
+            finite = np.sqrt(rng.uniform(0.0, 1.0, (6, d))) * np.exp(2j * np.pi * rng.random((6, d)))
+            finite[:, 0] = 1e-4
+            finite[1:3] *= 1e-5  # two rows with a P_S of about 1e-10, nearer the floor
+            bad = finite.copy()
+            bad[0, 1], bad[1, 0], bad[2, d - 1] = np.nan, np.inf, complex(0.5, np.nan)
+            bad[3, :] = 1e-200  # P_S underflows to 0, so every entry is 0/0
+            bad[4, 0], bad[5, 1] = 1e200, complex(0.0, -1e300)  # P_S overflows to inf
+            for rows in (finite, bad):
+                diagonal = self._symmetrized_diagonal(stack, rows)
+                entry_finite = np.isfinite(diagonal)
+                assert entry_finite.all() == (rows is finite)
+                assert (diagonal.imag[entry_finite] == 0.0).all()
+                assert not np.signbit(diagonal.imag[entry_finite]).any()
+                assert np.isnan(diagonal.imag[~entry_finite]).all()
+                trace_imag = diagonal.sum(axis=1).imag
+                assert not (np.abs(trace_imag) > TRACE_TOL).any()
+            assert len(apply_filter_rows(stack, finite)[0]) == 6
+            for k in range(6):
+                one_bad = finite.copy()
+                one_bad[k] = bad[k]
+                want_type, want_message = _first_row_error(states, one_bad)
+                with pytest.raises(DomainError) as info:
+                    apply_filter_rows(stack, one_bad)
+                assert (type(info.value), str(info.value)) == (want_type, want_message)
+
+    @staticmethod
+    def _symmetrized_diagonal(matrix, c):
+        """The diagonal of each row's rho, with the arithmetic of
+        ``apply_filter_rows``."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            p_s = (np.abs(c) ** 2 * matrix.diagonal(axis1=-2, axis2=-1).real).sum(axis=1)
+            rho = matrix * (c[:, :, None] * c.conj()[:, None, :]) / p_s[:, None, None]
+            rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        return rho.diagonal(axis1=1, axis2=2)
 
     def test_bad_row_past_the_first_slice(self):
         n = _BATCH_ROWS + 100
@@ -459,6 +515,38 @@ class TestCoherenceRowsAtEightOrMoreLevels:
             p_s, populations, eigenvalues = apply_filter_rows(state.matrix, rows)
             want = [coherence(apply_filter(state, DiagonalFilter(row))[0]) for row in rows]
             assert coherence_rows(populations, eigenvalues).tolist() == want
+
+
+def _two_pass_coherence_rows(populations, eigenvalues):
+    """``coherence_rows`` with one ``_row_entropy`` pass per argument."""
+    gap = _row_entropy(populations) - _row_entropy(eigenvalues)
+    return np.where(gap < 0.0, 0.0, gap)
+
+
+def test_coherence_rows_equals_the_two_pass_form():
+    """One entropy pass over populations and eigenvalues stacked gives each
+    row's coherence bit for bit, 0.0 against -0.0 included."""
+    rng = np.random.default_rng(28)
+    small = [0.0, -0.0, -1e-16, 1e-15, ZERO_EIGENVALUE, np.nextafter(ZERO_EIGENVALUE, 1.0)]
+    for d in range(2, 17):
+        rows = rng.dirichlet(np.ones(d), size=(2, 60))
+        # entries at or near the zero threshold, some rows with most of them
+        tiny = rng.random((2, 60, d)) < rng.uniform(0.0, 0.9, (2, 60, 1))
+        rows[tiny] = rng.choice(small, size=int(tiny.sum()))
+        rows[:, :, 0] += 1e-3
+        # rows of zero entropy: one entry 1, the rest at or below the threshold
+        one_hot = np.where(rng.random((2, 12, d)) < 0.5, 0.0, rng.choice(small[:-1], (2, 12, d)))
+        one_hot[:, np.arange(12), rng.integers(d, size=12)] = 1.0
+        populations, eigenvalues = np.concatenate([rows, one_hot], axis=1)
+        # the same row on both sides gives an exact 0.0 gap
+        eigenvalues[:5] = populations[:5]
+        for pops, eigs in ((populations, eigenvalues), (eigenvalues, populations)):
+            got = coherence_rows(pops, eigs)
+            want = _two_pass_coherence_rows(pops, eigs)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert (coherence_rows(one_hot[0], one_hot[1]) == 0.0).all()
+    assert coherence_rows(np.empty((0, 3)), np.empty((0, 3))).shape == (0,)
 
 
 @given(state=density_matrices(dims=(2, 3, 4, 6, 8)), data=st.data())
