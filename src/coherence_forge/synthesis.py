@@ -29,12 +29,11 @@ batch by ``statecore.diagonal_filter_rows``; the energy and Tsallis
 frontiers call their synthesizer once per grid point. One
 ``statecore.apply_filter_rows`` call measures every filter, and the points
 are built without the frozen dataclass ``__init__``. Per point, the energy
-synthesizer reads the degeneracy classes and the clipped populations as
+synthesizer walks the degeneracy classes and the clipped populations as
 tuples of Python numbers that the spectrum and the state compute once per
-object, does its per-level arithmetic on Python floats, in the order of the
-numpy expressions it replaces, and hands its amplitudes to
-``statecore.diagonal_filter_row``, so its filters are the same bit for bit
-and no ``DiagonalFilter`` check runs on a numpy array. ``mixed_scan`` runs
+object, on Python floats, and hands its amplitudes to
+``statecore.diagonal_filter_row``, so no ``DiagonalFilter`` check runs on a
+numpy array. ``mixed_scan`` runs
 the golden-section searches of its populations in lockstep, one batch per
 step; every result equals the per-point computation bit for bit.
 ``plateau_threshold`` needs no search: the a=0 output depends on p and b only
@@ -177,11 +176,6 @@ def _sum(values: list[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _passed_above(pops: Sequence[float], classes: Sequence[Sequence[int]], c: int) -> float:
-    """Population of the populated levels of the classes above class ``c``."""
-    return _sum([pops[j] for upper in classes[c + 1 :] for j in upper if pops[j] > 0.0])
-
-
 def energy_optimal_filter(
     state: QState, spectrum: EnergySpectrum, p_success: float
 ) -> DiagonalFilter:
@@ -190,17 +184,19 @@ def energy_optimal_filter(
     The optimal structure zeroes every level below a cut energy, carries a
     single shared fractional amplitude on the degeneracy class at the cut,
     and passes everything above untouched. Reachable success probabilities
-    are bounded below by the population of the highest-energy class. Below
-    P_S = 1e-4, where ``1 - P_S`` has lost the digits of P_S, a class is cut
-    where the population the classes above it pass stops meeting P_S, and
-    the cut class keeps the fraction (P_S - that population) / its own
-    population, 0 only where that difference is round-off of P_S. The same
-    fraction serves a larger P_S when the highest-energy class is
-    unpopulated and no class above the cut passes population. So a tiny P_S
-    is met to its own relative precision. A level counts in its class
-    whenever its population is positive, however far below
-    ``ZERO_POPULATION``, so it is zeroed or cut with its class; a level of
-    population 0 passes whole.
+    are bounded below by the population of the highest-energy class.
+
+    One walk down the degeneracy classes, from the highest, adds up the
+    population they pass. The cut is the first class with which that total
+    reaches P_S, or else the lowest populated class, since a trace short of 1
+    by round-off may never reach P_S. The cut class keeps the fraction
+    (P_S - passed) / its own population, where passed is the population of
+    the classes above it: 0 where P_S - passed is at most 1e-12 P_S, and 1
+    above 1 - 1e-12. P_S - passed keeps the digits of a tiny P_S, so the
+    filter meets any P_S to round-off, or to 1e-12 relative where one of the
+    two snaps applies. A level counts in its class whenever its population
+    is positive, however far below ``ZERO_POPULATION``, so it is zeroed or
+    cut with its class; a level of population 0 passes whole.
     """
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
@@ -211,38 +207,27 @@ def energy_optimal_filter(
         p_success, top_pop, "P_S below the population {:.6g} of the highest-energy class"
     )
 
-    amplitudes = [1.0] * state.dim
     ps = min(p_success, 1.0)
-    tiny = ps < 1e-4
-    to_remove = max(1.0 - ps, 0.0)
-    for c, group in enumerate(classes):
-        if to_remove <= 1e-15 and not tiny:
+    # the walk: ``passed`` holds the classes above the cut; the populations
+    # are clipped to >= 0, so the unpopulated levels of a class add nothing
+    cut, cut_pop, passed = len(classes) - 1, top_pop, 0.0
+    for c in range(cut - 1, -1, -1):
+        if passed + cut_pop >= ps:
             break
-        live = [j for j in group if pops[j] > 0.0]
-        group_pop = _sum([pops[j] for j in live])
-        if group_pop <= 0.0:
-            continue
-        if (_passed_above(pops, classes, c) >= ps) if tiny else (group_pop <= to_remove):
-            for j in live:
-                amplitudes[j] = 0.0
-            to_remove -= group_pop
-            continue
-        if tiny or (top_pop < ZERO_POPULATION and not _passed_above(pops, classes, c)):
-            rest = ps - _passed_above(pops, classes, c)
-            kept = rest / group_pop if rest > 1e-12 * ps else 0.0
-        else:
-            kept = (group_pop - to_remove) / group_pop
-            # snap round-off at the class boundaries to the crisp pattern; a
-            # tiny kept fraction is a tiny P_S, not round-off, when no class
-            # above passes population
-            if kept < 1e-12 and _passed_above(pops, classes, c):
-                kept = 0.0
-        if kept > 1.0 - 1e-12:
-            kept = 1.0
-        amplitude = math.sqrt(kept)
-        for j in live:
-            amplitudes[j] = amplitude
-        break
+        group_pop = _sum([pops[j] for j in classes[c]])
+        if group_pop > 0.0:
+            passed += cut_pop
+            cut, cut_pop = c, group_pop
+    rest = ps - passed
+    kept = rest / cut_pop if rest > 1e-12 * ps else 0.0
+    if kept > 1.0 - 1e-12:
+        kept = 1.0
+    amplitudes = [1.0] * state.dim
+    for c in range(cut + 1):
+        amplitude = math.sqrt(kept) if c == cut else 0.0
+        for j in classes[c]:
+            if pops[j] > 0.0:
+                amplitudes[j] = amplitude
     return diagonal_filter_row(amplitudes)
 
 
@@ -980,7 +965,9 @@ def mixed_scan(eta: float, p_values: Sequence[float]) -> list[MixedScanPoint]:
     Below a threshold population (at least 0.5) the optimized coherence and
     mean energy are constant in p; above it the optimum saturates at b = 1.
     The golden-section searches of all p run in lockstep, each step one
-    batch, and give the b of a search run alone.
+    batch, and give the b of a search run alone. The coarse scan starts at
+    b = 0, where the filter passes p^2 alone, so a p with p^2 below the
+    annihilation floor is rejected before any work.
     """
     if not 0.0 <= eta <= 1.0:
         raise DomainError("eta must lie in [0, 1]")
@@ -989,6 +976,12 @@ def mixed_scan(eta: float, p_values: Sequence[float]) -> list[MixedScanPoint]:
             raise DomainError("populations p must lie in (0, 1)")
     if len(p_values) == 0:
         return []
+    p_min = min(p_values)
+    if p_min * p_min < _ANNIHILATION_TOL:
+        raise DomainError(
+            f"populations p must have p^2 >= {_ANNIHILATION_TOL:g}: at b = 0 the filter "
+            f"diag(0, 0, 0, 1) passes p^2 and annihilates the state below it (p = {p_min:g})"
+        )
     coherences, energies, b_opt = _scan(eta, p_values)
     return [
         MixedScanPoint(p=p, coherence=c, mean_energy=e, b_opt=b)

@@ -5,9 +5,13 @@ prefix on their names: the one-state entropy and ``coherence``, the scalar
 synthesizers and Brent loop, then ``trace_frontier`` (one synthesizer call,
 ``apply_filter`` and ``QState`` per grid point) and ``mixed_scan`` (one
 golden-section search per population). Every output of the package must
-equal theirs exactly. ``plateau_threshold`` is checked against the exact
-plateau edge, computed below from the closed-form spectrum of the a=0 output:
-by complex-step slopes in floats, and by the sign of its slope at 60 digits.
+equal theirs exactly, except the energy synthesizer's, whose per-point code is
+retired: its filters and frontiers are checked against the exact knapsack of
+``exact_reference`` to 1e-12, and the measured columns of an energy frontier
+still equal the per-point measurement of its own filters.
+``plateau_threshold`` is checked against the exact plateau edge, computed
+below from the closed-form spectrum of the a=0 output: by complex-step slopes
+in floats, and by the sign of its slope at 60 digits.
 """
 
 import cmath
@@ -53,6 +57,7 @@ from coherence_forge.synthesis import (
     _qubit_count,
     reachable_success_range,
 )
+from exact_reference import assert_energy_optimum, knapsack_mean_energy
 
 
 def _reference_entropy(values: np.ndarray) -> float:
@@ -91,49 +96,6 @@ def _reference_check_success_range(
         raise UnreachableSuccessProbability(above)
     if p_success < lo - _RANGE_TOL or (open_lower and p_success <= lo):
         raise UnreachableSuccessProbability(below)
-
-
-def _reference_energy_optimal_filter(
-    state: QState, spectrum: EnergySpectrum, p_success: float
-) -> DiagonalFilter:
-    """Filter maximizing output mean energy at the given success probability.
-
-    The optimal structure zeroes every level below a cut energy, carries a
-    single shared fractional amplitude on the degeneracy class at the cut,
-    and passes everything above untouched. Reachable success probabilities
-    are bounded below by the population of the highest-energy class.
-    """
-    if state.dim != spectrum.dim:
-        raise DimensionMismatch("state and spectrum dimensions differ")
-    pops = np.clip(state.populations, 0.0, None)
-    classes = spectrum.degeneracy_classes(DEGENERACY_TOL)
-    top_pop = float(pops[classes[-1]].sum())
-    _reference_check_success_range(
-        p_success, top_pop, f"P_S below the population {top_pop:.6g} of the highest-energy class"
-    )
-
-    amplitudes = np.ones(state.dim)
-    to_remove = max(1.0 - min(p_success, 1.0), 0.0)
-    for group in classes:
-        if to_remove <= 1e-15:
-            break
-        live = group[pops[group] >= ZERO_POPULATION]
-        group_pop = float(pops[live].sum())
-        if group_pop <= 0.0:
-            continue
-        if group_pop <= to_remove:
-            amplitudes[live] = 0.0
-            to_remove -= group_pop
-        else:
-            kept = (group_pop - to_remove) / group_pop
-            # snap round-off at the class boundaries to the crisp pattern
-            if kept < 1e-12:
-                kept = 0.0
-            elif kept > 1.0 - 1e-12:
-                kept = 1.0
-            amplitudes[live] = np.sqrt(kept)
-            to_remove = 0.0
-    return DiagonalFilter(amplitudes.astype(complex))
 
 
 def _reference_waterfill_level(pops: np.ndarray, p_success: float) -> float:
@@ -180,10 +142,11 @@ def _reference_optimal_filter(
     state: QState, spectrum: EnergySpectrum, target: FilterTarget, p_success: float
 ) -> DiagonalFilter:
     """The synthesizer of ``target`` at the given success probability:
-    :func:`energy_optimal_filter`, :func:`coherence_optimal_filter_pure` (pure
-    states only) or :func:`tsallis_optimal_filter`."""
+    :func:`coherence_optimal_filter_pure` (pure states only) or
+    :func:`tsallis_optimal_filter`. The energy synthesizer is checked against
+    the exact knapsack of ``exact_reference`` instead."""
     if target is FilterTarget.ENERGY:
-        return _reference_energy_optimal_filter(state, spectrum, p_success)
+        raise AssertionError("the energy synthesizer has no per-point reference")
     if target is FilterTarget.COHERENCE:
         return _reference_coherence_optimal_filter_pure(state, p_success)
     return tsallis_optimal_filter(state, p_success)
@@ -451,6 +414,48 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+_ENERGY_OPTIMAL = (FilterTarget.ENERGY, FilterFamily.OPTIMAL)
+
+
+def _assert_energy_outcome(got, state, spectrum, p_success):
+    """``got``, the outcome of the energy synthesizer at ``p_success``: the
+    per-point code's range error where P_S is out of range, and otherwise the
+    exact knapsack's filter, to 1e-12."""
+    pops = np.clip(state.populations, 0.0, None)
+    top_pop = float(pops[spectrum.degeneracy_classes(DEGENERACY_TOL)[-1]].sum())
+    error = _outcome(
+        _reference_check_success_range, p_success, top_pop,
+        f"P_S below the population {top_pop:.6g} of the highest-energy class",
+    )
+    if error is not None:
+        assert got == error
+    else:
+        assert_energy_optimum(pops, spectrum.levels, got.coeffs, min(p_success, 1.0), 1e-12)
+
+
+def _assert_exact_energy_frontier(got, state, spectrum, grid):
+    """An optimal energy frontier against the exact knapsack at each grid P_S:
+    each filter by ``assert_energy_optimum``, and each point's P_S and mean
+    energy, to 1e-12. The measured columns equal the per-point measurement of
+    the point's own filter bit for bit."""
+    lo, hi = reachable_success_range(state, spectrum, *_ENERGY_OPTIMAL)
+    pops = np.clip(state.populations, 0.0, None)
+    assert len(got) == grid
+    for pt, ps in zip(got, np.linspace(lo, hi, grid).tolist()):
+        assert pt.family is FilterFamily.OPTIMAL
+        assert_energy_optimum(pops, spectrum.levels, pt.filter.coeffs, ps, 1e-12)
+        assert abs(pt.p_success - ps) <= 1e-12 * ps
+        assert abs(pt.mean_energy - knapsack_mean_energy(pops, spectrum.levels, ps)) <= 1e-12
+        out, actual = apply_filter(state, pt.filter)
+        for field, want in (
+            ("p_success", actual),
+            ("coherence", coherence(out)),
+            ("mean_energy", mean_energy(out, spectrum)),
+        ):
+            assert type(getattr(pt, field)) is float
+            assert _same(getattr(pt, field), want), field
+
+
 def _random_ket(rng, d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return QState.pure(v)
@@ -491,6 +496,9 @@ _FAMILIES = tuple(FilterFamily)
 def test_product_state_frontiers(p, target, family, grid):
     state = product_pure_state(p, 2)
     got = syn.trace_frontier(state, TWO_QUBIT_SPECTRUM, target, family, grid=grid)
+    if (target, family) == _ENERGY_OPTIMAL:
+        _assert_exact_energy_frontier(got, state, TWO_QUBIT_SPECTRUM, grid)
+        return
     want = _reference_trace_frontier(state, TWO_QUBIT_SPECTRUM, target, family, grid=grid)
     _assert_same_points(got, want)
 
@@ -501,6 +509,10 @@ def test_product_state_frontiers(p, target, family, grid):
 def test_other_state_frontiers(name, target, family):
     state, spectrum = _OTHER_STATES[name]
     grid = 40 if target is FilterTarget.COHERENCE_TSALLIS and state.dim > 8 else 97
+    if (target, family) == _ENERGY_OPTIMAL:
+        got = syn.trace_frontier(state, spectrum, target, family, grid)
+        _assert_exact_energy_frontier(got, state, spectrum, grid)
+        return
     got = _outcome(syn.trace_frontier, state, spectrum, target, family, grid)
     want = _outcome(_reference_trace_frontier, state, spectrum, target, family, grid)
     if isinstance(want, tuple):  # e.g. factorized at d = 3, coherence of a mixed state
@@ -521,6 +533,9 @@ def test_synthesizers_at_the_range_ends(name, target):
     state, spectrum = _OTHER_STATES[name]
     for ps in _range_ends(state, spectrum, target, FilterFamily.OPTIMAL):
         got = _outcome(syn.optimal_filter, state, spectrum, target, ps)
+        if target is FilterTarget.ENERGY:
+            _assert_energy_outcome(got, state, spectrum, ps)
+            continue
         want = _outcome(_reference_optimal_filter, state, spectrum, target, ps)
         if isinstance(want, tuple):
             assert got == want, ps
@@ -541,9 +556,9 @@ def test_scalar_synthesizers_match_on_a_dense_grid():
     for _ in range(20):
         state = _random_ket(rng, 4)
         for ps in rng.uniform(0.0, 1.0, size=25).tolist():
+            got = _outcome(syn.energy_optimal_filter, state, TWO_QUBIT_SPECTRUM, ps)
+            _assert_energy_outcome(got, state, TWO_QUBIT_SPECTRUM, ps)
             for fn, ref in (
-                (lambda s, x: syn.energy_optimal_filter(s, TWO_QUBIT_SPECTRUM, x),
-                 lambda s, x: _reference_energy_optimal_filter(s, TWO_QUBIT_SPECTRUM, x)),
                 (syn.coherence_optimal_filter_pure, _reference_coherence_optimal_filter_pure),
                 (syn.factorized_filter, _reference_factorized_filter),
             ):
@@ -843,12 +858,14 @@ def _tied_pure_state(rng, d):
 def test_optimal_frontiers_match_the_per_point_code_at_every_point():
     """Energy and pure-state coherence frontiers, d = 2-8, on spectra rounded
     to 0.1 so that degeneracy classes form: every coefficient, P_S, coherence
-    and mean energy equals the per-point reference bit for bit."""
+    and mean energy of a coherence frontier equals the per-point reference
+    bit for bit, and every point of an energy frontier the exact knapsack."""
     rng = np.random.default_rng(1717)
     for d in range(2, 9):
         for _ in range(6):
             state = _tied_pure_state(rng, d)
             spectrum = EnergySpectrum(np.sort(np.round(rng.uniform(0.0, 2.0, size=d), 1)))
-            for target in (FilterTarget.ENERGY, FilterTarget.COHERENCE):
-                args = (state, spectrum, target, FilterFamily.OPTIMAL, 50)
-                _assert_same_points(syn.trace_frontier(*args), _reference_trace_frontier(*args))
+            args = (state, spectrum, FilterTarget.COHERENCE, FilterFamily.OPTIMAL, 50)
+            _assert_same_points(syn.trace_frontier(*args), _reference_trace_frontier(*args))
+            got = syn.trace_frontier(state, spectrum, *_ENERGY_OPTIMAL, 50)
+            _assert_exact_energy_frontier(got, state, spectrum, 50)

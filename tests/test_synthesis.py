@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from coherence_forge import (
 from coherence_forge import synthesis
 from coherence_forge.cli import EXIT_DOMAIN, EXIT_OK, main
 from coherence_forge.oracle import grid_search, objective_value
-from coherence_forge.statecore import _ANNIHILATION_TOL, ZERO_POPULATION, qstate_to_text
+from coherence_forge.statecore import _ANNIHILATION_TOL, TRACE_TOL, ZERO_POPULATION, qstate_to_text
 from coherence_forge.synthesis import (
     _brent_root,
     coherence_lower_branch,
@@ -45,6 +46,7 @@ from coherence_forge.synthesis import (
     solve_inverse_temperature,
     success_threshold,
 )
+from exact_reference import assert_energy_optimum, populated_classes
 
 
 def shannon(v):
@@ -194,6 +196,92 @@ class TestEnergyOptimal:
             # degenerate levels of the cut energy share the coefficient
             for group in spectrum.degeneracy_classes():
                 assert np.ptp(mags[group]) < 1e-12
+
+
+def _walk_case(rng, d):
+    """A random pure state and spectrum at d levels: integer levels, so they
+    tie and are unsorted (at d = 8, half the time the n = 3 basis order);
+    some levels unpopulated, at times the whole top class; at times
+    populations scaled down by up to 1e-13, so a populated class can be tiny."""
+    if d == 8 and rng.uniform() < 0.5:
+        levels = np.array(_excitation_counts(3))
+    else:
+        levels = rng.integers(0, max(2, d // 2) + 1, size=d).astype(float)
+    pops = rng.dirichlet(np.ones(d))
+    if rng.uniform() < 0.4:
+        pops *= 10.0 ** -rng.uniform(0.0, 13.0, size=d)
+    if rng.uniform() < 0.5:
+        pops[rng.integers(d, size=rng.integers(1, d))] = 0.0
+    if rng.uniform() < 0.3:
+        pops[levels == levels.max()] = 0.0
+    if not pops.any():
+        pops[rng.integers(d)] = 1.0
+    phases = np.exp(2j * np.pi * rng.uniform(size=d))
+    return QState.pure(np.sqrt(pops / pops.sum()) * phases), EnergySpectrum(levels)
+
+
+class TestEnergyWalk:
+    """The achieved P_S of the energy filter, counted in rationals from its
+    coefficients, against the exact knapsack of ``exact_reference``: within
+    1e-15 relative of the target from the 2e-14 floor to 1.
+
+    Within 2e-12 P_S of a running total of the classes from the top, the
+    filter may zero the cut class or keep it whole on purpose: its snaps act
+    within 1e-12 P_S, a window widened here for the round-off of its float
+    total. There the bound is 1e-12, plus that round-off."""
+
+    @staticmethod
+    def check(state, spectrum, ps):
+        pops = np.clip(state.populations, 0.0, None)
+        target, total = Fraction(ps), Fraction(0)
+        tol = 1e-15
+        for _, _, pop in populated_classes(pops, spectrum.levels):
+            total += pop
+            if abs(total - target) <= 2e-12 * target:
+                tol = 1e-12 + 1e-15
+        filt = energy_optimal_filter(state, spectrum, ps)
+        assert_energy_optimum(pops, spectrum.levels, filt.coeffs, ps, tol)
+
+    @staticmethod
+    def log_uniform(rng, lo, size):
+        lo = min(max(lo, 2e-14), 1.0)
+        return np.exp(rng.uniform(np.log(lo), 0.0, size=size)).tolist()
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_seeded_sweep(self, d):
+        rng = np.random.default_rng(2900 + d)
+        for _ in range(40):
+            state, spectrum = _walk_case(rng, d)
+            top = spectrum.levels == spectrum.levels.max()
+            lo = float(np.clip(state.populations, 0.0, None)[top].sum())
+            for ps in [*self.log_uniform(rng, lo, 6), 1.0]:
+                self.check(state, spectrum, ps)
+
+    def test_product_states_at_log_spaced_success(self):
+        rng = np.random.default_rng(2929)
+        for p in np.linspace(0.001, 0.999, 40).tolist():
+            state = product_pure_state(p, 2)
+            for ps in self.log_uniform(rng, p * p, 25):
+                self.check(state, TWO_QUBIT_SPECTRUM, ps)
+
+    def test_point_missed_by_three_regimes(self):
+        # the filter of three small-P_S regimes and a snap missed this P_S,
+        # just above its 1e-4 switch, by 2.7e-12 relative
+        self.check(product_pure_state(0.006, 2), TWO_QUBIT_SPECTRUM, 1.0190699146492649e-4)
+
+    @pytest.mark.parametrize(
+        "pops",
+        [[0.0, 0.25, 0.25, 0.5 - TRACE_TOL], [0.0, 0.0, 0.0, 1.0 - TRACE_TOL]],
+        ids=["lowest-class-unpopulated", "top-class-alone"],
+    )
+    def test_full_success_on_a_short_trace(self, pops):
+        # no running total reaches P_S = 1, so the walk cuts the lowest
+        # populated class, without dividing by the population 0 below it,
+        # and keeps all of it: every level passes
+        state = QState(np.diag(pops))
+        assert 0.99 * TRACE_TOL < 1.0 - np.trace(state.matrix).real <= TRACE_TOL
+        filt = energy_optimal_filter(state, TWO_QUBIT_SPECTRUM, 1.0)
+        assert np.array_equal(filt.coeffs, np.ones(4))
 
 
 class TestCoherenceOptimalPure:

@@ -34,6 +34,7 @@ from coherence_forge import (
     energy_optimal_filter,
     grid_search,
     mixed_qubit_product,
+    mixed_scan,
     process_metrics,
     product_pure_state,
     simulate_sequential,
@@ -164,6 +165,10 @@ LIBRARY_CASES = {
     "tsallis-no-feasible-filter": (
         lambda: tsallis_optimal_filter(_infeasible_tsallis_state(), 1.0),
         UnreachableSuccessProbability, "no feasible filter attains"),
+    "mixed-scan-population-floor": (
+        lambda: mixed_scan(0.75, [0.3, 1e-7]), DomainError,
+        r"populations p must have p\^2 >= 1e-14: at b = 0 the filter diag\(0, 0, 0, 1\) "
+        r"passes p\^2 and annihilates the state below it \(p = 1e-07\)"),
     "frontier-spectrum-dimension": (
         lambda: trace_frontier(PAIR, THREE_LEVELS, FilterTarget.COHERENCE, FilterFamily.OPTIMAL),
         DimensionMismatch, "state and spectrum dimensions differ"),
@@ -252,6 +257,10 @@ CLI_CASES = {
     "water-fill-one-level": (
         ["filter", "--p", "0", "--ps", "0.5", "--target", "coherence", "--mode", "general"],
         EXIT_DOMAIN, "state must populate at least two levels"),
+    "mixed-scan-population-floor": (
+        ["mixed-scan", "--eta", "0.75", "--p-min", "1e-8", "--p-max", "0.4", "--steps", "3",
+         "--out-csv", "{tmp}/s.csv"],
+        EXIT_DOMAIN, "populations p must have p^2 >= 1e-14"),
     "tsallis-no-feasible-filter": (
         ["filter", "--state", "{tmp}/infeasible.txt", "--ps", "1", "--target", "tsallis",
          "--mode", "general", "--spectrum", TWELVE_LEVELS],
@@ -267,6 +276,17 @@ def test_cli_rejects(capsys, tmp_path, argv, want_code, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_mixed_scan_population_floor_is_the_annihilation_floor():
+    # 1e-7 squares to just below 1e-14 and its successor to at least 1e-14:
+    # the successor is scanned, and 1e-7 is rejected before its b = 0 point
+    # would annihilate the state
+    above = float(np.nextafter(1e-7, 1.0))
+    assert 1e-7 * 1e-7 < 1e-14 <= above * above
+    assert len(mixed_scan(0.75, [above, 2e-7])) == 2
+    with pytest.raises(DomainError, match=r"p\^2 >= 1e-14"):
+        mixed_scan(0.75, [above, 1e-7])
 
 
 def test_iterate_writes_its_report(capsys, tmp_path):
