@@ -226,21 +226,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     spectrum = _parse_spectrum(args.spectrum)
     state = _input_state(args)
     _require_spectrum_dim(state, spectrum)
-    if args.mode == "closed-form":
-        if args.p is None:
-            raise _UsageError("--mode closed-form needs --p")
-        if target is FilterTarget.COHERENCE_TSALLIS:
-            raise DomainError("no closed form for the tsallis target; use --mode general")
-        classes = spectrum.degeneracy_classes(synthesis.DEGENERACY_TOL)
-        if target is FilterTarget.ENERGY and [c.tolist() for c in classes] != [[0], [1, 2], [3]]:
-            raise DomainError(
-                "the closed-form energy filter needs levels e0 < e1 = e2 < e3; "
-                "use --mode general"
-            )
-        params = synthesis.two_qubit_closed_form(args.p, args.ps, target)
-        filt = params.to_filter()
-    else:
-        filt = synthesis.optimal_filter(state, spectrum, target, args.ps)
+    filt = synthesis.optimal_filter(state, spectrum, target, args.ps)
     out, p_s = apply_filter(state, filt)
     print(_describe_filter(filt))
     print(f"P_S achieved = {_fmt(p_s)}")
@@ -383,7 +369,6 @@ def build_parser() -> _Parser:
     p_filter.add_argument("--state", help="QState text file (instead of --p)")
     p_filter.add_argument("--ps", type=float, required=True)
     p_filter.add_argument("--target", choices=[t.value for t in FilterTarget], required=True)
-    p_filter.add_argument("--mode", choices=("closed-form", "general"), default="closed-form")
     p_filter.add_argument("--spectrum", default="0,1,1,2")
     p_filter.add_argument("--out", help="write the filter in text form")
     p_filter.add_argument("--log-base", choices=("e", "2"), default="e")

@@ -11,10 +11,10 @@ logarithm throughout (nats).
 
 Each object computes its invariants once. An ``EnergySpectrum`` groups its
 levels, given in the basis order of the system, into degeneracy classes at
-``DEGENERACY_TOL`` when it is built, and ``degeneracy_classes()`` at that
-tolerance returns those read-only arrays. A ``QState`` keeps the spectrum of
-its matrix from validation, and its populations and purity from their first
-use; ``populations`` still hands out a fresh writable copy. For the scalar
+``DEGENERACY_TOL`` when it is built, and ``degeneracy_classes()`` returns
+those read-only arrays. A ``QState`` keeps the spectrum of its matrix from
+validation, and its populations and purity from their first use;
+``populations`` still hands out a fresh writable copy. For the scalar
 synthesizers, the classes and the clipped populations are also kept as
 tuples of Python numbers from their first use, so a grid point reads them
 without converting an array.
@@ -85,30 +85,31 @@ class EnergySpectrum:
         if not np.all(np.isfinite(arr)):
             raise StateValidationError("energies must be finite")
         object.__setattr__(self, "levels", _frozen(arr))
-        object.__setattr__(self, "_classes", self._group(DEGENERACY_TOL))
+        object.__setattr__(self, "_classes", self._group())
 
     @property
     def dim(self) -> int:
         return int(self.levels.size)
 
-    def degeneracy_classes(self, tol: float = DEGENERACY_TOL) -> list[np.ndarray]:
+    def degeneracy_classes(self) -> list[np.ndarray]:
         """Indices grouped by energy, the classes in ascending energy and each
-        class in ascending index; in energy order, a level within ``tol`` of
-        the one before it shares its class. The index arrays are read-only."""
-        return list(self._classes if tol == DEGENERACY_TOL else self._group(tol))
+        class in ascending index; in energy order, a level within
+        ``DEGENERACY_TOL`` of the one before it shares its class. The index
+        arrays are read-only."""
+        return list(self._classes)
 
     @cached_property
     def _class_lists(self) -> tuple[tuple[int, ...], ...]:
         """The classes at ``DEGENERACY_TOL`` as tuples of Python ints."""
         return tuple(tuple(group.tolist()) for group in self._classes)
 
-    def _group(self, tol: float) -> tuple[np.ndarray, ...]:
+    def _group(self) -> tuple[np.ndarray, ...]:
         # runs of the levels in a stable energy order: a sorted spectrum's
         # order is the identity, so its classes are its index ranges. Each run
         # is put in index order by Python's sort, since numpy's integer sort
         # would page in about 0.3 MB of its code for a few indices.
         order = np.argsort(self.levels, kind="stable")
-        cuts = np.flatnonzero(np.diff(self.levels[order]) > tol) + 1
+        cuts = np.flatnonzero(np.diff(self.levels[order]) > DEGENERACY_TOL) + 1
         bounds = [0, *cuts.tolist(), self.dim]
         return tuple(
             _frozen(np.array(sorted(order[lo:hi].tolist()), dtype=np.intp))

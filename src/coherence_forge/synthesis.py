@@ -60,7 +60,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, UnreachableSuccessProbability
 from .statecore import (
-    DEGENERACY_TOL,
     TWO_QUBIT_SPECTRUM,
     DiagonalFilter,
     EnergySpectrum,
@@ -191,12 +190,15 @@ def energy_optimal_filter(
     reaches P_S, or else the lowest populated class, since a trace short of 1
     by round-off may never reach P_S. The cut class keeps the fraction
     (P_S - passed) / its own population, where passed is the population of
-    the classes above it: 0 where P_S - passed is at most 1e-12 P_S, and 1
-    above 1 - 1e-12. P_S - passed keeps the digits of a tiny P_S, so the
-    filter meets any P_S to round-off, or to 1e-12 relative where one of the
-    two snaps applies. A level counts in its class whenever its population
-    is positive, however far below ``ZERO_POPULATION``, so it is zeroed or
-    cut with its class; a level of population 0 passes whole.
+    the classes above it. It keeps 1 where that fraction is above 1 - 1e-12
+    or its population exceeds P_S - passed by at most 1e-12 P_S, so at
+    P_S = 1 the round-off excess of a trace just above 1 cuts no class, and
+    otherwise 0 where P_S - passed is at most 1e-12 P_S. P_S - passed keeps
+    the digits of a tiny P_S, so the filter meets any P_S to round-off, or
+    to 1e-12 relative where a snap applies. A level counts in its class
+    whenever its population is positive, however far below
+    ``ZERO_POPULATION``, so it is zeroed or cut with its class; a level of
+    population 0 passes whole.
     """
     if state.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
@@ -220,7 +222,7 @@ def energy_optimal_filter(
             cut, cut_pop = c, group_pop
     rest = ps - passed
     kept = rest / cut_pop if rest > 1e-12 * ps else 0.0
-    if kept > 1.0 - 1e-12:
+    if kept > 1.0 - 1e-12 or cut_pop - rest <= 1e-12 * ps:
         kept = 1.0
     amplitudes = [1.0] * state.dim
     for c in range(cut + 1):
@@ -803,7 +805,7 @@ def reachable_success_range(
     if target is FilterTarget.ENERGY:
         # below the population of the highest populated class the optimum
         # keeps a share of that class alone, so the output no longer changes
-        class_pops = [float(pops[c].sum()) for c in spectrum.degeneracy_classes(DEGENERACY_TOL)]
+        class_pops = [float(pops[c].sum()) for c in spectrum.degeneracy_classes()]
         return next(p for p in reversed(class_pops) if p >= ZERO_POPULATION), 1.0
     if target is FilterTarget.COHERENCE:
         act = pops[pops >= ZERO_POPULATION]

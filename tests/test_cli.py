@@ -37,6 +37,7 @@ from coherence_forge.cli import (
 from coherence_forge.oracle import MAX_GRID_POINTS, MAX_TAIL_ROWS, grid_search
 from coherence_forge.statecore import filter_from_text, qstate_to_text
 from coherence_forge.synthesis import MAX_SAMPLE_POINTS
+from exact_reference import assert_energy_optimum, knapsack_mean_energy
 
 
 def run(capsys, *argv):
@@ -66,11 +67,28 @@ class TestFilterCommand:
         assert "mean energy = 0.2" in out
 
     def test_out_of_range_exits_2(self, capsys):
-        code, _, err = run(
+        # the synthesizer's own floors: p^2 and 4p^2 on the two-qubit state
+        code, out, err = run(
             capsys, "filter", "--p", "0.1", "--ps", "0.005", "--target", "energy"
         )
-        assert code == EXIT_DOMAIN
-        assert "below p^2" in err
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: P_S below the population 0.01 of the highest-energy class\n"
+        code, out, err = run(
+            capsys, "filter", "--p", "0.1", "--ps", "0.03", "--target", "coherence"
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: P_S below the full-equalization minimum 0.04\n"
+
+    def test_p_above_one_half(self, capsys):
+        # outside the closed forms' domain 0 < p < 1/2: the water-fill
+        # attenuates the now dominant |11> and a pair of |01>, |10>
+        code, out, err = run(capsys, "filter", "--p", "0.7", "--ps", "0.6", "--target", "coherence")
+        assert (code, err) == (EXIT_OK, "")
+        pops = product_pure_state(0.7, 2).populations
+        coeffs = [float(v) for v in out.split("m = [")[1].split("]")[0].split(", ")]
+        k = (0.6 - pops[0]) / 3
+        assert coeffs == pytest.approx([1.0, *np.sqrt(k / pops[1:])], abs=1e-11)
+        assert "P_S achieved = 0.6\n" in out
 
     def test_malformed_flags_exit_1(self, capsys):
         code, _, _ = run(capsys, "filter", "--p", "0.1", "--target", "energy")
@@ -80,7 +98,7 @@ class TestFilterCommand:
         )
         assert code == EXIT_USAGE
 
-    def test_general_mode_and_filter_output(self, capsys, tmp_path):
+    def test_filter_output_file(self, capsys, tmp_path):
         path = tmp_path / "filter.txt"
         code, out, _ = run(
             capsys,
@@ -91,8 +109,6 @@ class TestFilterCommand:
             "0.28",
             "--target",
             "coherence",
-            "--mode",
-            "general",
             "--out",
             str(path),
         )
@@ -105,7 +121,7 @@ class TestFilterCommand:
         state_path.write_text(qstate_to_text(mixed_qubit_product(QubitParams(p=0.2, eta=0.75), 2)))
         code, out, _ = run(
             capsys, "filter", "--state", str(state_path), "--ps", "0.3",
-            "--target", "tsallis", "--mode", "general",
+            "--target", "tsallis",
         )
         assert code == EXIT_OK
         assert "P_S achieved = 0.3" in out
@@ -117,7 +133,7 @@ class TestFilterCommand:
         state_path = tmp_path / "state.txt"
         state_path.write_text(qstate_to_text(QState.pure(np.sqrt([0.25, 0.25, 0.5, 0.0]))))
         code, out, err = run(
-            capsys, "filter", "--mode", "general", "--target", "energy",
+            capsys, "filter", "--target", "energy",
             "--state", str(state_path), "--ps", ps,
         )
         assert (code, err) == (EXIT_OK, "")
@@ -133,7 +149,7 @@ class TestFilterCommand:
         state = QState.pure(np.sqrt([0.5, 0.25, 0.25 - 1e-13, 1e-13]))
         state_path.write_text(qstate_to_text(state))
         code, out, err = run(
-            capsys, "filter", "--mode", "general", "--target", "energy",
+            capsys, "filter", "--target", "energy",
             "--state", str(state_path), "--ps", "1.5e-13",
         )
         assert (code, err) == (EXIT_OK, "")
@@ -149,7 +165,7 @@ class TestFilterCommand:
         state = QState.pure(np.sqrt([0.4, 2e-17, 0.3, 0.15, 0.1, 0.05 - 3e-12, 2e-12, 1e-12]))
         state_path.write_text(qstate_to_text(state))
         code, out, err = run(
-            capsys, "filter", "--mode", "general", "--target", "energy",
+            capsys, "filter", "--target", "energy",
             "--state", str(state_path), "--spectrum", "0,1,2,3,4,5,6,7", "--ps", "1.47e-12",
         )
         assert (code, err) == (EXIT_OK, "")
@@ -163,7 +179,7 @@ class TestFilterCommand:
         levels = [bin(j).count("1") for j in range(2**n)]
         state_path = tmp_path / "state.txt"
         state_path.write_text(qstate_to_text(product_pure_state(0.3, n)))
-        argv = ["filter", "--mode", "general", "--target", "energy", "--state", str(state_path),
+        argv = ["filter", "--target", "energy", "--state", str(state_path),
                 "--spectrum", ",".join(map(str, levels))]
         code, out, err = run(capsys, *argv, "--ps", repr(0.3**n))
         assert (code, err) == (EXIT_OK, "")
@@ -171,6 +187,27 @@ class TestFilterCommand:
         for bad in (",".join(map(str, levels[:-1])), ",".join(map(str, levels[:-1] + [float("nan")]))):
             code, out, err = run(capsys, *argv[:-1], bad, "--ps", "0.5")
             assert code == EXIT_DOMAIN and out == ""
+
+    @pytest.mark.parametrize(
+        "spectrum, ps",
+        [("0,1,2,3", "0.1"), ("0,1,1,1", "0.5"), ("0,0,1,2", "0.1"), ("0,0,0,0", "1"),
+         ("1,0,0,2", "0.1"), ("0,1,2,1", "0.5"), ("2,1,1,0", "0.9"), ("0,2,2,4", "0.1")],
+    )
+    def test_energy_filter_on_any_spectrum_layout(self, capsys, tmp_path, spectrum, ps):
+        # every layout gets the energy optimum, checked in exact rationals
+        out_path = tmp_path / "filter.txt"
+        code, out, err = run(
+            capsys, "filter", "--p", "0.1", "--ps", ps, "--target", "energy",
+            "--spectrum", spectrum, "--out", str(out_path),
+        )
+        assert (code, err) == (EXIT_OK, "")
+        levels = [float(x) for x in spectrum.split(",")]
+        coeffs = filter_from_text(out_path.read_text()).coeffs
+        pops = product_pure_state(0.1, 2).populations
+        assert_energy_optimum(pops, levels, coeffs, float(ps), 1e-12)
+        energy = float(out.split("output mean energy = ")[1].split()[0])
+        exact = float(knapsack_mean_energy(pops, levels, float(ps)))
+        assert energy == pytest.approx(exact, abs=1e-11)
 
     def test_log_base_2_leads_with_bits(self, capsys):
         code, out, _ = run(
@@ -710,18 +747,9 @@ class TestBadInputs:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize("ps", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize(
-        "mode, target",
-        [
-            pytest.param("closed-form", "coherence", id="closed-form"),
-            pytest.param("general", "coherence", id="general"),
-            pytest.param("general", "tsallis", id="general-tsallis"),
-        ],
-    )
-    def test_non_finite_ps_exits_2(self, capsys, ps, mode, target):
-        code, out, err = run(
-            capsys, "filter", "--p", "0.1", f"--ps={ps}", "--target", target, "--mode", mode
-        )
+    @pytest.mark.parametrize("target", [t.value for t in FilterTarget])
+    def test_non_finite_ps_exits_2(self, capsys, ps, target):
+        code, out, err = run(capsys, "filter", "--p", "0.1", f"--ps={ps}", "--target", target)
         assert code == EXIT_DOMAIN
         assert out == ""
         assert "finite" in err
@@ -755,7 +783,7 @@ class TestBadInputs:
         state_path.write_text(qstate_to_text(QState.pure(np.sqrt([2e-14, 0.5, 0.5 - 2e-14]))))
         code, out, err = run(
             capsys, "filter", "--state", str(state_path), f"--ps={ps}",
-            "--target", "coherence", "--mode", "general", "--spectrum", "0,1,2",
+            "--target", "coherence", "--spectrum", "0,1,2",
         )
         assert code == EXIT_DOMAIN
         assert out == ""
@@ -766,7 +794,7 @@ class TestBadInputs:
         state_path.write_text(qstate_to_text(QState.pure(np.ones(13))))
         code, out, err = run(
             capsys, "filter", "--state", str(state_path), "--ps", "0.5",
-            "--target", "tsallis", "--mode", "general",
+            "--target", "tsallis",
             "--spectrum", ",".join(str(k) for k in range(13)),
         )
         assert code == EXIT_DOMAIN
@@ -784,16 +812,18 @@ class TestBadInputs:
         )
         assert code == EXIT_USAGE
         assert "exactly one of --p or --state" in err
-        code, _, err = run(
+        # a state file of the --p state prints what --p prints
+        from_file = run(
             capsys, "filter", "--state", str(state_path), "--ps", "0.5", "--target", "energy"
         )
-        assert code == EXIT_USAGE
-        assert "closed-form needs --p" in err
+        from_p = run(capsys, "filter", "--p", "0.1", "--ps", "0.5", "--target", "energy")
+        assert from_file == from_p
+        assert from_p[0] == EXIT_OK and "P_S achieved = 0.5\n" in from_p[1]
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["filter", "--ps", "0.5", "--target", "energy", "--mode", "general", "--state"],
+            ["filter", "--ps", "0.5", "--target", "energy", "--state"],
             ["oracle", "--ps", "0.5", "--target", "energy", "--state"],
         ],
         ids=["filter", "oracle"],
@@ -847,37 +877,6 @@ class TestBadInputs:
         assert out == ""
         assert "3 levels" in err
 
-    @pytest.mark.parametrize(
-        "spectrum", ["0,1,2,3", "0,1,1,1", "0,0,1,2", "0,0,0,0", "1,0,0,2", "0,1,2,1", "2,1,1,0"]
-    )
-    def test_closed_form_energy_needs_one_degenerate_middle_pair(self, capsys, spectrum):
-        code, out, err = run(
-            capsys, "filter", "--p", "0.1", "--ps", "0.1", "--target", "energy",
-            "--spectrum", spectrum,
-        )
-        assert code == EXIT_DOMAIN
-        assert out == ""
-        assert err == (
-            "error: the closed-form energy filter needs levels e0 < e1 = e2 < e3; "
-            "use --mode general\n"
-        )
-
-    @pytest.mark.parametrize(
-        "spectrum, target",
-        [("0,2,2,4", "energy"), ("0,1,2,3", "coherence"), ("0,0,1,2", "coherence")],
-    )
-    def test_closed_form_matches_the_general_synthesizer(self, capsys, spectrum, target):
-        argv = ("filter", "--p", "0.1", "--ps", "0.1", "--target", target, "--spectrum", spectrum)
-        code, closed, err = run(capsys, *argv)
-        assert (code, err) == (EXIT_OK, "")
-        code, general, err = run(capsys, *argv, "--mode", "general")
-        assert (code, err) == (EXIT_OK, "")
-        measure = "output mean energy = " if target == "energy" else "output coherence = "
-        closed_value, general_value = (
-            float(out.split(measure)[1].split()[0]) for out in (closed, general)
-        )
-        assert closed_value == pytest.approx(general_value, abs=1e-9)
-
 
 def test_import_loads_neither_scipy_nor_thread_pools():
     code = (
@@ -918,11 +917,10 @@ class TestOnePathPerJob:
         assert svg.read_bytes() == (tmp_path / "lib.svg").read_bytes()
 
     @pytest.mark.parametrize("target", [t.value for t in FilterTarget])
-    def test_general_mode_writes_the_optimal_filter(self, capsys, tmp_path, target):
+    def test_filter_writes_the_optimal_filter(self, capsys, tmp_path, target):
         out = tmp_path / "filter.txt"
         code, text, _ = run(
-            capsys, "filter", "--p", "0.1", "--ps", "0.3", "--target", target,
-            "--mode", "general", "--out", str(out),
+            capsys, "filter", "--p", "0.1", "--ps", "0.3", "--target", target, "--out", str(out),
         )
         assert code == EXIT_OK
         expected = optimal_filter(self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget(target), 0.3)
@@ -984,8 +982,8 @@ class TestOnePathPerJob:
 
 
 class TestRemovedSurface:
-    """``--log-base`` is an option of ``filter`` and ``iterate`` only, the
-    Tsallis synthesizer is reached through ``filter --mode general``, and
+    """``--log-base`` is an option of ``filter`` and ``iterate`` only,
+    ``filter`` has no ``--mode`` (it always runs ``optimal_filter``), and
     ``iterate`` has no ``--grid-step``."""
 
     @pytest.mark.parametrize(
@@ -1012,10 +1010,10 @@ class TestRemovedSurface:
         assert out == ""
         assert "--grid-step" in err
 
-    def test_tsallis_mode_exits_1(self, capsys):
+    @pytest.mark.parametrize("mode", ["tsallis", "general", "closed-form"])
+    def test_mode_exits_1(self, capsys, mode):
         code, out, err = run(
-            capsys, "filter", "--p", "0.1", "--ps", "0.3", "--target", "tsallis",
-            "--mode", "tsallis",
+            capsys, "filter", "--p", "0.1", "--ps", "0.3", "--target", "tsallis", "--mode", mode
         )
         assert code == EXIT_USAGE
         assert out == ""

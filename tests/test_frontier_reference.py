@@ -10,8 +10,8 @@ retired: its filters and frontiers are checked against the exact knapsack of
 ``exact_reference`` to 1e-12, and the measured columns of an energy frontier
 still equal the per-point measurement of its own filters.
 ``plateau_threshold`` is checked against the exact plateau edge, computed
-below from the closed-form spectrum of the a=0 output: by complex-step slopes
-in floats, and by the sign of its slope at 60 digits.
+below from the closed-form spectrum of the a=0 output by the sign of its
+slope at 60 digits (Python ``decimal``).
 """
 
 import cmath
@@ -51,7 +51,6 @@ from coherence_forge.statecore import (
     apply_filter_rows,
 )
 from coherence_forge.synthesis import (
-    DEGENERACY_TOL,
     GOLDEN_TOL,
     _RANGE_TOL,
     _qubit_count,
@@ -371,18 +370,42 @@ def _exact_coherence(eta: float, t: complex) -> complex:
     return sum(map(_entropy_term, diagonal)) - sum(map(_entropy_term, spectrum))
 
 
+def _decimal_slope(eta: float, t: decimal.Decimal) -> decimal.Decimal:
+    """dC/dt of ``_exact_coherence`` at 60 significant digits: a central
+    difference of step 1e-20, whose truncation and round-off are below 1e-35."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        eta = decimal.Decimal(eta)
+
+        def entropy_term(x):
+            return -x * x.ln() if x > 0 else decimal.Decimal(0)
+
+        def c(t):
+            norm, det = 2 * t + 1, t * (1 - eta * eta)
+            trace = t * (1 + eta * eta) + 1
+            big = trace + (trace * trace - 4 * det).sqrt()
+            spectrum = (det / norm, big / (2 * norm), 2 * det / (norm * big))
+            diagonal = (t / norm, t / norm, 1 / norm)
+            return sum(map(entropy_term, diagonal)) - sum(map(entropy_term, spectrum))
+
+        step = decimal.Decimal("1e-20")
+        return (c(t + step) - c(t - step)) / (2 * step)
+
+
 def _exact_plateau_edge(eta: float) -> float:
-    """1/(1 + t*), t* the maximizer of C(t): bisection on the sign of dC/dt,
-    taken by complex-step differentiation, over t in [0.5, 1.25]."""
-    step = 1e-30
-    lo, hi = 0.5, 1.25
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _exact_coherence(eta, complex(mid, step)).imag > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 / (1.0 + 0.5 * (lo + hi))
+    """1/(1 + t*), t* the maximizer of C(t): 64 bisection steps on the sign of
+    ``_decimal_slope`` over t in [0.5, 1.25], to a width of 4e-20, at 60
+    digits, so the edge is exact to the float it is rounded to."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lo, hi = decimal.Decimal("0.5"), decimal.Decimal("1.25")
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            if _decimal_slope(eta, mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(1 / (1 + (lo + hi) / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +445,7 @@ def _assert_energy_outcome(got, state, spectrum, p_success):
     per-point code's range error where P_S is out of range, and otherwise the
     exact knapsack's filter, to 1e-12."""
     pops = np.clip(state.populations, 0.0, None)
-    top_pop = float(pops[spectrum.degeneracy_classes(DEGENERACY_TOL)[-1]].sum())
+    top_pop = float(pops[spectrum.degeneracy_classes()[-1]].sum())
     error = _outcome(
         _reference_check_success_range, p_success, top_pop,
         f"P_S below the population {top_pop:.6g} of the highest-energy class",
@@ -657,9 +680,9 @@ def test_long_mixed_scan_keeps_its_batches_bounded(monkeypatch):
 def test_plateau_threshold(eta):
     got = syn.plateau_threshold(eta)
     assert type(got) is float
-    # the slope's terms cancel to order eta^2, so its round-off grows as 1/eta^2
-    bound = 1e-10 if eta >= 0.01 else 1e-6
-    assert abs(got - _exact_plateau_edge(eta)) <= bound
+    # the docstring's band: 0 to 1e-12 above the edge, moved either way by
+    # the round-off of dC/dt, whose terms cancel to order eta^2
+    assert abs(got - _exact_plateau_edge(eta)) <= 1e-12 + 2e-16 / eta**2
 
 
 def test_exact_plateau_edge_at_eta_one():
@@ -691,28 +714,6 @@ def test_coherence_slope_at_eta_one_is_the_dephased_part():
     for t in (0.05, 0.5, 1.0, 2.0, 20.0):
         norm = 2.0 * t + 1.0
         assert syn._coherence_slope(1.0, t) == -2.0 * math.log(t) / (norm * norm)
-
-
-def _decimal_slope(eta: float, t: decimal.Decimal) -> decimal.Decimal:
-    """dC/dt of ``_exact_coherence`` at 60 significant digits: a central
-    difference of step 1e-20, whose truncation and round-off are below 1e-35."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        eta = decimal.Decimal(eta)
-
-        def entropy_term(x):
-            return -x * x.ln() if x > 0 else decimal.Decimal(0)
-
-        def c(t):
-            norm, det = 2 * t + 1, t * (1 - eta * eta)
-            trace = t * (1 + eta * eta) + 1
-            big = trace + (trace * trace - 4 * det).sqrt()
-            spectrum = (det / norm, big / (2 * norm), 2 * det / (norm * big))
-            diagonal = (t / norm, t / norm, 1 / norm)
-            return sum(map(entropy_term, diagonal)) - sum(map(entropy_term, spectrum))
-
-        step = decimal.Decimal("1e-20")
-        return (c(t + step) - c(t - step)) / (2 * step)
 
 
 def _above_edge(eta: float, p: float) -> bool:

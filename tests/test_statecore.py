@@ -65,7 +65,6 @@ class TestValidation:
         assert [c.tolist() for c in EnergySpectrum([1.0, 0.0]).degeneracy_classes()] == [[1], [0]]
         near = EnergySpectrum([2.0, 1.0 + 5e-10, 0.0, 1.0])
         assert [c.tolist() for c in near.degeneracy_classes()] == [[2], [1, 3], [0]]
-        assert [c.tolist() for c in near.degeneracy_classes(1e-10)] == [[2], [3], [1], [0]]
 
     def test_spectrum_needs_two_levels(self):
         with pytest.raises(StateValidationError):
@@ -711,14 +710,6 @@ class TestCachedInvariants:
                 group[0] = 3
             assert group.base is None or not group.base.flags.writeable
         classes.clear()
-        assert [c.tolist() for c in spectrum.degeneracy_classes()] == [[0], [1, 2], [3], [4, 5]]
-
-    def test_degeneracy_classes_at_other_tolerances(self):
-        spectrum = EnergySpectrum(self.SPECTRUM_LEVELS)
-        assert [c.tolist() for c in spectrum.degeneracy_classes(1e-15)] == [
-            [0], [1], [2], [3], [4, 5]
-        ]
-        assert [c.tolist() for c in spectrum.degeneracy_classes(0.6)] == [[0, 1, 2, 3], [4, 5]]
         assert [c.tolist() for c in spectrum.degeneracy_classes()] == [[0], [1, 2], [3], [4, 5]]
 
     def test_mutated_populations_leave_the_state_unchanged(self):

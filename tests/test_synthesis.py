@@ -283,6 +283,16 @@ class TestEnergyWalk:
         filt = energy_optimal_filter(state, TWO_QUBIT_SPECTRUM, 1.0)
         assert np.array_equal(filt.coeffs, np.ones(4))
 
+    @pytest.mark.parametrize("p, n", [(0.94, 3), (0.96, 3), (0.90, 4), (0.94, 4), (0.96, 4)])
+    def test_full_success_on_a_long_trace(self, p, n):
+        # the float populations add up to just above 1, so the running total
+        # reaches P_S = 1 only with the small lowest class; the round-off
+        # excess over P_S cuts nothing, and every level passes
+        state = product_pure_state(p, n)
+        assert sum(state.populations.tolist()) > 1.0
+        filt = energy_optimal_filter(state, EnergySpectrum(_excitation_counts(n)), 1.0)
+        assert np.array_equal(filt.coeffs, np.ones(2**n))
+
 
 class TestCoherenceOptimalPure:
     def test_identity_at_full_success(self):
@@ -385,21 +395,27 @@ class TestTwoQubitClosedForm:
         with pytest.raises(UnreachableSuccessProbability):
             two_qubit_closed_form(0.1, 1.05, FilterTarget.COHERENCE)
 
-    @pytest.mark.parametrize("p", [0.1, 1 / 3])
-    def test_agrees_with_general_energy_synthesizer(self, p):
-        state = product_pure_state(p, 2)
-        for ps in np.linspace(p * p + 1e-9, 1.0, 17):
-            closed = two_qubit_closed_form(p, ps, FilterTarget.ENERGY).to_filter()
-            general = energy_optimal_filter(state, TWO_QUBIT_SPECTRUM, ps)
-            assert np.allclose(closed.coeffs, general.coeffs, atol=1e-10)
-
-    @pytest.mark.parametrize("p", [0.1, 1 / 3])
-    def test_agrees_with_general_coherence_synthesizer(self, p):
-        state = product_pure_state(p, 2)
-        for ps in np.linspace(4 * p * p + 1e-9, 1.0, 17):
-            closed = two_qubit_closed_form(p, ps, FilterTarget.COHERENCE).to_filter()
-            general = coherence_optimal_filter_pure(state, ps)
-            assert np.allclose(closed.coeffs, general.coeffs, atol=1e-10)
+    @pytest.mark.parametrize("target", [FilterTarget.ENERGY, FilterTarget.COHERENCE])
+    def test_matches_optimal_filter(self, target):
+        # the closed forms are the reference for what ``filter`` prints:
+        # ``optimal_filter`` gives their coefficients on both branches, at
+        # each end of the range and at both junctions, p(2 - p) and
+        # p(2 - p) + p(1 - p), on the level spacing 1 and 2; the coherence
+        # optimum ignores the spectrum, so any layout gives it too
+        spectra = [TWO_QUBIT_SPECTRUM, EnergySpectrum([0.0, 2.0, 2.0, 4.0])]
+        if target is FilterTarget.COHERENCE:
+            spectra += [EnergySpectrum([0.0, 1.0, 2.0, 3.0]), EnergySpectrum([0.0, 0.0, 1.0, 2.0])]
+        rng = np.random.default_rng(3030)
+        for p in [1e-3, 0.1, 1 / 3, *rng.uniform(0.01, 0.49, 60).tolist(), 0.499]:
+            lo = p * p if target is FilterTarget.ENERGY else 4.0 * p * p
+            junctions = [success_threshold(p), success_threshold(p) + p * (1.0 - p)]
+            grid = [lo, *junctions, 1.0, *rng.uniform(lo, 1.0, 8).tolist()]
+            state = product_pure_state(p, 2)
+            for ps in [ps for ps in grid if ps >= lo]:
+                closed = two_qubit_closed_form(p, ps, target).to_filter().coeffs
+                for spectrum in spectra:
+                    general = optimal_filter(state, spectrum, target, ps).coeffs
+                    assert np.max(np.abs(closed - general)) <= 1e-12, (p, ps, spectrum.levels)
 
     @pytest.mark.parametrize("p", [0.1, 1 / 3, 0.45])
     def test_branch_continuity(self, p):
@@ -1055,7 +1071,7 @@ class TestAnnihilationFloor:
     def test_cli_rejects_below_the_floor(self, capsys, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text(qstate_to_text(EMPTY_TOP_CLASS))
-        argv = ["filter", "--mode", "general", "--target", "energy", "--state", str(path)]
+        argv = ["filter", "--target", "energy", "--state", str(path)]
         assert main([*argv, "--ps", "1e-15"]) == EXIT_DOMAIN
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1126,12 +1142,12 @@ class TestTsallisAtSmallSuccessProbability:
         backward = tsallis_optimal_filter(state, 1e-11).intensities
         assert np.max(np.abs(forward - backward)) <= 1e-12 * 1e-11
 
-    def test_cli_general_mode(self, capsys, tmp_path):
+    def test_cli(self, capsys, tmp_path):
         state = SMALL_PS_STATES["mixed-product"]
         path = tmp_path / "state.txt"
         path.write_text(qstate_to_text(state))
         code = main(
-            ["filter", "--mode", "general", "--target", "tsallis", "--state", str(path),
+            ["filter", "--target", "tsallis", "--state", str(path),
              "--ps", "3e-08"]
         )
         out = capsys.readouterr().out

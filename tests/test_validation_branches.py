@@ -246,8 +246,6 @@ CLI_CASES = {
     "config-without-path": (["filter", "--config"], EXIT_USAGE, "--config needs a path"),
     "config-without-subcommand": (
         ["--config", "{tmp}/good.cfg"], EXIT_USAGE, "--config requires a subcommand"),
-    "closed-form-tsallis": (
-        [*FILTER_P01, "--target", "tsallis"], EXIT_DOMAIN, "no closed form for the tsallis"),
     "spectrum-inf": (
         [*FILTER_P01, "--target", "energy", "--spectrum", "0,inf,1,2"], EXIT_DOMAIN,
         "energies must be finite"),
@@ -255,7 +253,7 @@ CLI_CASES = {
         ["choi", "--a", "1.5", "--b", "0.5", "--out", "{tmp}/chi.txt"], EXIT_DOMAIN,
         "filter amplitudes a, b must lie in"),
     "water-fill-one-level": (
-        ["filter", "--p", "0", "--ps", "0.5", "--target", "coherence", "--mode", "general"],
+        ["filter", "--p", "0", "--ps", "0.5", "--target", "coherence"],
         EXIT_DOMAIN, "state must populate at least two levels"),
     "mixed-scan-population-floor": (
         ["mixed-scan", "--eta", "0.75", "--p-min", "1e-8", "--p-max", "0.4", "--steps", "3",
@@ -263,7 +261,7 @@ CLI_CASES = {
         EXIT_DOMAIN, "populations p must have p^2 >= 1e-14"),
     "tsallis-no-feasible-filter": (
         ["filter", "--state", "{tmp}/infeasible.txt", "--ps", "1", "--target", "tsallis",
-         "--mode", "general", "--spectrum", TWELVE_LEVELS],
+         "--spectrum", TWELVE_LEVELS],
         EXIT_DOMAIN, "no feasible filter attains"),
 }
 
