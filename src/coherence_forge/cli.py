@@ -3,16 +3,16 @@ check the sequential-measurement equivalence, compute process metrics and
 validate against the brute-force oracle.
 
 Exit codes: 0 success, 1 usage error, 2 domain/precondition error, 3 I/O
-error. ``--config FILE``, on every subcommand, splices a flat key=value file
-of long flags in ahead of the given ones, so flags win; ``--log-base`` is an
-option of ``filter`` and ``iterate``. CSV output uses 12 significant digits
-and is byte-deterministic for identical flags.
+error. A closed stdout also exits 3, with nothing on stderr: the run may stop
+before its file writes. CSV output uses 12 significant digits and is
+byte-deterministic for identical flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -83,47 +83,17 @@ def _require_spectrum_dim(state: QState, spectrum: EnergySpectrum) -> None:
         )
 
 
-def _coherence_report(value_nats: float, log_base: str) -> str:
-    bits = value_nats / math.log(2.0)
-    if log_base == "2":
-        return f"{_fmt(bits)} bits ({_fmt(value_nats)} nats)"
-    return f"{_fmt(value_nats)} nats ({_fmt(bits)} bits)"
+def _coherence_report(value_nats: float) -> str:
+    return f"{_fmt(value_nats)} nats ({_fmt(value_nats / math.log(2.0))} bits)"
 
 
-def _read_text(path: str, what: str, error: type[Exception]) -> str:
+def _read_text(path: str, what: str) -> str:
     """The UTF-8 text of the file at ``path``; bytes that are not UTF-8 raise
-    ``error``."""
+    ``StateValidationError``."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
-
-
-def _load_config(path: str) -> list[str]:
-    """Flat key=value lines become long flags, prepended so real flags win."""
-    tokens: list[str] = []
-    for raw in _read_text(path, "config file", _UsageError).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise _UsageError(f"config line is not key=value: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        tokens.extend([f"--{key}", value])
-    return tokens
-
-
-def _splice_config(argv: list[str]) -> list[str]:
-    if not argv or "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise _UsageError("--config needs a path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2 :]
-    if not rest:
-        raise _UsageError("--config requires a subcommand")
-    return [rest[0], *_load_config(path), *rest[1:]]
+        raise StateValidationError(f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +175,7 @@ def _input_state(args: argparse.Namespace) -> QState:
     if (args.p is None) == (args.state is None):
         raise _UsageError("give exactly one of --p or --state")
     if args.state is not None:
-        return qstate_from_text(_read_text(args.state, "state file", StateValidationError))
+        return qstate_from_text(_read_text(args.state, "state file"))
     return product_pure_state(args.p, 2)
 
 
@@ -230,7 +200,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     out, p_s = apply_filter(state, filt)
     print(_describe_filter(filt))
     print(f"P_S achieved = {_fmt(p_s)}")
-    print(f"output coherence = {_coherence_report(coherence(out), args.log_base)}")
+    print(f"output coherence = {_coherence_report(coherence(out))}")
     print(f"output mean energy = {_fmt(mean_energy(out, spectrum))}")
     if args.out:
         Path(args.out).write_text(filter_to_text(filt), encoding="utf-8")
@@ -295,17 +265,13 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     report = [
         f"stages = {args.stages}, per-stage filter a = {_fmt(args.a)}, b = {_fmt(args.b)}",
         f"total success probability = {_fmt(p_total)}",
-        f"iterative output coherence = {_coherence_report(iter_coh, args.log_base)}",
-        "single-copy optimal coherence at equal P_S = "
-        + _coherence_report(best, args.log_base),
+        f"iterative output coherence = {_coherence_report(iter_coh)}",
+        f"single-copy optimal coherence at equal P_S = {_coherence_report(best)}",
         f"sequential-equivalence residual (max element) = {residual:.3e}",
     ]
     ok = residual <= 1e-10 and iter_coh <= best + 1e-6
     report.append("PASS" if ok else "FAIL")
-    text = "\n".join(report)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    print("\n".join(report))
     return EXIT_OK
 
 
@@ -371,7 +337,6 @@ def build_parser() -> _Parser:
     p_filter.add_argument("--target", choices=[t.value for t in FilterTarget], required=True)
     p_filter.add_argument("--spectrum", default="0,1,1,2")
     p_filter.add_argument("--out", help="write the filter in text form")
-    p_filter.add_argument("--log-base", choices=("e", "2"), default="e")
 
     p_front = subs.add_parser("frontier", help="trace a trade-off frontier to CSV/SVG")
     p_front.add_argument("--p", type=float, required=True)
@@ -396,8 +361,6 @@ def build_parser() -> _Parser:
     p_iter.add_argument("--stages", type=int, default=2)
     p_iter.add_argument("--a", type=float, default=0.0)
     p_iter.add_argument("--b", type=float, default=1.0)
-    p_iter.add_argument("--out", help="also write the report to a file")
-    p_iter.add_argument("--log-base", choices=("e", "2"), default="e")
 
     p_choi = subs.add_parser("choi", help="process matrix and metrics of an (a, b) filter")
     p_choi.add_argument("--a", type=float, required=True)
@@ -428,18 +391,22 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _splice_config(argv)
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # the reader is gone: nothing to report, but the run may not have
+        # finished; stdout goes to devnull so that the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

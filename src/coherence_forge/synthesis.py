@@ -797,16 +797,18 @@ def reachable_success_range(
     """Closed reachable [lo, hi] of success probabilities for a family.
 
     For the Tsallis objective every positive success probability is
-    reachable; the returned lower edge 0 is an open bound.
+    reachable; the returned lower edge 0 is an open bound. No other edge lies
+    below 2e-14, the synthesizers' floor.
     """
+    floor = 2.0 * _ANNIHILATION_TOL
     if family is FilterFamily.FACTORIZED:
-        return float(state.populations[-1]), 1.0
+        return max(float(state.populations[-1]), floor), 1.0
     pops = np.clip(state.populations, 0.0, None)
     if target is FilterTarget.ENERGY:
         # below the population of the highest populated class the optimum
         # keeps a share of that class alone, so the output no longer changes
         class_pops = [float(pops[c].sum()) for c in spectrum.degeneracy_classes()]
-        return next(p for p in reversed(class_pops) if p >= ZERO_POPULATION), 1.0
+        return max(next(p for p in reversed(class_pops) if p >= ZERO_POPULATION), floor), 1.0
     if target is FilterTarget.COHERENCE:
         act = pops[pops >= ZERO_POPULATION]
         return float(np.minimum(act.min(), act).sum()), 1.0

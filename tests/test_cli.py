@@ -40,6 +40,17 @@ from coherence_forge.synthesis import MAX_SAMPLE_POINTS
 from exact_reference import assert_energy_optimum, knapsack_mean_energy
 
 
+# one quick run of each subcommand; "{}" stands for an output directory
+SUBCOMMAND_RUNS = [
+    ["filter", "--p", "0.1", "--ps", "0.04", "--target", "coherence"],
+    ["frontier", "--p", "0.1", "--grid", "4", "--out-csv", "{}/f.csv"],
+    ["mixed-scan", "--eta", "0.5", "--steps", "2", "--out-csv", "{}/s.csv"],
+    ["iterate", "--p", "0.1"],
+    ["choi", "--a", "0.3", "--b", "0.7", "--out", "{}/chi.txt"],
+    ["oracle", "--p", "0.1", "--ps", "0.5", "--target", "energy", "--grid-step", "0.1"],
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -209,24 +220,34 @@ class TestFilterCommand:
         exact = float(knapsack_mean_energy(pops, levels, float(ps)))
         assert energy == pytest.approx(exact, abs=1e-11)
 
-    def test_log_base_2_leads_with_bits(self, capsys):
+    def test_coherence_reads_nats_then_bits(self, capsys):
         code, out, _ = run(
-            capsys,
-            "filter",
-            "--p",
-            "0.1",
-            "--ps",
-            "0.04",
-            "--target",
-            "coherence",
-            "--log-base",
-            "2",
+            capsys, "filter", "--p", "0.1", "--ps", "0.04", "--target", "coherence"
         )
         assert code == EXIT_OK
-        assert "2 bits" in out.split("coherence = ")[1]
+        assert "output coherence = 1.38629436112 nats (2 bits)\n" in out
 
 
 class TestFrontierCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p", "0", "--family", "factorized"],
+            ["--p", "1e-8", "--family", "factorized"],
+            ["--p", "1e-7", "--target", "energy", "--family", "optimal"],
+        ],
+        ids=["factorized-p0", "factorized-p1e-8", "energy-p1e-7"],
+    )
+    def test_range_starts_at_the_synthesizers_floor(self, capsys, tmp_path, argv):
+        # the family's lower edge lies below 2e-14 here; the frontier used to
+        # fail on its first grid point
+        csv = tmp_path / "z.csv"
+        code, out, err = run(capsys, "frontier", *argv, "--grid", "5", "--out-csv", str(csv))
+        assert (code, err) == (EXIT_OK, "")
+        lines = csv.read_text().splitlines()
+        assert len(lines) == 6
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [2e-14, 0.25, 0.5, 0.75, 1.0]
+
     def test_csv_structure_and_values(self, capsys, tmp_path):
         csv = tmp_path / "frontier.csv"
         code, _, _ = run(
@@ -630,55 +651,7 @@ class TestOracleCommand:
         assert code == EXIT_DOMAIN
 
 
-class TestConfigAndEnvironment:
-    def test_config_file_supplies_flags(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("p = 0.1\nps = 0.04\ntarget = coherence\n")
-        code, out, _ = run(capsys, "filter", "--config", str(cfg))
-        assert code == EXIT_OK
-        assert "b = 0.333333333333" in out
-
-    def test_flags_override_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("p = 0.1\nps = 0.04\ntarget = coherence\n")
-        code, out, _ = run(capsys, "filter", "--config", str(cfg), "--ps", "0.28")
-        assert code == EXIT_OK
-        assert "a = 0.333333333333" in out
-
-    @pytest.mark.parametrize(
-        "spelling",
-        [["--config={}"], ["--conf", "{}"], ["--config", "{}", "--config", "{}"]],
-        ids=["equals-sign", "abbreviated", "second-config"],
-    )
-    def test_config_not_spliced_is_a_usage_error(self, capsys, tmp_path, spelling):
-        # only the first exact "--config PATH" pair is read; any other
-        # spelling used to parse into a field that nothing read
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("p = 0.1\nps = 0.04\ntarget = coherence\n")
-        extra = [token.format(cfg) for token in spelling]
-        code, out, _ = run(
-            capsys, "filter", "--p", "0.1", "--ps", "0.04", "--target", "coherence", *extra
-        )
-        assert code == EXIT_USAGE
-        assert out == ""
-
-    def test_config_log_base_outside_filter_and_iterate_is_a_usage_error(
-        self, capsys, tmp_path
-    ):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("log-base = 2\n")
-        code, out, _ = run(
-            capsys, "choi", "--config", str(cfg), "--a", "0.3", "--b", "0.7",
-            "--out", str(tmp_path / "chi.txt"),
-        )
-        assert code == EXIT_USAGE
-        assert out == ""
-        code, out, _ = run(
-            capsys, "iterate", "--config", str(cfg), "--p", "0.1"
-        )
-        assert code == EXIT_OK
-        assert "bits (" in out
-
+class TestEnvironment:
     def test_threads_env_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("COHERENCE_FORGE_THREADS", "2")
         csv = tmp_path / "f.csv"
@@ -836,15 +809,16 @@ class TestBadInputs:
         assert out == ""
         assert err == f"error: state file {state_path} is not UTF-8 text (byte 0)\n"
 
-    def test_non_utf8_config_file_exits_1(self, capsys, tmp_path):
+    def test_file_after_config_is_not_read(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"\xffp = 0.1\n")
         code, out, err = run(
-            capsys, "filter", "--config", str(config), "--ps", "0.5", "--target", "energy"
+            capsys, "filter", "--config", str(config), "--p", "0.1", "--ps", "0.5",
+            "--target", "energy",
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == f"error: config file {config} is not UTF-8 text (byte 0)\n"
+        assert err == f"error: unrecognized arguments: --config {config}\n"
 
     @pytest.mark.parametrize("grid", [MAX_SAMPLE_POINTS + 1, 10**12])
     def test_frontier_grid_above_the_cap_exits_2(self, capsys, tmp_path, grid):
@@ -889,6 +863,29 @@ def test_import_loads_neither_scipy_nor_thread_pools():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", SUBCOMMAND_RUNS, ids=lambda argv: argv[0])
+def test_closed_stdout_exits_3_without_an_error_line(tmp_path, argv, buffered):
+    """The read end of the stdout pipe is closed before the run starts. A
+    buffered stdout meets it in the flush after the handler, an unbuffered one
+    in the first ``print``."""
+    src = Path(coherence_forge.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "coherence_forge.cli", *(t.format(tmp_path) for t in argv)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (EXIT_IO, b"")
 
 
 class TestOnePathPerJob:
@@ -982,26 +979,40 @@ class TestOnePathPerJob:
 
 
 class TestRemovedSurface:
-    """``--log-base`` is an option of ``filter`` and ``iterate`` only,
-    ``filter`` has no ``--mode`` (it always runs ``optimal_filter``), and
-    ``iterate`` has no ``--grid-step``."""
+    """No subcommand has ``--config`` or ``--log-base``, ``iterate`` has no
+    ``--out`` (its report is its stdout) and no ``--grid-step``, and ``filter``
+    has no ``--mode`` (it always runs ``optimal_filter``). Each exits 1 with
+    one ``error:`` line and prints nothing to stdout."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "removed",
         [
-            ["frontier", "--p", "0.1", "--grid", "4", "--out-csv", "{}/f.csv"],
-            ["mixed-scan", "--eta", "0.5", "--steps", "2", "--out-csv", "{}/s.csv"],
-            ["choi", "--a", "0.3", "--b", "0.7", "--out", "{}/chi.txt"],
-            ["oracle", "--p", "0.1", "--ps", "0.5", "--target", "energy", "--grid-step", "0.1"],
+            ["--log-base", "2"],
+            ["--log-base", "e"],
+            ["--config", "{}/run.cfg"],
+            ["--config={}/run.cfg"],
+            ["--conf", "{}/run.cfg"],
+            ["--config", "{}/run.cfg", "--config", "{}/run.cfg"],
         ],
-        ids=lambda argv: argv[0],
+        ids=["log-base-2", "log-base-e", "config", "config-equals-sign", "config-abbreviated",
+             "second-config"],
     )
-    def test_log_base_elsewhere_exits_1(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("argv", SUBCOMMAND_RUNS, ids=lambda argv: argv[0])
+    def test_removed_flag_exits_1(self, capsys, tmp_path, argv, removed):
+        (tmp_path / "run.cfg").write_text("p = 0.2\n")
         argv = [token.format(tmp_path) for token in argv]
-        code, out, _ = run(capsys, *argv, "--log-base", "2")
-        assert code == EXIT_USAGE
-        assert out == ""
+        removed = [token.format(tmp_path) for token in removed]
+        code, out, err = run(capsys, *argv, *removed)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: unrecognized arguments: {' '.join(removed)}\n"
         assert run(capsys, *argv)[0] == EXIT_OK
+
+    def test_iterate_out_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "report.txt"
+        code, out, err = run(capsys, "iterate", "--p", "0.1", "--out", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: unrecognized arguments: --out {path}\n"
+        assert not path.exists()
 
     def test_iterate_grid_step_exits_1(self, capsys):
         # iterate compares against the exact water-fill optimum; no grid

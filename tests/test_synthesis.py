@@ -1282,3 +1282,24 @@ class TestFrontierGridArgument:
 
     def test_empty_mixed_scan(self):
         assert mixed_scan(0.5, []) == []
+
+
+@pytest.mark.parametrize(
+    "p, target, family, edge",
+    [
+        (0.0, FilterTarget.COHERENCE, FilterFamily.FACTORIZED, 2 * _ANNIHILATION_TOL),
+        (1e-8, FilterTarget.ENERGY, FilterFamily.FACTORIZED, 2 * _ANNIHILATION_TOL),
+        (1e-7, FilterTarget.ENERGY, FilterFamily.OPTIMAL, 2 * _ANNIHILATION_TOL),
+        (1e-6, FilterTarget.ENERGY, FilterFamily.FACTORIZED, 1e-6**2),
+        (1e-6, FilterTarget.ENERGY, FilterFamily.OPTIMAL, 1e-6**2),
+        (0.0, FilterTarget.COHERENCE_TSALLIS, FilterFamily.OPTIMAL, 0.0),
+    ],
+)
+def test_range_edge_is_at_least_the_synthesizers_floor(p, target, family, edge):
+    """An edge below 2e-14 is raised to it, an edge above stays, and the
+    Tsallis open edge 0 stays; the frontier's first point is then the edge."""
+    state = product_pure_state(p, 2)
+    assert reachable_success_range(state, TWO_QUBIT_SPECTRUM, target, family) == (edge, 1.0)
+    if edge:
+        pts = trace_frontier(state, TWO_QUBIT_SPECTRUM, target, family, grid=3)
+        assert pts[0].p_success == pytest.approx(edge, rel=1e-9)

@@ -235,17 +235,19 @@ def _cli(capsys, *argv):
 
 def _write_inputs(tmp_path):
     (tmp_path / "bad.cfg").write_text("p 0.1\n")
-    (tmp_path / "good.cfg").write_text("p = 0.1\n")
     (tmp_path / "infeasible.txt").write_text(qstate_to_text(_infeasible_tsallis_state()))
 
 
 FILTER_P01 = ["filter", "--p", "0.1", "--ps", "0.3"]
 CLI_CASES = {
-    "config-not-key-value": (
-        ["filter", "--config", "{tmp}/bad.cfg"], EXIT_USAGE, "config line is not key=value"),
-    "config-without-path": (["filter", "--config"], EXIT_USAGE, "--config needs a path"),
+    "config-file-not-read": (
+        [*FILTER_P01, "--target", "energy", "--config", "{tmp}/bad.cfg"], EXIT_USAGE,
+        "unrecognized arguments: --config"),
+    "config-without-path": (
+        [*FILTER_P01, "--target", "energy", "--config"], EXIT_USAGE,
+        "unrecognized arguments: --config"),
     "config-without-subcommand": (
-        ["--config", "{tmp}/good.cfg"], EXIT_USAGE, "--config requires a subcommand"),
+        ["--config", "{tmp}/bad.cfg"], EXIT_USAGE, "argument command: invalid choice"),
     "spectrum-inf": (
         [*FILTER_P01, "--target", "energy", "--spectrum", "0,inf,1,2"], EXIT_DOMAIN,
         "energies must be finite"),
@@ -287,10 +289,10 @@ def test_mixed_scan_population_floor_is_the_annihilation_floor():
         mixed_scan(0.75, [above, 1e-7])
 
 
-def test_iterate_writes_its_report(capsys, tmp_path):
-    path = tmp_path / "report.txt"
-    code, out, err = _cli(capsys, "iterate", "--p", "0.1", "--out", str(path))
-    assert code == EXIT_OK
-    assert err == ""
-    assert path.read_text(encoding="utf-8") == out
-    assert out.splitlines()[-1] == "PASS"
+def test_iterate_report_is_its_stdout(capsys, tmp_path, monkeypatch):
+    # "iterate ... > report.txt" keeps the report; the run writes no file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _cli(capsys, "iterate", "--p", "0.1")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.endswith("\nPASS\n") and len(out.splitlines()) == 6
+    assert list(tmp_path.iterdir()) == []
