@@ -6,13 +6,17 @@ Exit codes: 0 success, 1 usage error, 2 domain/precondition error, 3 I/O
 error. A closed stdout also exits 3, with nothing on stderr: the run may stop
 before its file writes. CSV output uses 12 significant digits and is
 byte-deterministic for identical flags.
+Output directories are checked before any computation, and each file is
+renamed into place whole, so a run that fails leaves no new or partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -104,9 +108,35 @@ _FRONTIER_HEADER = "p_success,coherence_nats,mean_energy,a,b,family"
 _SCAN_HEADER = "p,eta,coherence_nats,mean_energy,b_opt,input_coherence,input_energy"
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside the file ``path`` names, then
+    rename it over that file; a pipe or a terminal is written in place."""
+    target = Path(path)
+    if target.exists() and not target.is_file():
+        target.write_text(text, encoding="utf-8")
+        return
+    target = Path(os.path.realpath(target))  # a symbolic link stays a link
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """Raise the I/O error of the first output path whose directory is missing."""
+    for path in filter(None, (getattr(args, key, None) for key in ("out", "out_csv", "out_svg"))):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+
+
 def _write_csv(path: str | Path, header: str, rows: Iterable[Iterable[str]]) -> None:
     lines = [header, *(",".join(row) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_frontier_csv(path: str | Path, points: Iterable[FrontierPoint]) -> None:
@@ -160,9 +190,7 @@ def write_frontier_svg(
         for fam, pts in traced.items()
     ]
     ylabel = "mean energy" if target is FilterTarget.ENERGY else "coherence (nats)"
-    Path(path).write_text(
-        line_plot(series, "success probability", ylabel, title=title), encoding="utf-8"
-    )
+    _write_text(path, line_plot(series, "success probability", ylabel, title=title))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +231,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     print(f"output coherence = {_coherence_report(coherence(out))}")
     print(f"output mean energy = {_fmt(mean_energy(out, spectrum))}")
     if args.out:
-        Path(args.out).write_text(filter_to_text(filt), encoding="utf-8")
+        _write_text(args.out, filter_to_text(filt))
         print(f"filter written to {args.out}")
     return EXIT_OK
 
@@ -287,7 +315,7 @@ def _cmd_choi(args: argparse.Namespace) -> int:
     purity, fidelity = optics.process_metrics(chi, ideal)
     compensated, _profile = optics.compensate_phases(chi)
     _, fidelity_comp = optics.process_metrics(compensated, ideal)
-    Path(args.out).write_text(optics.choi_to_text(chi), encoding="utf-8")
+    _write_text(args.out, optics.choi_to_text(chi))
     print(f"process matrix written to {args.out}")
     print(f"process purity = {_fmt(purity)}")
     print(f"process fidelity vs ideal = {_fmt(fidelity)}")
@@ -380,6 +408,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_list_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with ``--phases`` or ``--spectrum`` and a next token such as
+    ``-0.2,0`` joined into ``--phases=-0.2,0``, which argparse would
+    otherwise read as a flag."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in ("--phases", "--spectrum") and re.match(r"-[0-9.]", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 _HANDLERS = {
     "filter": _cmd_filter,
     "frontier": _cmd_frontier,
@@ -392,7 +433,8 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
+        _check_output_dirs(args)
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
         return code

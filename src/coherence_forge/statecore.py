@@ -13,11 +13,15 @@ Each object computes its invariants once. An ``EnergySpectrum`` groups its
 levels, given in the basis order of the system, into degeneracy classes at
 ``DEGENERACY_TOL`` when it is built, and ``degeneracy_classes()`` returns
 those read-only arrays. A ``QState`` keeps the spectrum of its matrix from
-validation, and its populations and purity from their first use;
+validation, and its dimension, populations and purity from their first use;
 ``populations`` still hands out a fresh writable copy. For the scalar
 synthesizers, the classes and the clipped populations are also kept as
 tuples of Python numbers from their first use, so a grid point reads them
 without converting an array.
+
+``QState`` runs its checks as a stack of one, so a stack of states built at
+once is checked by the same code. The tensor constructors form the products
+of ``np.kron`` by broadcasting, bit for bit.
 
 ``diagonal_filter_rows`` is the batched form of ``DiagonalFilter``: it checks
 a whole array of coefficient rows at once and hands out filters whose
@@ -87,7 +91,7 @@ class EnergySpectrum:
         object.__setattr__(self, "levels", _frozen(arr))
         object.__setattr__(self, "_classes", self._group())
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return int(self.levels.size)
 
@@ -120,6 +124,33 @@ class EnergySpectrum:
 TWO_QUBIT_SPECTRUM = EnergySpectrum(np.array([0.0, 1.0, 1.0, 2.0]))
 
 
+def _density_spectra(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each matrix of a stack ``m`` (k >= 1) after the
+    checks of :class:`QState`; a stack raises what ``QState`` raises for its
+    first failing matrix, located only when a test of the whole stack fails."""
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise StateValidationError("density matrix must be square")
+    # a NaN or infinite entry also makes the residual non-finite
+    skew = np.abs(m - m.conj().transpose(0, 2, 1))
+    # |trace.real - 1| and |trace.imag| of each matrix, side by side
+    off_trace = np.abs((m.trace(axis1=1, axis2=2) - 1.0).view(float))
+    n_ok = len(m)
+    if not (skew.max() <= HERMITICITY_TOL and off_trace.max() <= TRACE_TOL):
+        hermitian = skew.max(axis=(1, 2)) <= HERMITICITY_TOL
+        n_ok = int((hermitian & (off_trace.reshape(-1, 2).max(axis=1) <= TRACE_TOL)).argmin())
+    # matrices before the first failure reach the eigenvalue floor check
+    eigenvalues = np.linalg.eigvalsh(m[:n_ok])
+    if n_ok and eigenvalues.min() < EIGENVALUE_FLOOR:
+        raise StateValidationError("density matrix has a negative eigenvalue")
+    if n_ok < len(m):
+        if not hermitian[n_ok]:
+            if not np.isfinite(m[n_ok]).all():
+                raise StateValidationError("density matrix entries must be finite")
+            raise StateValidationError("density matrix is not Hermitian")
+        raise StateValidationError("density matrix trace must equal 1")
+    return eigenvalues
+
+
 @dataclass(frozen=True, eq=False)
 class QState:
     """Validated density matrix: Hermitian, unit trace, positive semidefinite."""
@@ -128,24 +159,12 @@ class QState:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StateValidationError("density matrix must be square")
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
-            # a NaN or infinite entry also makes the residual non-finite
-            if not np.isfinite(m).all():
-                raise StateValidationError("density matrix entries must be finite")
-            raise StateValidationError("density matrix is not Hermitian")
-        trace = np.trace(m)
-        if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
-            raise StateValidationError("density matrix trace must equal 1")
-        eigenvalues = np.linalg.eigvalsh(m)
-        if np.min(eigenvalues) < EIGENVALUE_FLOOR:
-            raise StateValidationError("density matrix has a negative eigenvalue")
+        eigenvalues = _density_spectra(m[None])[0]  # any shape but (d, d) is not square
         object.__setattr__(self, "matrix", _frozen(m))
         # the spectrum of the frozen matrix, kept for ``coherence``
         object.__setattr__(self, "_eigenvalues", _frozen(eigenvalues))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return int(self.matrix.shape[0])
 
@@ -398,20 +417,23 @@ def _filter_slice(
     magnitude = np.abs(c)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_s = (magnitude**2 * matrix.diagonal(axis1=-2, axis2=-1).real).sum(axis=1)
-        rho = matrix * (c[:, :, None] * c.conj()[:, None, :]) / p_s[:, None, None]
-        # exactly Hermitian where finite (a - b is exactly -(b - a)), so each
-        # diagonal entry's imaginary part is +0.0, or NaN where the entry is
-        # not finite; a row that is not finite fails the coefficient bound or
-        # the P_S floor
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        trace = np.trace(rho, axis1=1, axis2=2).real
-    big = ~(magnitude.max(axis=1) <= 1.0 + 1e-12)
-    off_trace = np.abs(trace - 1.0) > TRACE_TOL
-    bad = big | (p_s < _ANNIHILATION_TOL) | off_trace
-    n_ok = int(bad.argmax()) if bad.any() else len(c)
+        rho = matrix * (c[:, :, None] * c.conj()[:, None, :])
+        rho /= p_s[:, None, None]
+        # 0.5 (rho + rho^dag) in place: exactly Hermitian where finite (a - b
+        # is exactly -(b - a)), so each diagonal entry's imaginary part is
+        # +0.0, or NaN in a row that fails the coefficient bound or the P_S
+        # floor; the trace is np.trace's sum, the one QState's check takes
+        rho += rho.conj().transpose(0, 2, 1)
+        rho *= 0.5
+        trace = rho.trace(axis1=1, axis2=2).real
+    # the coefficient bound (a NaN fails it), the P_S floor and the trace
+    ok = magnitude.max(axis=1) <= 1.0 + 1e-12
+    ok &= p_s >= _ANNIHILATION_TOL
+    ok &= np.abs(trace - 1.0) <= TRACE_TOL
+    n_ok = len(c) if ok.all() else int(ok.argmin())
     # rows before the first failure reach the eigenvalue floor check
     eigenvalues = np.linalg.eigvalsh(rho[:n_ok])
-    if (eigenvalues.min(axis=1) < EIGENVALUE_FLOOR).any():
+    if (eigenvalues < EIGENVALUE_FLOOR).any():
         raise StateValidationError("density matrix has a negative eigenvalue")
     if n_ok < len(c):
         # the first failing row, checked as the filter, apply_filter and QState check it
@@ -434,6 +456,14 @@ def coherence_rows(populations: np.ndarray, eigenvalues: np.ndarray) -> np.ndarr
     return np.where(gap < 0.0, 0.0, gap)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two matrices, or of two stacks of them matrix by
+    matrix: the same products a times b, by broadcasting (for two vectors,
+    ``np.outer(a, b).ravel()`` forms them)."""
+    blocks = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return blocks.reshape(*blocks.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
 def product_pure_state(p: float, n_qubits: int) -> QState:
     """Tensor power of the pure qubit sqrt(1-p)|0> + sqrt(p)|1>."""
     if not 0.0 <= p <= 1.0:
@@ -443,7 +473,7 @@ def product_pure_state(p: float, n_qubits: int) -> QState:
     single = np.array([np.sqrt(1.0 - p), np.sqrt(p)])
     amps = single
     for _ in range(n_qubits - 1):
-        amps = np.kron(amps, single)
+        amps = np.outer(amps, single).ravel()
     return QState.pure(amps)
 
 
@@ -456,16 +486,16 @@ def mixed_qubit_product(params: QubitParams, n_qubits: int) -> QState:
     single = np.array([[1.0 - params.p, off], [off, params.p]], dtype=complex)
     m = single
     for _ in range(n_qubits - 1):
-        m = np.kron(m, single)
+        m = _kron(m, single)
     return QState(m)
 
 
 def tensor(a: QState, b: QState) -> QState:
-    return QState(np.kron(a.matrix, b.matrix))
+    return QState(_kron(a.matrix, b.matrix))
 
 
 def tensor_filter(a: DiagonalFilter, b: DiagonalFilter) -> DiagonalFilter:
-    return DiagonalFilter(np.kron(a.coeffs, b.coeffs))
+    return DiagonalFilter(np.outer(a.coeffs, b.coeffs).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ synthesizer walks the degeneracy classes and the clipped populations as
 tuples of Python numbers that the spectrum and the state compute once per
 object, on Python floats, and hands its amplitudes to
 ``statecore.diagonal_filter_row``, so no ``DiagonalFilter`` check runs on a
-numpy array. ``mixed_scan`` runs
+numpy array. ``mixed_scan`` builds its states as one checked stack and runs
 the golden-section searches of its populations in lockstep, one batch per
-step; every result equals the per-point computation bit for bit.
+step, with the brackets on Python floats; every result equals the per-point
+computation bit for bit.
 ``plateau_threshold`` needs no search: the a=0 output depends on p and b only
 through t = b^2 (1 - p)/p, so the plateau ends exactly at p = 1/(1 + t*),
 where t* maximizes the output coherence C(t), and one bisection on the sign
@@ -64,16 +65,16 @@ from .statecore import (
     DiagonalFilter,
     EnergySpectrum,
     QState,
-    QubitParams,
     ZERO_EIGENVALUE,
     ZERO_POPULATION,
     _ANNIHILATION_TOL,
     _BATCH_ROWS,
+    _density_spectra,
+    _kron,
     apply_filter_rows,
     coherence_rows,
     diagonal_filter_row,
     diagonal_filter_rows,
-    mixed_qubit_product,
 )
 
 GOLDEN_TOL = 1e-8
@@ -462,10 +463,10 @@ def _tsallis_candidates(
     solutions K^-1 rhs and residuals |K sol - rhs| keep that shape. A column
     is kept when its stationarity residual is at most 1e-8 (a singular system
     may get a pseudo-solution), its P_S residual at most 1e-12 P_S and every
-    free intensity lies in [-1e-12 P_S, 1 + 1e-12], each tested by one max or
-    min across the free axis (a NaN fails it); the free intensities are then
-    clipped to [0, 1]. Only the kept columns are laid out as intensity
-    vectors.
+    free intensity lies in [-1e-12 P_S, 1 + 1e-12]; each entry is tested on
+    its own (a NaN fails) and the free axis is reduced once. The free
+    intensities are then clipped to [0, 1]. Only the kept columns are laid
+    out as intensity vectors.
 
     Returns the feasible candidates, one per row, in no particular order.
     """
@@ -494,13 +495,11 @@ def _tsallis_candidates(
             sol = _kkt_inverses(kkt) @ rhs
             resid = np.abs(kkt @ sol - rhs)
             m_free = sol[:, :k]
-            # NaN propagates through max and min, and fails every comparison
-            ok = (
-                (resid[:, :k].max(axis=1) <= 1e-8)
-                & (resid[:, k] <= ps_tol)
-                & (m_free.min(axis=1) >= -1e-12 * p_success)
-                & (m_free.max(axis=1) <= 1.0 + 1e-12)
-            )
+            # every entry tested on its own, so a NaN fails wherever it stands
+            good = resid[:, :k] <= 1e-8
+            good &= m_free >= -1e-12 * p_success
+            good &= m_free <= 1.0 + 1e-12
+            ok = good.all(axis=1) & (resid[:, k] <= ps_tol)
         else:
             # no free level: the solution is 0 and its residual |rhs|
             m_free = rhs[:, :0]
@@ -916,7 +915,7 @@ def _optimal_b(matrices: np.ndarray) -> np.ndarray:
     Every search brackets its maximum with the same coarse scan (one batch for
     all states) and then takes golden steps until the bracket is narrower
     than ``GOLDEN_TOL``; each step evaluates the new point of every search
-    still running in one batch.
+    still running in one batch, and updates the brackets on Python floats.
     """
 
     def value(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -932,25 +931,39 @@ def _optimal_b(matrices: np.ndarray) -> np.ndarray:
     d = a + _INV_PHI * (b - a)
     every = np.arange(count)
     fc, fd = np.split(value(np.concatenate([every, every]), np.concatenate([c, d])), 2)
-    run = np.flatnonzero(b - a > GOLDEN_TOL)
-    while run.size:
-        left = fc[run] >= fd[run]
-        lt, rt = run[left], run[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - _INV_PHI * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + _INV_PHI * (b[rt] - a[rt])
-        new = value(run, np.where(left, c[run], d[run]))
-        fc[lt], fd[rt] = new[left], new[~left]
-        run = run[b[run] - a[run] > GOLDEN_TOL]
-    return 0.5 * (a + b)
+    # the brackets on Python floats: the same IEEE arithmetic, one numpy call a step
+    a, b, c, d, fc, fd = (v.tolist() for v in (a, b, c, d, fc, fd))
+    run = [j for j in range(count) if b[j] - a[j] > GOLDEN_TOL]
+    while run:
+        left = [fc[j] >= fd[j] for j in run]
+        for j, to_left in zip(run, left):
+            if to_left:
+                b[j], d[j], fd[j] = d[j], c[j], fc[j]
+                c[j] = b[j] - _INV_PHI * (b[j] - a[j])
+            else:
+                a[j], c[j], fc[j] = c[j], d[j], fd[j]
+                d[j] = a[j] + _INV_PHI * (b[j] - a[j])
+        points = [c[j] if to_left else d[j] for j, to_left in zip(run, left)]
+        for j, to_left, f in zip(run, left, value(np.array(run), np.array(points)).tolist()):
+            (fc if to_left else fd)[j] = f
+        run = [j for j in run if b[j] - a[j] > GOLDEN_TOL]
+    return 0.5 * (np.array(a) + np.array(b))
+
+
+def _scan_states(eta: float, p_values: Sequence[float]) -> np.ndarray:
+    """``mixed_qubit_product(QubitParams(p, eta), 2).matrix`` of each p, bit
+    for bit, as one stack checked once as ``QState`` checks each state."""
+    p = np.array(p_values, dtype=float)
+    off = eta * np.sqrt(p * (1.0 - p))
+    single = np.array([[1.0 - p, off], [off, p]], dtype=complex).transpose(2, 0, 1)
+    matrices = _kron(single, single)
+    _density_spectra(matrices)
+    return matrices
 
 
 def _scan(eta: float, p_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimized coherence, mean energy and b of the a=0 family for each p."""
-    matrices = np.array(
-        [mixed_qubit_product(QubitParams(p=p, eta=eta), 2).matrix for p in p_values]
-    )
+    matrices = _scan_states(eta, p_values)
     b_opt = np.concatenate(
         [
             _optimal_b(matrices[i : i + _SEARCH_STATES])

@@ -1045,6 +1045,125 @@ class TestGridPointLimit:
         assert "Traceback" not in err
 
 
+class TestNegativeLists:
+    """A ``--phases`` or ``--spectrum`` list that starts with a minus sign
+    reads the same as a separate token and after ``=``."""
+
+    RUNS = {
+        "choi": ["choi", "--a", "0.3", "--b", "0.7", "--phases", "-0.2,0.1,0,0", "--out", "out.txt"],
+        "choi-dot": ["choi", "--a", "0.3", "--b", "0.7", "--phases", "-.2,0,0,0.1", "--out", "out.txt"],
+        "filter": ["filter", "--p", "0.2", "--ps", "0.5", "--target", "energy",
+                   "--spectrum", "-1,0,0,1", "--out", "out.txt"],
+        "frontier": ["frontier", "--p", "0.2", "--target", "energy", "--grid", "5",
+                     "--spectrum", "-1,0,0,1", "--out-csv", "out.txt"],
+        "oracle": ["oracle", "--p", "0.2", "--ps", "0.5", "--target", "energy",
+                   "--grid-step", "0.1", "--spectrum", "-2,-1,-1,0"],
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_both_spellings_give_the_same_bytes(self, capsys, tmp_path, monkeypatch, name):
+        argv = self.RUNS[name]
+        flag = argv.index("--phases" if "--phases" in argv else "--spectrum")
+        joined = [*argv[:flag], f"{argv[flag]}={argv[flag + 1]}", *argv[flag + 2:]]
+        results = []
+        for spelling, args in (("apart", argv), ("joined", joined)):
+            (tmp_path / spelling).mkdir()
+            monkeypatch.chdir(tmp_path / spelling)
+            code, out, err = run(capsys, *args)
+            assert (code, err) == (EXIT_OK, "")
+            written = Path("out.txt").read_bytes() if "out.txt" in argv else None
+            results.append((out, written))
+        assert results[0] == results[1]
+
+    def test_a_missing_value_is_still_a_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "x"
+        code, out, err = run(capsys, "choi", "--a", "0.3", "--b", "0.7", "--phases",
+                             "--out", str(out_path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: argument --phases: expected one argument\n"
+        assert not out_path.exists()
+
+
+class TestWholeOrNothingOutput:
+    """Output directories are checked before any computation, and each file
+    is renamed into place whole, so a failing run leaves no new file."""
+
+    OUTPUT_RUNS = [
+        ["filter", "--p", "0.1", "--ps", "0.3", "--target", "energy", "--out", "{}"],
+        ["frontier", "--p", "0.1", "--grid", "4", "--out-csv", "{}"],
+        ["frontier", "--p", "0.1", "--grid", "4", "--out-csv", "f.csv", "--out-svg", "{}"],
+        ["mixed-scan", "--eta", "0.5", "--steps", "2", "--out-csv", "{}"],
+        ["choi", "--a", "0.3", "--b", "0.7", "--out", "{}"],
+    ]
+
+    @pytest.mark.parametrize("argv", OUTPUT_RUNS, ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    @pytest.mark.parametrize("missing", ["missing/x", "file.txt/x"], ids=["no-dir", "not-a-dir"])
+    def test_missing_directory_exits_3_and_writes_nothing(
+        self, capsys, tmp_path, monkeypatch, argv, missing
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("file.txt").write_text("kept\n")
+        code, out, err = run(capsys, *(token.format(missing) for token in argv))
+        reason = "No such file or directory" if missing.startswith("missing") else "Not a directory"
+        number = 2 if missing.startswith("missing") else 20
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"error: [Errno {number}] {reason}: '{missing}'\n"
+        assert sorted(os.listdir()) == ["file.txt"]
+        assert Path("file.txt").read_text() == "kept\n"
+
+    def test_no_csv_after_a_bad_svg_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "frontier", "--p", "0.2", "--grid", "5",
+                             "--out-csv", "bad.csv", "--out-svg", "missing/f.svg")
+        assert (code, out) == (EXIT_IO, "")
+        assert err == "error: [Errno 2] No such file or directory: 'missing/f.svg'\n"
+        assert os.listdir() == []
+
+    def test_a_failed_rename_keeps_the_old_file_and_no_temporary(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("f.csv").write_text("old\n")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", "f.csv")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, out, err = run(capsys, "frontier", "--p", "0.2", "--grid", "5", "--out-csv", "f.csv")
+        assert (code, out) == (EXIT_IO, "")
+        assert err == "error: [Errno 13] Permission denied: 'f.csv'\n"
+        assert os.listdir() == ["f.csv"]
+        assert Path("f.csv").read_text() == "old\n"
+
+    @pytest.mark.parametrize("argv", SUBCOMMAND_RUNS, ids=lambda argv: argv[0])
+    def test_a_successful_run_leaves_only_its_outputs(self, capsys, tmp_path, argv):
+        argv = [token.format(tmp_path) for token in argv]
+        (tmp_path / "f.csv").write_text("replaced\n")
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        outputs = {Path(token).name for token in argv if token.startswith(str(tmp_path))}
+        assert set(os.listdir(tmp_path)) == outputs | {"f.csv"}
+        if "f.csv" in outputs:
+            assert (tmp_path / "f.csv").read_text().startswith("p_success,")
+
+    def test_a_symbolic_link_is_written_through(self, capsys, tmp_path):
+        (tmp_path / "data").mkdir()
+        real, link = tmp_path / "data" / "f.csv", tmp_path / "f.csv"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        code, _, err = run(capsys, "frontier", "--p", "0.2", "--grid", "5", "--out-csv", str(link))
+        assert (code, err) == (EXIT_OK, "")
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert real.read_text().startswith("p_success,")
+        assert sorted(os.listdir(tmp_path / "data")) == ["f.csv"]
+
+    def test_a_path_that_is_not_a_regular_file_is_written_in_place(self, capsys):
+        code, out, err = run(capsys, "frontier", "--p", "0.2", "--grid", "5", "--out-csv", os.devnull)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == f"10 rows written to {os.devnull}\n"
+        assert not Path(os.devnull).is_file()
+
+
 def _readme_cli_commands() -> list[list[str]]:
     """The argv of every ``coherence-forge`` command in the README's CLI code
     block, with backslash continuations joined."""

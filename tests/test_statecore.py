@@ -31,6 +31,7 @@ from coherence_forge.statecore import (
     _BATCH_ROWS,
     TRACE_TOL,
     ZERO_EIGENVALUE,
+    _density_spectra,
     _row_entropy,
     apply_filter_rows,
     coherence_rows,
@@ -41,6 +42,7 @@ from coherence_forge.statecore import (
     qstate_to_text,
 )
 
+from coherence_forge.synthesis import _scan_states
 from conftest import density_matrices, diagonal_filters, pure_states
 
 # Populations of the two-qubit product state with p = 0.1; everything below
@@ -388,6 +390,49 @@ class TestFilterRowsFirstFailure:
         rows[n - 1] = self.BAD["annihilating"]
         self.check(rows, stacked=False)
 
+    # Doctored inputs that no validated state can give, so that a row passes
+    # the coefficient bound and the P_S floor and fails a later test. On
+    # diag(1e8, 1 - 1e8, 0, 0), P_S cancels to about r^2, and where |c_1|^2
+    # and c_1 c_1^* differ in the last bit the output trace is about 1e-8 off.
+    CANCELLING = np.diag([1e8, 1.0 - 1e8, 0.0, 0.0]).astype(complex)
+    NEGATIVE = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+
+    @pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("trace", "density matrix trace must equal 1"),
+            ("negative", "density matrix has a negative eigenvalue"),
+        ],
+    )
+    def test_trace_and_eigenvalue_floor_of_a_slice(self, kind, message, where):
+        """A first failing row that passes the coefficient bound and the P_S
+        floor fails the trace test or the eigenvalue floor, and the batch
+        raises ``QState``'s message for it; a later row's NaN does not count
+        (the bound and the floor are ``test_only_the_first_bad_row_counts``)."""
+        stack = np.array([product_pure_state(0.1 + 0.05 * k, 2).matrix for k in range(5)])
+        rows = np.tile(self.GOOD, (5, 1)).astype(complex)
+        if where < 4:
+            rows[4] = self.BAD["nan"]
+        if kind == "negative":
+            stack[where], rows[where] = self.NEGATIVE, 1.0
+        else:
+            # the first seeded row (r, r e^(i theta), 1, 1) whose output
+            # trace, summed as apply_filter_rows sums it, is off
+            stack[where] = self.CANCELLING
+            rng = np.random.default_rng(34)
+            for _ in range(100):
+                r, theta = rng.uniform(0.5, 1.0), rng.uniform(0.0, 2.0 * np.pi)
+                rows[where] = [r, r * np.exp(1j * theta), 1.0, 1.0]
+                trace = self._symmetrized_diagonal(stack, rows)[where].sum().real
+                if abs(trace - 1.0) > TRACE_TOL:
+                    break
+            else:
+                raise AssertionError("no seeded row has an output trace off by more than 1e-12")
+            assert np.abs(rows[where]).max() <= 1.0 + 1e-12
+        with pytest.raises(StateValidationError, match=f"^{message}$"):
+            apply_filter_rows(stack, rows)
+
 
 class TestDiagonalFilterRows:
     """``diagonal_filter_rows`` checks a batch as ``DiagonalFilter`` checks each
@@ -620,6 +665,136 @@ class TestTensor:
         one = QState(np.diag([0.0, 1.0]).astype(complex))
         prod = tensor(zero, one)
         assert prod.populations[1] == pytest.approx(1.0)
+
+
+def _kron_power(single: np.ndarray, n: int) -> np.ndarray:
+    out = single
+    for _ in range(n - 1):
+        out = np.kron(out, single)
+    return out
+
+
+def _same_array(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestBroadcastKron:
+    """The constructors form the products of ``np.kron`` by broadcasting; each
+    equals ``np.kron`` bit for bit, with the same dtype."""
+
+    PS = [1e-9, 0.3, 0.5, 1.0 - 1e-9]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", PS)
+    def test_product_pure_state(self, p, n):
+        amps = _kron_power(np.array([np.sqrt(1.0 - p), np.sqrt(p)]), n)
+        assert _same_array(product_pure_state(p, n).matrix, QState.pure(amps).matrix)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", PS)
+    def test_mixed_qubit_product(self, p, n, eta):
+        off = eta * np.sqrt(p * (1.0 - p))
+        single = np.array([[1.0 - p, off], [off, p]], dtype=complex)
+        got = mixed_qubit_product(QubitParams(p=p, eta=eta), n).matrix
+        assert _same_array(got, _kron_power(single, n))
+
+    def test_tensor_and_tensor_filter(self):
+        rng = np.random.default_rng(34)
+        for d1, d2 in [(1, 3), (2, 2), (2, 3), (3, 2), (4, 2), (2, 4), (3, 3)]:
+            for a, b in zip(_random_density_matrices(rng, d1, 4), _random_density_matrices(rng, d2, 4)):
+                assert _same_array(tensor(QState(a), QState(b)).matrix, np.kron(a, b))
+            for _ in range(4):
+                fa, fb = (
+                    np.sqrt(rng.uniform(0.0, 1.0, d)) * np.exp(2j * np.pi * rng.random(d))
+                    for d in (d1, d2)
+                )
+                got = tensor_filter(DiagonalFilter(fa), DiagonalFilter(fb)).coeffs
+                assert _same_array(got, np.kron(fa, fb))
+
+
+class TestScanStates:
+    @pytest.mark.parametrize("eta", [0.0, 1e-4, 0.3, 0.75, 1.0])
+    def test_stack_equals_each_state(self, eta):
+        rng = np.random.default_rng(341)
+        for p_values in (
+            list(np.linspace(0.05, 0.45, 9)),
+            [0.5, 1e-7, 0.999999],
+            rng.uniform(0.0, 1.0, 70).tolist(),
+        ):
+            stack = _scan_states(eta, p_values)
+            want = np.array([mixed_qubit_product(QubitParams(p=p, eta=eta), 2).matrix for p in p_values])
+            assert _same_array(stack, want)
+
+
+class TestSharedDensityChecks:
+    """``QState`` and a stack share one check: a stack raises ``QState``'s
+    message for its first failing matrix."""
+
+    GOOD = mixed_qubit_product(QubitParams(p=0.3, eta=0.5), 2).matrix
+    DOCTORED = {
+        "nan": ("density matrix entries must be finite", lambda m: m.__setitem__((1, 2), np.nan)),
+        "inf": ("density matrix entries must be finite", lambda m: m.__setitem__((3, 3), np.inf)),
+        "skew": ("density matrix is not Hermitian", lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-9)),
+        "trace": ("density matrix trace must equal 1", lambda m: m.__setitem__((0, 0), m[0, 0] + 1e-9)),
+        # each diagonal entry 4e-13 off the real axis: a Hermiticity residual
+        # of 8e-13 passes, and a trace 1.6e-12 off it does not
+        "imaginary-trace": ("density matrix trace must equal 1",
+                            lambda m: m.__setitem__(np.diag_indices(4), m.diagonal() + 4e-13j)),
+        "negative": ("density matrix has a negative eigenvalue",
+                     lambda m: m.__setitem__(slice(None), np.diag([1.5, -0.5, 0.0, 0.0]))),
+    }
+
+    @classmethod
+    def doctored(cls, kind):
+        m = cls.GOOD.copy()
+        cls.DOCTORED[kind][1](m)
+        return m
+
+    @pytest.mark.parametrize("kind", list(DOCTORED))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_single_matrix(self, kind):
+        with pytest.raises(StateValidationError, match=f"^{self.DOCTORED[kind][0]}$"):
+            QState(self.doctored(kind))
+        with pytest.raises(StateValidationError, match=f"^{self.DOCTORED[kind][0]}$"):
+            _density_spectra(self.doctored(kind)[None])
+
+    @pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", list(DOCTORED))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_first_failing_matrix_of_a_stack(self, kind, where):
+        stack = np.array([self.GOOD] * 7)
+        stack[where] = self.doctored(kind)
+        # a later matrix failing another check does not count
+        if where < 6:
+            stack[6] = self.doctored("negative" if kind != "negative" else "nan")
+        with pytest.raises(StateValidationError, match=f"^{self.DOCTORED[kind][0]}$"):
+            _density_spectra(stack)
+
+    def test_good_stack_gives_each_spectrum(self):
+        stack = _random_density_matrices(np.random.default_rng(5), 4, 6)
+        spectra = _density_spectra(stack)
+        for m, eigenvalues in zip(stack, spectra):
+            assert np.array_equal(eigenvalues, QState(m)._eigenvalues)
+
+    @pytest.mark.parametrize(
+        "shape", [(), (4,), (2, 3), (1, 4, 4)], ids=["scalar", "vector", "2x3", "stacked"]
+    )
+    def test_only_a_square_matrix_is_a_state(self, shape):
+        with pytest.raises(StateValidationError, match="^density matrix must be square$"):
+            QState(np.full(shape, 0.25))
+
+    def test_stack_must_hold_square_matrices(self):
+        for shape in [(2, 3), (2, 2, 3), (1, 2, 2, 2)]:
+            with pytest.raises(StateValidationError, match="^density matrix must be square$"):
+                _density_spectra(np.full(shape, 0.5, dtype=complex))
+
+
+def test_dimensions_are_ints():
+    state, spectrum = product_pure_state(0.2, 3), EnergySpectrum([0.0, 1.0, 1.0, 2.0, 3.0])
+    assert type(state.dim) is int and state.dim == 8
+    assert type(spectrum.dim) is int and spectrum.dim == 5
+    assert type(TWO_QUBIT_SPECTRUM.dim) is int
 
 
 class TestSerialization:
