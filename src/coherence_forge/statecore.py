@@ -130,6 +130,8 @@ def _density_spectra(m: np.ndarray) -> np.ndarray:
     first failing matrix, located only when a test of the whole stack fails."""
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise StateValidationError("density matrix must be square")
+    if not m.shape[1]:
+        raise StateValidationError("density matrix must not be empty")
     # a NaN or infinite entry also makes the residual non-finite
     skew = np.abs(m - m.conj().transpose(0, 2, 1))
     # |trace.real - 1| and |trace.imag| of each matrix, side by side

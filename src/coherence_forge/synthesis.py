@@ -21,9 +21,10 @@ a 1e-12 P_S tolerance per level, and rejects states with more than
 
 The factorized family and the pure-state water-fill are computed over a
 whole vector of success probabilities, one coefficient row each: the
-factorized ``b`` by one lockstep Brent iteration, the water-fill ceiling by
-one pass over the sorted populated levels. ``factorized_filter`` and
-``coherence_optimal_filter_pure`` are that code on one row.
+factorized ``b`` by Newton's method on its success polynomial, in
+lockstep, the water-fill ceiling by one pass over the sorted populated
+levels. ``factorized_filter`` and ``coherence_optimal_filter_pure`` are that
+code on one row.
 ``trace_frontier`` builds those frontiers from their rows, checked as one
 batch by ``statecore.diagonal_filter_rows``; the energy and Tsallis
 frontiers call their synthesizer once per grid point. One
@@ -55,7 +56,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -578,110 +579,6 @@ def optimal_filter(
 
 
 # ---------------------------------------------------------------------------
-# Scalar root finding
-# ---------------------------------------------------------------------------
-
-
-def _brent_roots(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    xa: Sequence[float],
-    xb: Sequence[float],
-    xtol: float,
-    rtol: float,
-    maxiter: int = 300,
-) -> np.ndarray:
-    """Roots by Brent's method of one function per row, each in its bracket
-    [xa[i], xb[i]], run in lockstep.
-
-    ``fn(x, rows)`` evaluates the functions of the rows ``rows`` (indices
-    into the brackets) at ``x``. Each row runs, step for step, the classic
-    ``brentq`` iteration: inverse quadratic extrapolation or secant
-    interpolation when the step is short enough, bisection otherwise,
-    converged once half the bracket is below (xtol + rtol*|x|)/2. An
-    endpoint where the function is exactly 0 is returned as is. The rows
-    share every iteration under per-row masks; IEEE arithmetic is the same
-    element by element, so each root is the one a row-by-row run finds.
-    A :class:`DomainError` is raised for the first row that has no sign
-    change on its bracket or does not converge in ``maxiter`` iterations.
-    """
-    xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
-    ids = np.arange(xpre.size)
-    fpre, fcur = fn(xpre, ids), fn(xcur, ids)
-    roots = np.where(fpre == 0.0, xpre, xcur)
-    iterate = (fpre != 0.0) & (fcur != 0.0)
-    bracketed = ((fpre < 0.0) & (0.0 < fcur)) | ((fcur < 0.0) & (0.0 < fpre))
-    unbracketed = np.flatnonzero(iterate & ~bracketed)
-    # the rows after the first unbracketed one are never reached row by row
-    stop = unbracketed[0] if unbracketed.size else xpre.size
-    ids = np.flatnonzero(iterate[:stop])
-    xpre, xcur, fpre, fcur = xpre[ids], xcur[ids], fpre[ids], fcur[ids]
-    xblk, fblk, spre, scur = (np.zeros(ids.size) for _ in range(4))
-    for _ in range(maxiter):
-        if not ids.size:
-            break
-        flip = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-        delta = (xtol + rtol * np.abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        if done.any():
-            roots[ids[done]] = xcur[done]
-            go = ~done
-            ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                v[go] for v in (ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
-            )
-            if not ids.size:
-                break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # interpolate where xpre == xblk, extrapolate elsewhere
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(
-                xpre == xblk,
-                -fcur * (xcur - xpre) / (fcur - fpre),
-                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
-            )
-        limit = 3.0 * np.abs(sbis) - delta
-        limit = np.where(limit < np.abs(spre), limit, np.abs(spre))
-        short = (
-            (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2.0 * np.abs(stry) < limit)
-        )
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = np.where(
-            np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0.0, delta, -delta)
-        )
-        fcur = fn(xcur, ids)
-    if ids.size:
-        raise DomainError(f"root finder did not converge in {maxiter} iterations")
-    if unbracketed.size:
-        raise DomainError("root finder: the function does not change sign on the bracket")
-    return roots
-
-
-def _brent_root(
-    fn: Callable[[float], float],
-    xa: float,
-    xb: float,
-    xtol: float,
-    rtol: float,
-    maxiter: int = 300,
-) -> float:
-    """Root of ``fn`` in the bracket [xa, xb]: :func:`_brent_roots` on one row."""
-    return float(
-        _brent_roots(
-            lambda x, rows: np.array([float(fn(float(x[0])))]), [xa], [xb], xtol, rtol, maxiter
-        )[0]
-    )
-
-
-# ---------------------------------------------------------------------------
 # Thermal maximum-coherence benchmark
 # ---------------------------------------------------------------------------
 
@@ -698,6 +595,10 @@ def solve_inverse_temperature(spectrum: EnergySpectrum, target_energy: float) ->
 
     The mean energy is strictly decreasing in beta, so the root is unique;
     the full real-beta range (including negative temperatures) is supported.
+    The bracket doubles out from [-1, 1] until the gap to the target changes
+    sign, and bisection on Python floats then halves it until its midpoint
+    equals an endpoint, that is until the two ends are adjacent floats, or
+    until the gap at the midpoint is exactly 0.
     """
     levels = spectrum.levels
     e_min, e_max = float(levels.min()), float(levels.max())
@@ -718,7 +619,17 @@ def solve_inverse_temperature(spectrum: EnergySpectrum, target_energy: float) ->
         if gap(hi) < 0.0:
             break
         hi *= 2.0
-    return _brent_root(gap, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        mid_gap = gap(mid)
+        if mid_gap == 0.0:
+            return mid
+        if mid_gap > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def thermal_benchmark_state(spectrum: EnergySpectrum, target_energy: float) -> QState:
@@ -735,7 +646,7 @@ def thermal_benchmark_state(spectrum: EnergySpectrum, target_energy: float) -> Q
 
 def _qubit_count(dim: int) -> int:
     n = int(round(math.log2(dim)))
-    if 2**n != dim:
+    if n < 1 or 2**n != dim:
         raise DomainError("factorized filters require a 2^n-dimensional state")
     return n
 
@@ -760,31 +671,42 @@ def factorized_filter(state: QState, p_success: float) -> DiagonalFilter:
 
 def _factorized_rows(state: QState, ps: np.ndarray) -> np.ndarray:
     """Coefficients of the factorized filter at each success probability in
-    ``ps``, one row each; the interior b are found by one lockstep Brent.
-    Every P_S must lie in the family's reachable range."""
+    ``ps``, one row each. Every P_S must lie in the family's reachable range.
+
+    With x = b^2 the filter passes P(x) = sum_i pops[i] x^z_i, z_i the number
+    of zeros in the bits of i: a polynomial with nonnegative coefficients, so
+    convex and increasing on [0, 1]. A row gets b = 1 where P(1) <= P_S or
+    P_S >= 1, so P_S = 1 gives the identity, and b = 0 where P(0) >= P_S.
+    The other rows run Newton's method on P(x) - P_S from x = 1, in
+    lockstep. On a convex increasing function Newton moves down towards the
+    root from its right and never passes it, converging quadratically. Its
+    step x - (P(x) - P_S) / P'(x) is taken in the form
+    x (P_S - P(0) + sum_z (z - 1) c_z x^z) / sum_z z c_z x^z, c_z the
+    populations with z zeros: P_S > P(0) on these rows and no term is
+    negative, so each new x is good to a few ulps of itself, however far the
+    step jumps, and stays above 0. A row stops at the first step that no
+    longer lowers x, as x is then at the root or round-off has put it just
+    below, and keeps the x of that step, a few ulps from the root. Then
+    b = sqrt(x).
+    """
     n = _qubit_count(state.dim)
     pops = state.populations
-    # success probability is a polynomial in b^2: sum_i pops[i] * (b^2)^(#zeros in i)
-    zero_counts = np.array(
-        [n - bin(i).count("1") for i in range(state.dim)], dtype=int
-    )
-
-    def gap(b: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return (pops * (b * b)[:, None] ** zero_counts).sum(axis=1) - ps[rows]
-
-    rows = np.arange(ps.size)
-    above_one = gap(np.ones(ps.size), rows) < 0.0
-    below_zero = gap(np.zeros(ps.size), rows) > 0.0
-    b = np.where(above_one, 1.0, 0.0)
-    inner = np.flatnonzero(~above_one & ~below_zero)
-    b[inner] = _brent_roots(
-        lambda x, r: gap(x, inner[r]),
-        np.zeros(inner.size),
-        np.ones(inner.size),
-        xtol=1e-15,
-        rtol=8.9e-16,
-    )
-    return _factorized_coeffs(b, n)
+    zero_counts = np.array([n - bin(i).count("1") for i in range(state.dim)], dtype=int)
+    slopes = pops * zero_counts
+    excess = pops * np.maximum(zero_counts - 1, 0)
+    at_one = ((pops * np.ones((1, state.dim))).sum(axis=1) <= ps) | (ps >= 1.0)
+    # P(0) = pops[-1], the one term with no zero; the others add 0
+    at_zero = ~at_one & (pops[-1] >= ps)
+    x = np.where(at_zero, 0.0, 1.0)
+    rows = np.flatnonzero(~at_one & ~at_zero)
+    xs, lift = x[rows], ps[rows] - pops[-1]
+    while rows.size:
+        powers = xs[:, None] ** zero_counts
+        lower = xs * (lift + (excess * powers).sum(axis=1)) / (slopes * powers).sum(axis=1)
+        down = lower < xs
+        x[rows[~down]] = lower[~down]
+        rows, xs, lift = rows[down], lower[down], lift[down]
+    return _factorized_coeffs(np.sqrt(x), n)
 
 
 def reachable_success_range(
@@ -826,10 +748,10 @@ def trace_frontier(
     Points are sorted by success probability; each point's stored measures
     are recomputed from its own filter, so the frontier invariants hold by
     construction. The factorized family solves the whole grid with one
-    lockstep Brent, and the optimal pure-state coherence frontier takes every
-    grid point from one row water-fill; their coefficient rows become filters
-    through one :func:`statecore.diagonal_filter_rows` batch, each equal bit
-    for bit to what :func:`factorized_filter` or
+    lockstep Newton iteration, and the optimal pure-state coherence frontier
+    takes every grid point from one row water-fill; their coefficient rows
+    become filters through one :func:`statecore.diagonal_filter_rows` batch,
+    each equal bit for bit to what :func:`factorized_filter` or
     :func:`coherence_optimal_filter_pure` gives at that point. The optimal
     energy and Tsallis frontiers call :func:`optimal_filter` at each grid
     point and keep the filters it returns: the Tsallis enumerator has no row

@@ -2,13 +2,15 @@
 
 The functions below are that code, verbatim except for the ``_reference``
 prefix on their names: the one-state entropy and ``coherence``, the scalar
-synthesizers and Brent loop, then ``trace_frontier`` (one synthesizer call,
-``apply_filter`` and ``QState`` per grid point) and ``mixed_scan`` (one
-golden-section search per population). Every output of the package must
-equal theirs exactly, except the energy synthesizer's, whose per-point code is
-retired: its filters and frontiers are checked against the exact knapsack of
-``exact_reference`` to 1e-12, and the measured columns of an energy frontier
-still equal the per-point measurement of its own filters.
+water-fill, then ``trace_frontier`` (one synthesizer call, ``apply_filter``
+and ``QState`` per grid point) and ``mixed_scan`` (one golden-section search
+per population). Every output of the package must equal theirs exactly,
+except the energy and the factorized synthesizers', whose per-point code is
+retired: their filters and frontiers are checked against the exact
+references of ``exact_reference`` (the knapsack to 1e-12, the root of the
+factorized success polynomial to 1e-14), with the error of the per-point code
+where a P_S or a dimension is out of range, and the measured columns of their
+frontiers still equal the per-point measurement of their own filters.
 ``plateau_threshold`` is checked against the exact plateau edge, computed
 below from the closed-form spectrum of the a=0 output by the sign of its
 slope at 60 digits (Python ``decimal``).
@@ -53,10 +55,9 @@ from coherence_forge.statecore import (
 from coherence_forge.synthesis import (
     GOLDEN_TOL,
     _RANGE_TOL,
-    _qubit_count,
     reachable_success_range,
 )
-from exact_reference import assert_energy_optimum, knapsack_mean_energy
+from exact_reference import assert_energy_optimum, assert_factorized_filter, knapsack_mean_energy
 
 
 def _reference_entropy(values: np.ndarray) -> float:
@@ -151,99 +152,6 @@ def _reference_optimal_filter(
     return tsallis_optimal_filter(state, p_success)
 
 
-def _reference_brent_root(
-    fn: Callable[[float], float],
-    xa: float,
-    xb: float,
-    xtol: float,
-    rtol: float,
-    maxiter: int = 300,
-) -> float:
-    """Root of ``fn`` in the bracket [xa, xb] by Brent's method.
-
-    Step for step the classic ``brentq`` iteration: inverse quadratic
-    extrapolation or secant interpolation when the step is short enough,
-    bisection otherwise, converged once half the bracket is below
-    (xtol + rtol*|x|)/2. An endpoint where ``fn`` is exactly 0 is returned
-    as is.
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(fn(xpre)), float(fn(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):
-        raise DomainError("root finder: the function does not change sign on the bracket")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = float(fn(xcur))
-    raise DomainError(f"root finder did not converge in {maxiter} iterations")
-
-
-def _reference_factorized_single_qubit(b: float, n_qubits: int) -> DiagonalFilter:
-    """Tensor power of the single-qubit filter diag(b, 1)."""
-    single = np.array([b, 1.0], dtype=complex)
-    c = single
-    for _ in range(n_qubits - 1):
-        c = np.kron(c, single)
-    return DiagonalFilter(c)
-
-
-def _reference_factorized_filter(state: QState, p_success: float) -> DiagonalFilter:
-    """Factorized filter whose success probability on ``state`` equals ``p_success``."""
-    n = _qubit_count(state.dim)
-    pops = state.populations
-    lo = float(pops[-1])
-    message = f"factorized family reaches only [{lo:.6g}, 1]"
-    _reference_check_success_range(p_success, lo, message, above=message)
-    # success probability is a polynomial in b^2: sum_i pops[i] * (b^2)^(#zeros in i)
-    zero_counts = np.array(
-        [n - bin(i).count("1") for i in range(state.dim)], dtype=int
-    )
-
-    def gap(b: float) -> float:
-        return float((pops * (b * b) ** zero_counts).sum()) - p_success
-
-    if gap(1.0) < 0.0:
-        b = 1.0
-    elif gap(0.0) > 0.0:
-        b = 0.0
-    else:
-        b = _reference_brent_root(gap, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-    return _reference_factorized_single_qubit(b, n)
-
-
 def _reference_trace_frontier(
     state: QState,
     spectrum: EnergySpectrum,
@@ -271,10 +179,7 @@ def _reference_trace_frontier(
         ps_values = np.linspace(lo, hi, grid)
 
     def build(ps: float) -> FrontierPoint:
-        if family is FilterFamily.FACTORIZED:
-            filt = _reference_factorized_filter(state, float(ps))
-        else:
-            filt = _reference_optimal_filter(state, spectrum, target, float(ps))
+        filt = _reference_optimal_filter(state, spectrum, target, float(ps))
         out, actual = apply_filter(state, filt)
         return FrontierPoint(
             p_success=actual,
@@ -456,11 +361,23 @@ def _assert_energy_outcome(got, state, spectrum, p_success):
         assert_energy_optimum(pops, spectrum.levels, got.coeffs, min(p_success, 1.0), 1e-12)
 
 
+def _assert_measured(pt, state, spectrum):
+    """The measured columns of a frontier point equal the per-point
+    measurement of the point's own filter bit for bit."""
+    out, actual = apply_filter(state, pt.filter)
+    for field, want in (
+        ("p_success", actual),
+        ("coherence", coherence(out)),
+        ("mean_energy", mean_energy(out, spectrum)),
+    ):
+        assert type(getattr(pt, field)) is float
+        assert _same(getattr(pt, field), want), field
+
+
 def _assert_exact_energy_frontier(got, state, spectrum, grid):
     """An optimal energy frontier against the exact knapsack at each grid P_S:
     each filter by ``assert_energy_optimum``, and each point's P_S and mean
-    energy, to 1e-12. The measured columns equal the per-point measurement of
-    the point's own filter bit for bit."""
+    energy, to 1e-12, with the measured columns of ``_assert_measured``."""
     lo, hi = reachable_success_range(state, spectrum, *_ENERGY_OPTIMAL)
     pops = np.clip(state.populations, 0.0, None)
     assert len(got) == grid
@@ -469,14 +386,47 @@ def _assert_exact_energy_frontier(got, state, spectrum, grid):
         assert_energy_optimum(pops, spectrum.levels, pt.filter.coeffs, ps, 1e-12)
         assert abs(pt.p_success - ps) <= 1e-12 * ps
         assert abs(pt.mean_energy - knapsack_mean_energy(pops, spectrum.levels, ps)) <= 1e-12
-        out, actual = apply_filter(state, pt.filter)
-        for field, want in (
-            ("p_success", actual),
-            ("coherence", coherence(out)),
-            ("mean_energy", mean_energy(out, spectrum)),
-        ):
-            assert type(getattr(pt, field)) is float
-            assert _same(getattr(pt, field), want), field
+        _assert_measured(pt, state, spectrum)
+
+
+def _factorized_error(state, p_success):
+    """What the factorized synthesizer raises at ``p_success``, as the type
+    and message of ``_outcome``, or None: a dimension other than 2^n with
+    n >= 1, and then the range check of the family's [P(0), 1]."""
+    if state.dim < 2 or state.dim & (state.dim - 1):
+        return DomainError, "factorized filters require a 2^n-dimensional state"
+    lo = float(state.populations[-1])
+    message = f"factorized family reaches only [{lo:.6g}, 1]"
+    return _outcome(_reference_check_success_range, p_success, lo, message, message)
+
+
+def _assert_factorized_outcome(got, state, p_success):
+    """``got``, the outcome of ``factorized_filter`` at ``p_success``: the
+    per-point code's error where the dimension or P_S is out of range, and
+    otherwise the filter of the exact root, to 1e-14."""
+    error = _factorized_error(state, p_success)
+    if error is not None:
+        assert got == error, p_success
+    else:
+        assert_factorized_filter(state.populations, got.coeffs, p_success, 1e-14)
+
+
+def _assert_factorized_frontier(state, spectrum, target, grid):
+    """A factorized frontier: the per-point code's error where the dimension
+    is not 2^n, and otherwise the filter of the exact root at each grid P_S,
+    to 1e-14, with the measured columns of ``_assert_measured``."""
+    family = FilterFamily.FACTORIZED
+    got = _outcome(syn.trace_frontier, state, spectrum, target, family, grid)
+    error = _factorized_error(state, 1.0)
+    if error is not None:
+        assert got == error
+        return
+    lo, hi = reachable_success_range(state, spectrum, target, family)
+    assert len(got) == grid
+    for pt, ps in zip(got, np.linspace(lo, hi, grid).tolist()):
+        assert pt.family is family
+        assert_factorized_filter(state.populations, pt.filter.coeffs, ps, 1e-14)
+        _assert_measured(pt, state, spectrum)
 
 
 def _random_ket(rng, d):
@@ -518,6 +468,9 @@ _FAMILIES = tuple(FilterFamily)
 @pytest.mark.parametrize("p", [0.05, 0.25, 0.4])
 def test_product_state_frontiers(p, target, family, grid):
     state = product_pure_state(p, 2)
+    if family is FilterFamily.FACTORIZED:
+        _assert_factorized_frontier(state, TWO_QUBIT_SPECTRUM, target, grid)
+        return
     got = syn.trace_frontier(state, TWO_QUBIT_SPECTRUM, target, family, grid=grid)
     if (target, family) == _ENERGY_OPTIMAL:
         _assert_exact_energy_frontier(got, state, TWO_QUBIT_SPECTRUM, grid)
@@ -532,13 +485,16 @@ def test_product_state_frontiers(p, target, family, grid):
 def test_other_state_frontiers(name, target, family):
     state, spectrum = _OTHER_STATES[name]
     grid = 40 if target is FilterTarget.COHERENCE_TSALLIS and state.dim > 8 else 97
+    if family is FilterFamily.FACTORIZED:
+        _assert_factorized_frontier(state, spectrum, target, grid)
+        return
     if (target, family) == _ENERGY_OPTIMAL:
         got = syn.trace_frontier(state, spectrum, target, family, grid)
         _assert_exact_energy_frontier(got, state, spectrum, grid)
         return
     got = _outcome(syn.trace_frontier, state, spectrum, target, family, grid)
     want = _outcome(_reference_trace_frontier, state, spectrum, target, family, grid)
-    if isinstance(want, tuple):  # e.g. factorized at d = 3, coherence of a mixed state
+    if isinstance(want, tuple):  # e.g. coherence of a mixed state
         assert got == want
     else:
         _assert_same_points(got, want)
@@ -564,14 +520,57 @@ def test_synthesizers_at_the_range_ends(name, target):
             assert got == want, ps
         else:
             assert _same(got.coeffs, want.coeffs), ps
-    if state.dim in (4, 8):
-        for ps in _range_ends(state, spectrum, target, FilterFamily.FACTORIZED):
-            got = _outcome(syn.factorized_filter, state, ps)
-            want = _outcome(_reference_factorized_filter, state, ps)
-            if isinstance(want, tuple):
-                assert got == want, ps
-            else:
-                assert _same(got.coeffs, want.coeffs), ps
+    for ps in _range_ends(state, spectrum, target, FilterFamily.FACTORIZED):
+        _assert_factorized_outcome(_outcome(syn.factorized_filter, state, ps), state, ps)
+
+
+def test_factorized_filter_meets_the_exact_root():
+    """Seeded product, pure and mixed states of n = 1-4 qubits: at P(0), just
+    above it, across the range and at 1, the filter is that of the exact
+    root, its P_S within 1e-14 in rationals; P(0) gives b = 0 exactly and
+    P_S = 1 the identity, also on a state whose trace exceeds 1 by 5e-13,
+    inside the trace tolerance."""
+    rng = np.random.default_rng(35)
+    states = [QState(np.diag([0.4, 0.3, 0.2, 0.1 + 5e-13]))]
+    for n in (1, 2, 3, 4):
+        d = 2**n
+        states += [product_pure_state(p, n) for p in rng.uniform(0.0, 1.0, 4).tolist()]
+        states += [_random_ket(rng, d) for _ in range(4)]
+        states += [_random_mixed(rng, d) for _ in range(4)]
+    for state in states:
+        lo = max(float(state.populations[-1]), 2e-14)
+        for ps in [lo, lo * (1 + 1e-9), *rng.uniform(lo, 1.0, 8).tolist(), 1.0]:
+            filt = syn.factorized_filter(state, ps)
+            assert_factorized_filter(state.populations, filt.coeffs, ps, 1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factorized_frontier_rows_are_the_scalar_filters(n):
+    """The lockstep Newton iteration gives each row the bits that
+    ``factorized_filter`` gives it alone: at every grid P_S, from P(0) to 1,
+    a factorized frontier's filter equals the scalar filter there, on seeded
+    product, pure and mixed states of n qubits."""
+    rng = np.random.default_rng(3500 + n)
+    d, spectrum = 2**n, _qubit_spectrum(n)
+    family = FilterFamily.FACTORIZED
+    for state in (product_pure_state(rng.uniform(), n), _random_ket(rng, d), _random_mixed(rng, d)):
+        lo, hi = reachable_success_range(state, spectrum, FilterTarget.ENERGY, family)
+        got = syn.trace_frontier(state, spectrum, FilterTarget.ENERGY, family, 60)
+        assert len(got) == 60
+        for pt, ps in zip(got, np.linspace(lo, hi, 60).tolist()):
+            assert _same(pt.filter.coeffs, syn.factorized_filter(state, ps).coeffs), ps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factorized_filter_on_one_power(n):
+    """Only |0...0> populated: P(x) = x^n, whose slope vanishes at 0 for
+    n > 1, so far above a small root Newton shrinks x only by about 1 - 1/n
+    a step. The loop still ends, and from the P_S floor 2e-14 up to 1 the
+    filter is that of the exact root, b = P_S^(1/2n)."""
+    state = QState.pure(np.eye(2**n)[0])
+    for ps in [2e-14, 1e-9, 1e-3, 0.3, 0.999999, 1.0]:
+        filt = syn.factorized_filter(state, ps)
+        assert_factorized_filter(state.populations, filt.coeffs, ps, 1e-14)
 
 
 def test_scalar_synthesizers_match_on_a_dense_grid():
@@ -581,15 +580,13 @@ def test_scalar_synthesizers_match_on_a_dense_grid():
         for ps in rng.uniform(0.0, 1.0, size=25).tolist():
             got = _outcome(syn.energy_optimal_filter, state, TWO_QUBIT_SPECTRUM, ps)
             _assert_energy_outcome(got, state, TWO_QUBIT_SPECTRUM, ps)
-            for fn, ref in (
-                (syn.coherence_optimal_filter_pure, _reference_coherence_optimal_filter_pure),
-                (syn.factorized_filter, _reference_factorized_filter),
-            ):
-                got, want = _outcome(fn, state, ps), _outcome(ref, state, ps)
-                if isinstance(want, tuple):
-                    assert got == want
-                else:
-                    assert _same(got.coeffs, want.coeffs)
+            got = _outcome(syn.coherence_optimal_filter_pure, state, ps)
+            want = _outcome(_reference_coherence_optimal_filter_pure, state, ps)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert _same(got.coeffs, want.coeffs)
+            _assert_factorized_outcome(_outcome(syn.factorized_filter, state, ps), state, ps)
 
 
 def _random_rank(rng, d, rank):
@@ -740,105 +737,6 @@ def test_plateau_threshold_calls_no_numpy(monkeypatch):
     monkeypatch.setattr(syn, "np", None)  # any numpy call raises AttributeError
     assert syn.plateau_threshold(0.75) == want
     assert type(syn._coherence_slope(0.75, 1.0)) is float
-
-
-# ---------------------------------------------------------------------------
-# The lockstep Brent iteration against the scalar loop
-# ---------------------------------------------------------------------------
-
-
-def _factorized_gap(state: QState, p_success: float) -> Callable[[float], float]:
-    n = _qubit_count(state.dim)
-    pops = state.populations
-    zero_counts = np.array([n - bin(i).count("1") for i in range(state.dim)], dtype=int)
-    return lambda b: float((pops * (b * b) ** zero_counts).sum()) - p_success
-
-
-def _temperature_gap(levels, energy) -> tuple[Callable[[float], float], float, float]:
-    levels = np.asarray(levels, dtype=float)
-
-    def gap(beta: float) -> float:
-        return float((levels * syn._gibbs_populations(levels, beta)).sum()) - energy
-
-    lo, hi = -1.0, 1.0
-    while gap(lo) <= 0.0:
-        lo *= 2.0
-    while gap(hi) >= 0.0:
-        hi *= 2.0
-    return gap, lo, hi
-
-
-def _pinned_brackets():
-    """(function, xa, xb, xtol, rtol) of every root pinned in TestRootFinderPins."""
-    cases = []
-    for p, n, ps in [(0.1, 2, 0.5), (0.3, 3, 0.4), (0.25, 1, 0.6)]:
-        cases.append((_factorized_gap(product_pure_state(p, n), ps), 0.0, 1.0, 1e-15, 8.9e-16))
-    cases.append(
-        (_factorized_gap(QState.pure(np.linspace(1.0, 2.5, 16)), 0.3), 0.0, 1.0, 1e-15, 8.9e-16)
-    )
-    state = product_pure_state(0.1, 2)
-    cases.append(
-        (_factorized_gap(state, float(state.populations[-1])), 0.0, 1.0, 1e-15, 8.9e-16)
-    )
-    for levels, energy in [
-        ([0.0, 1.0, 1.0, 2.0], 0.2),
-        ([0.0, 1.0, 1.0, 2.0], 1.5),
-        ([0.0, 1.0, 2.0, 3.0, 4.0], 0.7),
-        ([-1.0, 0.5, 2.0], 1.9),
-    ]:
-        gap, lo, hi = _temperature_gap(levels, energy)
-        cases.append((gap, lo, hi, 1e-14, 8.9e-16))
-    for fn in (lambda x: x, lambda x: x - 1.0, lambda x: x * x - 0.25, lambda x: x**3 - 0.3):
-        cases.append((fn, 0.0, 1.0, 1e-15, 8.9e-16))
-    return cases
-
-
-def _lockstep(fns):
-    return lambda x, rows: np.array([float(fns[r](float(v))) for v, r in zip(x, rows)])
-
-
-@pytest.mark.parametrize("tol", [(1e-15, 8.9e-16), (1e-14, 8.9e-16)])
-def test_lockstep_brent_matches_the_scalar_loop(tol):
-    cases = _pinned_brackets()
-    fns = [c[0] for c in cases]
-    roots = syn._brent_roots(
-        _lockstep(fns), [c[1] for c in cases], [c[2] for c in cases], *tol
-    )
-    for root, (fn, xa, xb, _, _) in zip(roots.tolist(), cases):
-        assert _same(root, _reference_brent_root(fn, xa, xb, *tol))
-    # and each bracket alone, through the one-row entry point
-    for fn, xa, xb, xtol, rtol in cases:
-        assert _same(syn._brent_root(fn, xa, xb, xtol, rtol), _reference_brent_root(fn, xa, xb, xtol, rtol))
-
-
-def _first_failure(cases, maxiter):
-    for fn, xa, xb in cases:
-        outcome = _outcome(_reference_brent_root, fn, xa, xb, 1e-15, 8.9e-16, maxiter)
-        if isinstance(outcome, tuple):
-            return outcome
-    return None
-
-
-@pytest.mark.parametrize(
-    "fns",
-    [
-        [lambda x: x * x - 0.25, lambda x: x * x + 1.0],
-        [lambda x: x * x + 1.0, lambda x: x**3 - 0.3],
-        [lambda x: x, lambda x: float("nan"), lambda x: x**3 - 0.3],
-        [lambda x: x - 1.0, lambda x: x**3 - 0.3, lambda x: x * x + 1.0],
-    ],
-    ids=["slow-then-unbracketed", "unbracketed-first", "nan-second", "endpoint-slow-unbracketed"],
-)
-@pytest.mark.parametrize("maxiter", [0, 2, 300])
-def test_lockstep_brent_raises_for_the_first_failing_row(fns, maxiter):
-    cases = [(fn, 0.0, 1.0) for fn in fns]
-    expected = _first_failure(cases, maxiter)
-    got = _outcome(
-        syn._brent_roots, _lockstep(fns), [0.0] * len(fns), [1.0] * len(fns),
-        1e-15, 8.9e-16, maxiter,
-    )
-    assert expected is not None
-    assert got == expected
 
 
 def _tied_pure_state(rng, d):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,6 @@ from coherence_forge.cli import EXIT_DOMAIN, EXIT_OK, main
 from coherence_forge.oracle import grid_search, objective_value
 from coherence_forge.statecore import _ANNIHILATION_TOL, TRACE_TOL, ZERO_POPULATION, qstate_to_text
 from coherence_forge.synthesis import (
-    _brent_root,
     coherence_lower_branch,
     coherence_upper_branch,
     energy_lower_branch,
@@ -46,7 +46,7 @@ from coherence_forge.synthesis import (
     solve_inverse_temperature,
     success_threshold,
 )
-from exact_reference import assert_energy_optimum, populated_classes
+from exact_reference import assert_energy_optimum, inverse_temperature, populated_classes
 
 
 def shannon(v):
@@ -842,9 +842,9 @@ class TestMixedScan:
 
 
 class TestRootFinderPins:
-    """Root-finder results pinned to the exact floats of the reference
-    Brent implementation; any change in the iteration shows up in the last
-    bit and, through the frontier CSVs, in the printed digits."""
+    """Factorized b pinned to exact floats, so that a change in the root
+    finder shows up in the last bit and, through the frontier CSVs, in the
+    printed digits; the inverse temperature against its 60-digit root."""
 
     @pytest.mark.parametrize(
         "p, n_qubits, ps, b",
@@ -852,7 +852,7 @@ class TestRootFinderPins:
             (0.1, 2, 0.01, 0.0),
             (0.1, 2, 1.0, 1.0),
             (0.1, 2, 0.5, 0.6745630902072749),
-            (0.3, 3, 0.4, 0.4929311684706571),
+            (0.3, 3, 0.4, 0.49293116847065727),
             (0.25, 1, 0.6, 0.683130051063973),
         ],
     )
@@ -873,28 +873,47 @@ class TestRootFinderPins:
         assert filt.coeffs[-1].real == 1.0
 
     @pytest.mark.parametrize(
-        "levels, energy, beta",
+        "levels, energy",
         [
-            ([0.0, 1.0, 1.0, 2.0], 0.2, 2.1972245773362205),
-            ([0.0, 1.0, 1.0, 2.0], 1.5, -1.09861228866811),
-            ([0.0, 1.0, 2.0, 3.0, 4.0], 0.7, 0.8229011492722286),
-            ([-1.0, 0.5, 2.0], 1.9, -1.8413454024899625),
+            ([0.0, 1.0, 1.0, 2.0], 0.2),
+            ([0.0, 1.0, 1.0, 2.0], 1.5),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], 0.7),
+            ([-1.0, 0.5, 2.0], 1.9),
+            ([0.0, 1.0], 0.25),
+            ([0.0, 1.0], 0.9),
+            ([3.0, -2.0, 0.5, 0.5], 0.0),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], 0.05),
+            ([-5.0, -1.0, 0.0, 2.5], -4.0),
+            ([0.0, 1e-3, 2e-3], 1.5e-3),
         ],
     )
-    def test_inverse_temperature(self, levels, energy, beta):
+    def test_inverse_temperature(self, levels, energy):
         got = solve_inverse_temperature(EnergySpectrum(levels), energy)
-        assert repr(got) == repr(beta)
+        want = inverse_temperature(levels, energy)
+        assert abs(got - want) <= 4 * math.ulp(want), (got, want)
 
-    def test_brent_root_endpoints_and_failures(self):
-        assert _brent_root(lambda x: x, 0.0, 1.0, 1e-15, 8.9e-16) == 0.0
-        assert _brent_root(lambda x: x - 1.0, 0.0, 1.0, 1e-15, 8.9e-16) == 1.0
-        assert _brent_root(lambda x: x * x - 0.25, 0.0, 1.0, 1e-15, 8.9e-16) == pytest.approx(0.5)
-        with pytest.raises(DomainError):
-            _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16)
-        with pytest.raises(DomainError):
-            _brent_root(lambda x: float("nan"), -1.0, 1.0, 1e-15, 8.9e-16)
-        with pytest.raises(DomainError):
-            _brent_root(lambda x: x**3 - 0.3, 0.0, 1.0, 1e-15, 8.9e-16, maxiter=2)
+    @pytest.mark.parametrize(
+        "levels, energy",
+        [
+            ([0.0, 1.0, 1.0, 2.0], 1.99),
+            ([0.0, 1.0, 1.0, 2.0], 0.001),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], 3.999),
+            ([-1.0, 0.5, 2.0], -0.999),
+        ],
+    )
+    def test_inverse_temperature_near_the_edges(self, levels, energy):
+        """Near an edge of the spectrum the mean energy flattens out, its
+        slope -Var(E) small, so a float gap a few ulp of max|E| off moves the
+        root by that over Var(E): the bisection lies within 4 ulp plus 16 ulp
+        of max|E| / Var(E) of the 60-digit root."""
+        got = solve_inverse_temperature(EnergySpectrum(levels), energy)
+        want = inverse_temperature(levels, energy)
+        e = np.asarray(levels)
+        w = np.exp(-want * (e - e.min() if want > 0 else e - e.max()))
+        w /= w.sum()
+        var = float((w * e * e).sum() - (w * e).sum() ** 2)
+        bound = 4 * math.ulp(want) + 16 * np.finfo(float).eps * np.abs(e).max() / var
+        assert abs(got - want) <= bound, (got, want, bound)
 
 
 class TestNonFiniteSuccessProbability:

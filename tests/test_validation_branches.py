@@ -32,6 +32,7 @@ from coherence_forge import (
     compensate_phases,
     compose_iteration,
     energy_optimal_filter,
+    factorized_filter,
     grid_search,
     mixed_qubit_product,
     mixed_scan,
@@ -79,6 +80,8 @@ LIBRARY_CASES = {
                          "density matrix must be square"),
     "state-one-dimensional": (lambda: QState(np.array([1.0])), StateValidationError,
                               "density matrix must be square"),
+    "state-empty": (lambda: QState(np.zeros((0, 0))), StateValidationError,
+                    "density matrix must not be empty"),
     "zero-ket": (lambda: QState.pure([0.0, 0.0]), StateValidationError, "zero amplitude vector"),
     "filter-rows-no-coefficients": (lambda: diagonal_filter_rows(np.zeros((2, 0))),
                                     StateValidationError, "filter needs at least one coefficient"),
@@ -159,6 +162,8 @@ LIBRARY_CASES = {
                                   DimensionMismatch, "state and spectrum dimensions differ"),
     "water-fill-one-level": (lambda: coherence_optimal_filter_pure(product_pure_state(0.0, 2), 0.5),
                              DomainError, "state must populate at least two levels"),
+    "factorized-one-level": (lambda: factorized_filter(QState(np.array([[1.0]])), 1.0),
+                             DomainError, "factorized filters require a 2\\^n-dimensional state"),
     "closed-form-tsallis": (
         lambda: two_qubit_closed_form(0.1, 0.5, FilterTarget.COHERENCE_TSALLIS), DomainError,
         "no closed form for the Tsallis objective"),
