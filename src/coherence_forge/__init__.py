@@ -11,7 +11,6 @@ from .errors import (
     AnnihilatedState,
     DimensionMismatch,
     DomainError,
-    InfeasibleGrid,
     StateValidationError,
     UnreachableSuccessProbability,
 )

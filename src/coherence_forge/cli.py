@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage error, 2 domain/precondition error, 3 I/O
 error. A closed stdout also exits 3, with nothing on stderr: the run may stop
 before its file writes. CSV output uses 12 significant digits and is
 byte-deterministic for identical flags.
-Output directories are checked before any computation, and each file is
-renamed into place whole, so a run that fails leaves no new or partial file.
+Output directories are checked before any computation, and the files of a
+run are renamed into place only once every one of them is written whole, so
+a run that fails leaves no new or partial file.
 """
 
 from __future__ import annotations
@@ -108,21 +109,26 @@ _FRONTIER_HEADER = "p_success,coherence_nats,mean_energy,a,b,family"
 _SCAN_HEADER = "p,eta,coherence_nats,mean_energy,b_opt,input_coherence,input_energy"
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside the file ``path`` names, then
-    rename it over that file; a pipe or a terminal is written in place."""
-    target = Path(path)
-    if target.exists() and not target.is_file():
-        target.write_text(text, encoding="utf-8")
-        return
-    target = Path(os.path.realpath(target))  # a symbolic link stays a link
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+def _write_files(files: Mapping[str | Path, str]) -> None:
+    """Write each text to a temporary file beside the file its path names,
+    and rename them over those files, in order, once every one is written;
+    a failure leaves none of them. A pipe or a terminal is written in place."""
+    staged = []
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        for index, (path, text) in enumerate(files.items()):
+            target = Path(path)
+            if target.exists() and not target.is_file():
+                target.write_text(text, encoding="utf-8")
+                continue
+            target = Path(os.path.realpath(target))  # a symbolic link stays a link
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.{index}.tmp")
+            staged.append((tmp, target))
+            tmp.write_text(text, encoding="utf-8")
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _check_output_dirs(args: argparse.Namespace) -> None:
@@ -134,15 +140,12 @@ def _check_output_dirs(args: argparse.Namespace) -> None:
             raise OSError(code, os.strerror(code), path)
 
 
-def _write_csv(path: str | Path, header: str, rows: Iterable[Iterable[str]]) -> None:
-    lines = [header, *(",".join(row) for row in rows)]
-    _write_text(path, "\n".join(lines) + "\n")
+def _csv(header: str, rows: Iterable[Iterable[str]]) -> str:
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
-def write_frontier_csv(path: str | Path, points: Iterable[FrontierPoint]) -> None:
-    """Frontier CSV: the header, then one row per point in the given order."""
-    _write_csv(
-        path,
+def _frontier_csv(points: Iterable[FrontierPoint]) -> str:
+    return _csv(
         _FRONTIER_HEADER,
         (
             [
@@ -156,6 +159,11 @@ def write_frontier_csv(path: str | Path, points: Iterable[FrontierPoint]) -> Non
             for pt in points
         ),
     )
+
+
+def write_frontier_csv(path: str | Path, points: Iterable[FrontierPoint]) -> None:
+    """Frontier CSV: the header, then one row per point in the given order."""
+    _write_files({path: _frontier_csv(points)})
 
 
 def write_scan_csv(path: str | Path, points: Iterable[tuple[float, MixedScanPoint]]) -> None:
@@ -174,7 +182,18 @@ def write_scan_csv(path: str | Path, points: Iterable[tuple[float, MixedScanPoin
             _fmt(mean_energy(state, synthesis.TWO_QUBIT_SPECTRUM)),
         ]
 
-    _write_csv(path, _SCAN_HEADER, (row(eta, pt) for eta, pt in points))
+    _write_files({path: _csv(_SCAN_HEADER, (row(eta, pt) for eta, pt in points))})
+
+
+def _frontier_svg(
+    traced: Mapping[FilterFamily, Sequence[FrontierPoint]], target: FilterTarget, title: str
+) -> str:
+    series = [
+        (fam.value, [pt.p_success for pt in pts], [pt.measure(target) for pt in pts])
+        for fam, pts in traced.items()
+    ]
+    ylabel = "mean energy" if target is FilterTarget.ENERGY else "coherence (nats)"
+    return line_plot(series, "success probability", ylabel, title=title)
 
 
 def write_frontier_svg(
@@ -185,12 +204,7 @@ def write_frontier_svg(
 ) -> None:
     """Frontier plot: one series per family in the given order, the mean
     energy for the energy target and the coherence otherwise."""
-    series = [
-        (fam.value, [pt.p_success for pt in pts], [pt.measure(target) for pt in pts])
-        for fam, pts in traced.items()
-    ]
-    ylabel = "mean energy" if target is FilterTarget.ENERGY else "coherence (nats)"
-    _write_text(path, line_plot(series, "success probability", ylabel, title=title))
+    _write_files({path: _frontier_svg(traced, target, title)})
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +245,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     print(f"output coherence = {_coherence_report(coherence(out))}")
     print(f"output mean energy = {_fmt(mean_energy(out, spectrum))}")
     if args.out:
-        _write_text(args.out, filter_to_text(filt))
+        _write_files({args.out: filter_to_text(filt)})
         print(f"filter written to {args.out}")
     return EXIT_OK
 
@@ -246,10 +260,12 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         fam: synthesis.trace_frontier(state, spectrum, target, fam, grid=args.grid)
         for fam in families
     }
-    write_frontier_csv(args.out_csv, [pt for pts in traced.values() for pt in pts])
+    files = {args.out_csv: _frontier_csv([pt for pts in traced.values() for pt in pts])}
+    if args.out_svg:
+        files[args.out_svg] = _frontier_svg(traced, target, f"p = {args.p:g}")
+    _write_files(files)
     print(f"{sum(len(v) for v in traced.values())} rows written to {args.out_csv}")
     if args.out_svg:
-        write_frontier_svg(args.out_svg, traced, target, f"p = {args.p:g}")
         print(f"plot written to {args.out_svg}")
     return EXIT_OK
 
@@ -315,7 +331,7 @@ def _cmd_choi(args: argparse.Namespace) -> int:
     purity, fidelity = optics.process_metrics(chi, ideal)
     compensated, _profile = optics.compensate_phases(chi)
     _, fidelity_comp = optics.process_metrics(compensated, ideal)
-    _write_text(args.out, optics.choi_to_text(chi))
+    _write_files({args.out: optics.choi_to_text(chi)})
     print(f"process matrix written to {args.out}")
     print(f"process purity = {_fmt(purity)}")
     print(f"process fidelity vs ideal = {_fmt(fidelity)}")
@@ -329,16 +345,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     state = _input_state(args)
     _require_spectrum_dim(state, spectrum)
     # reject what the search or the synthesizer rejects before the search runs
-    oracle.check_search_args(state, spectrum, args.ps, args.grid_step, args.tolerance)
+    oracle.check_search_args(state, spectrum, args.ps, args.grid_step)
     synth = synthesis.optimal_filter(state, spectrum, target, args.ps)
-    result = oracle.grid_search(
-        state,
-        spectrum,
-        target,
-        args.ps,
-        grid_step=args.grid_step,
-        tolerance=args.tolerance,
-    )
+    result = oracle.grid_search(state, spectrum, target, args.ps, grid_step=args.grid_step)
     synth_obj = oracle.objective_value(state, spectrum, target, synth)
     shortfall = result.objective - synth_obj
     print(f"oracle filter: {_describe_filter(result.filter)}")
@@ -402,7 +411,6 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--ps", type=float, required=True)
     p_oracle.add_argument("--target", choices=[t.value for t in FilterTarget], required=True)
     p_oracle.add_argument("--grid-step", type=float, default=0.02)
-    p_oracle.add_argument("--tolerance", type=float, default=None)
     p_oracle.add_argument("--spectrum", default="0,1,1,2")
 
     return parser

@@ -19,7 +19,3 @@ class UnreachableSuccessProbability(DomainError):
 
 class AnnihilatedState(DomainError):
     """The filter maps the state to zero (success probability vanishes)."""
-
-
-class InfeasibleGrid(DomainError):
-    """No grid point satisfies the success-probability constraint."""

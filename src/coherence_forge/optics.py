@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, StateValidationError
-from .statecore import DiagonalFilter, QState, _complex_fields, _complex_values, _read_dim_text
+from .statecore import DiagonalFilter, QState, _complex_fields
 
 _PATTERN_TOL = 1e-12
 
@@ -218,7 +218,8 @@ def compensate_phases(chi: ChoiMatrix) -> tuple[ChoiMatrix, PhaseProfile]:
 
 
 # ---------------------------------------------------------------------------
-# Text serialization (dimension header, row-major complex entries)
+# Text serialization (dimension header, row-major complex entries); process
+# files are only written, never read back
 # ---------------------------------------------------------------------------
 
 
@@ -228,10 +229,3 @@ def choi_to_text(chi: ChoiMatrix) -> str:
     for row in chi.matrix:
         lines.append(_complex_fields(row))
     return "\n".join(lines) + "\n"
-
-
-def choi_from_text(text: str) -> ChoiMatrix:
-    (d2, d), rows = _read_dim_text(text, "process", ("dim", "input_dim"))
-    if d2 != d * d or len(rows) != d2 or any(len(row) != 2 * d2 for row in rows):
-        raise StateValidationError("process file has inconsistent dimensions")
-    return ChoiMatrix(matrix=np.vstack([_complex_values(row) for row in rows]), input_dim=d)

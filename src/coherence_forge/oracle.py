@@ -1,7 +1,7 @@
 """Brute-force validation oracle for the filter synthesizers.
 
 :func:`grid_search` enumerates diagonal-filter intensities on a uniform
-grid, restricted to a tolerance band around the requested success
+grid, restricted to the band of one grid step around the requested success
 probability, then runs constraint-projected coordinate descent. The search
 space is a subset of the feasible filters, so the oracle objective never
 exceeds the true optimum; a synthesizer passes when the oracle cannot beat
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleGrid
+from .errors import DomainError
 from .statecore import (
     DiagonalFilter,
     EnergySpectrum,
@@ -346,21 +346,15 @@ def check_search_args(
     spectrum: EnergySpectrum,
     p_success: float,
     grid_step: float,
-    tolerance: float | None,
-) -> float:
+) -> None:
     """Reject the arguments :func:`grid_search` rejects, as it rejects them,
-    without building anything; returns the band tolerance (default
-    ``grid_step``)."""
+    without building anything."""
     d = state.dim
     if d > 6:
         raise DomainError("oracle enumeration is limited to dimension <= 6")
     if not 0.0 < grid_step <= 0.5:
         raise DomainError("grid_step must lie in (0, 0.5]")
     _check_success_range(p_success, 0.0, "P_S must be positive")
-    if tolerance is None:
-        tolerance = grid_step
-    if not 0.0 < tolerance < math.inf:
-        raise DomainError(f"tolerance must be a positive finite number, got {tolerance!r}")
     if state.dim != spectrum.dim:
         raise DomainError("state and spectrum dimensions differ")
     tail_rows = _grid_size(grid_step, min(d, 3))
@@ -375,7 +369,6 @@ def check_search_args(
             f"grid_step {grid_step!r} needs {points:.0f} grid points at dimension {d}; "
             f"the limit is {MAX_GRID_POINTS}"
         )
-    return tolerance
 
 
 def grid_search(
@@ -384,23 +377,28 @@ def grid_search(
     target: FilterTarget,
     p_success: float,
     grid_step: float = 0.02,
-    tolerance: float | None = None,
 ) -> OracleResult:
     """Best filter on the intensity grid within the success-probability band.
 
     Enumerates intensities in {0, grid_step, ..., 1}^d, keeps candidates
-    with |P_S - p_success| <= tolerance (default: grid_step), maximizes the
+    with |P_S - p_success| <= grid_step, maximizes the
     target measure of the normalized output, then refines with step halving
     down to 1e-6 while projected on the exact constraint. Ties go to the
     lexicographically smallest filter: under one head, to the first maximal
     candidate in enumeration order (the P_S order of the sorted tail block
     does not decide); across heads, to the first head in enumeration order.
     The search is fully deterministic.
+    The band always holds a grid point: raising one level by one grid step
+    moves P_S by at most ``grid_step * p_j``, so stepping up the most
+    populated level, then the others, walks from a positive P_S of at most
+    one step to the trace in moves of at most one step. Every P_S that
+    :func:`check_search_args` admits (2e-14 to 1 + 1e-12) therefore lies
+    within one step of a positive grid P_S.
     A grid whose tail block (the last min(d, 3) intensities) has more than
     ``MAX_TAIL_ROWS`` rows, or whose ``len(axis)**d`` grid points exceed
     ``MAX_GRID_POINTS``, is rejected before anything is built.
     """
-    tolerance = check_search_args(state, spectrum, p_success, grid_step, tolerance)
+    check_search_args(state, spectrum, p_success, grid_step)
     d = state.dim
     n_tail = min(d, 3)
     n_head = d - n_tail
@@ -417,7 +415,7 @@ def grid_search(
     pops_head = pops[:n_head]
     heads = list(itertools.product(*([axis.tolist()] * n_head)))
     offsets = [float(np.dot(head, pops_head)) for head in heads]
-    reach = tolerance + _BAND_MARGIN
+    reach = grid_step + _BAND_MARGIN
     # Every head's window below lies inside [lowest, highest], so only the
     # tail rows in there are sorted; the order holds their enumeration indices.
     lowest = p_success - max(offsets) - reach
@@ -434,7 +432,7 @@ def grid_search(
     for head, offset in zip(heads, offsets):
         lo, hi = np.searchsorted(sorted_ps, (p_success - offset - reach, p_success - offset + reach))
         ps = sorted_ps[lo:hi] + offset
-        band = (np.abs(ps - p_success) <= tolerance) & (ps > 1e-12)
+        band = (np.abs(ps - p_success) <= grid_step) & (ps > 1e-12)
         count = int(np.count_nonzero(band))
         if not count:
             continue
@@ -448,11 +446,6 @@ def grid_search(
             i = int(tied[np.argmin(tail_order[lo + tied])])
         row = np.array([*head, *(col[lo + i] for col in cols)])
         winners.append((float(vals[i]), row, float(cand_ps[i])))
-    if not winners:
-        raise InfeasibleGrid(
-            "no grid point satisfies the success-probability tolerance; "
-            "loosen the tolerance or refine the grid"
-        )
 
     # Banded candidates are only comparable after exact projection: a lower
     # actual P_S inside the band would otherwise inflate the objective. A

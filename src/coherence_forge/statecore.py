@@ -34,10 +34,10 @@ row as ``DiagonalFilter``, ``apply_filter`` and ``QState`` would (a
 symmetrized row is Hermitian by construction) and diagonalizes the outputs
 with one stacked ``eigvalsh`` per bounded slice; its first failing row
 raises what ``DiagonalFilter`` or ``QState`` raises for it. ``coherence_rows``
-turns its output into relative-entropy coherences with one ``_row_entropy``
-pass over the populations and the eigenvalues stacked, whose per-entry terms
-(``_entropy_terms``) the oracle shares. Both give, row for row, the same
-floats as the one-state functions.
+turns its output into relative-entropy coherences with one sum of
+``_entropy_terms`` (terms the oracle shares) over the populations and the
+eigenvalues stacked. Both give, row for row, the same floats as the
+one-state functions.
 """
 
 from __future__ import annotations
@@ -303,25 +303,6 @@ def _entropy_terms(values: np.ndarray) -> np.ndarray:
     return np.where(keep, -values * np.log(np.where(keep, values, 1.0)), 0.0)
 
 
-def _row_entropy(values: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row in nats, -sum v log v over the entries
-    above ``ZERO_EIGENVALUE``; smaller entries contribute 0.
-
-    The sum runs as numpy sums a row holding only the kept terms. Every row
-    keeps at least one entry, as the populations and the spectrum of a
-    unit-trace state do. numpy adds fewer than 8 terms from left to right,
-    starting from +0.0, so in rows shorter than that a dropped entry can stand
-    in place as an exact 0.0 (a zero entropy is then 0.0, where the kept terms
-    alone give -0.0). Longer sums are pairwise, and a 0.0 in place would move
-    the pairs, so there each row sums its own kept terms.
-    """
-    terms = _entropy_terms(values)
-    if values.shape[1] < 8:
-        return terms.sum(axis=1)
-    keep = values > ZERO_EIGENVALUE
-    return np.array([row[kept].sum() for row, kept in zip(terms, keep)])
-
-
 def dephase(state: QState) -> QState:
     """Project onto the diagonal: identical populations, zero off-diagonals."""
     return QState(np.diag(np.diag(state.matrix)))
@@ -450,10 +431,12 @@ def coherence_rows(populations: np.ndarray, eigenvalues: np.ndarray) -> np.ndarr
     """:func:`coherence` of each state given by a row of populations and a row
     of eigenvalues, as :func:`apply_filter_rows` returns them.
 
-    Both entropies come from one ``_row_entropy`` call on the two arrays
-    stacked; each row's terms and sum are those of a call on its own array.
+    Both entropies, -sum v log v over each row's entries above
+    ``ZERO_EIGENVALUE``, come from one sum of the ``_entropy_terms`` of the
+    two arrays stacked, with each dropped entry an exact 0.0 in place; each
+    row's terms and sum are those of a sum over its own array.
     """
-    entropies = _row_entropy(np.concatenate([populations, eigenvalues]))
+    entropies = _entropy_terms(np.concatenate([populations, eigenvalues])).sum(axis=1)
     gap = entropies[: len(populations)] - entropies[len(populations) :]
     return np.where(gap < 0.0, 0.0, gap)
 
@@ -502,7 +485,8 @@ def tensor_filter(a: DiagonalFilter, b: DiagonalFilter) -> DiagonalFilter:
 
 # ---------------------------------------------------------------------------
 # Text serialization for CLI interchange. Matrices are written row-major as
-# alternating real/imaginary fields after a "dim <d>" header line.
+# alternating real/imaginary fields after a "dim <d>" header line. State files
+# are read back (``--state``); filter files are only written.
 # ---------------------------------------------------------------------------
 
 
@@ -510,53 +494,11 @@ def _complex_fields(values: np.ndarray) -> str:
     return " ".join(f"{z.real:.17g} {z.imag:.17g}" for z in values)
 
 
-def _complex_values(fields: list[float]) -> np.ndarray:
-    if len(fields) % 2 != 0:
-        raise StateValidationError("expected an even number of re/im fields")
-    vals = np.asarray(fields, dtype=float)
-    return vals[0::2] + 1j * vals[1::2]
-
-
 def _finite_float(token: str) -> float:
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(token)
     return value
-
-
-def _read_dim_text(
-    text: str, kind: str, keys: tuple[str, ...] = ("dim",)
-) -> tuple[list[int], list[list[float]]]:
-    """Read the ``dim``-header format shared by state, filter and process files.
-
-    Blank lines and ``#`` comment lines are skipped. The first lines hold one
-    ``<key> <positive integer>`` pair for each of ``keys``, in order; every
-    later line holds finite numeric fields. Returns the header values and
-    the fields of each later line.
-    """
-    lines = [
-        ln.split() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    header = " / ".join(f"'{key} <d>'" for key in keys)
-    if len(lines) < len(keys):
-        raise StateValidationError(f"{kind} file is empty; it must start with {header}")
-    values = []
-    for key, tokens in zip(keys, lines):
-        if len(tokens) != 2 or tokens[0] != key:
-            raise StateValidationError(f"{kind} file must start with {header}")
-        value = int(tokens[1]) if tokens[1].isdecimal() else 0
-        if value < 1:
-            raise StateValidationError(f"'{key}' needs a positive integer, got {tokens[1]!r}")
-        values.append(value)
-    rows = []
-    for tokens in lines[len(keys) :]:
-        try:
-            rows.append([_finite_float(t) for t in tokens])
-        except ValueError:
-            raise StateValidationError(
-                f"{kind} file has a non-numeric or non-finite field in {' '.join(tokens)!r}"
-            ) from None
-    return values, rows
 
 
 def qstate_to_text(state: QState) -> str:
@@ -567,21 +509,36 @@ def qstate_to_text(state: QState) -> str:
 
 
 def qstate_from_text(text: str) -> QState:
-    (d,), rows = _read_dim_text(text, "state")
+    """Read a state file: blank lines and ``#`` comment lines are skipped, the
+    first line is ``dim <positive integer>`` and each of the d lines after it
+    holds the 2d finite re/im fields of one matrix row."""
+    lines = [
+        ln.split() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+    if not lines:
+        raise StateValidationError("state file is empty; it must start with 'dim <d>'")
+    tokens = lines[0]
+    if len(tokens) != 2 or tokens[0] != "dim":
+        raise StateValidationError("state file must start with 'dim <d>'")
+    d = int(tokens[1]) if tokens[1].isdecimal() else 0
+    if d < 1:
+        raise StateValidationError(f"'dim' needs a positive integer, got {tokens[1]!r}")
+    rows = []
+    for tokens in lines[1:]:
+        try:
+            rows.append([_finite_float(t) for t in tokens])
+        except ValueError:
+            raise StateValidationError(
+                f"state file has a non-numeric or non-finite field in {' '.join(tokens)!r}"
+            ) from None
     if len(rows) != d:
         raise StateValidationError(f"expected {d} matrix rows, found {len(rows)}")
     if any(len(row) != 2 * d for row in rows):
         raise StateValidationError("matrix rows do not match the declared dimension")
-    return QState(np.vstack([_complex_values(row) for row in rows]))
+    fields = np.array(rows)
+    return QState(fields[:, 0::2] + 1j * fields[:, 1::2])
 
 
 def filter_to_text(filt: DiagonalFilter) -> str:
     return f"dim {filt.dim}\n{_complex_fields(filt.coeffs)}\n"
 
-
-def filter_from_text(text: str) -> DiagonalFilter:
-    (d,), rows = _read_dim_text(text, "filter")
-    coeffs = _complex_values([x for row in rows for x in row])
-    if coeffs.size != d:
-        raise StateValidationError("coefficient count does not match the declared dimension")
-    return DiagonalFilter(coeffs)

@@ -1,4 +1,8 @@
-"""Minimal static SVG line plots: axes, series, legend. Byte-stable output."""
+"""Minimal static SVG line plots: axes, series, legend. Byte-stable output.
+
+A y range within 1e-9 of the data's magnitude is round-off and is drawn flat,
+and tick labels carry as many significant digits (3 or more) as it takes to
+tell neighbouring labels apart."""
 
 from __future__ import annotations
 
@@ -10,8 +14,15 @@ _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 36, 48
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
-    return [lo + (hi - lo) * i / 4 for i in range(5)]
+def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """Five ticks and their labels: 3 significant digits, or the fewest more
+    that tell neighbouring ticks apart."""
+    ticks = [lo + (hi - lo) * i / 4 for i in range(5)]
+    for digits in range(3, 18):
+        labels = [f"{v:.{digits}g}" for v in ticks]
+        if all(a != b for a, b in zip(labels, labels[1:])):
+            break
+    return list(zip(ticks, labels))
 
 
 def line_plot(
@@ -28,6 +39,10 @@ def line_plot(
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi - x_lo < 1e-30:
         x_hi = x_lo + 1.0
+    # a y range within 1e-9 of the data's magnitude is round-off: it is drawn
+    # as a constant series is, at the data's value to 9 significant digits
+    if 0.0 < y_hi - y_lo <= 1e-9 * max(abs(y_lo), abs(y_hi)):
+        y_lo = y_hi = float(f"{y_lo + 0.5 * (y_hi - y_lo):.9g}")
     pad = 0.05 * (y_hi - y_lo) or 1.0
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -52,23 +67,23 @@ def line_plot(
             f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-size="14">{title}</text>'
         )
-    for xv in _ticks(x_lo, x_hi):
+    for xv, label in _ticks(x_lo, x_hi):
         parts.append(
             f'<line x1="{px(xv):.2f}" y1="{_MARGIN_T + plot_h}" '
             f'x2="{px(xv):.2f}" y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>'
         )
         parts.append(
             f'<text x="{px(xv):.2f}" y="{_MARGIN_T + plot_h + 18}" '
-            f'text-anchor="middle">{xv:.3g}</text>'
+            f'text-anchor="middle">{label}</text>'
         )
-    for yv in _ticks(y_lo, y_hi):
+    for yv, label in _ticks(y_lo, y_hi):
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{py(yv):.2f}" '
             f'x2="{_MARGIN_L}" y2="{py(yv):.2f}" stroke="#333"/>'
         )
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{py(yv) + 4:.2f}" '
-            f'text-anchor="end">{yv:.3g}</text>'
+            f'text-anchor="end">{label}</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '

@@ -526,11 +526,14 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
     The optimum is exact: every 0/1/free assignment of the n populated
     levels is solved through its bordered KKT system (3^n candidates from
     2^n inverted blocks, each an LU inverse verified against its block or
-    else the pseudo-inverse). The candidates whose gain x^T W x is at least the
-    best minus 1e-15 P_S^2 tie; level by level, those within 1e-12 P_S of
-    that level's minimum are kept, and the first survivor is returned. The
-    survivors agree to 1e-12 P_S on every level, so the pick does not depend
-    on the order of the candidates, at any P_S. The cost still grows
+    else the pseudo-inverse). W is scaled to a largest entry of 1, so every
+    tolerance is relative and the pick does not depend on the scale of the
+    coherences; the |rho_jk| < 1e-14 guard is the one absolute threshold.
+    The candidates whose gain x^T W x is at least the best minus 1e-15 P_S^2
+    tie; level by level, those within 1e-12 P_S of that level's minimum are
+    kept, and the first survivor is returned. The survivors agree to
+    1e-12 P_S on every level, so the pick does not depend on the order of
+    the candidates, at any P_S. The cost still grows
     exponentially, so a state with more than ``TSALLIS_MAX_LEVELS`` = 12
     populated levels raises :class:`DomainError` before any work.
     """
@@ -551,6 +554,7 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
         raise DomainError("diagonal input has no coherence to enhance")
     overlap = np.abs(m) ** 2
     np.fill_diagonal(overlap, 0.0)
+    overlap /= overlap.max()  # every tolerance relative to the largest coherence
 
     cands = _tsallis_candidates(pops, overlap, active, p_success)
     if not cands.shape[0]:
@@ -558,7 +562,7 @@ def tsallis_optimal_filter(state: QState, p_success: float) -> DiagonalFilter:
             "no feasible filter attains the requested success probability"
         )
     gains = ((cands @ overlap) * cands).sum(axis=1)
-    # the gain scales as P_S^2 and an intensity as P_S: so do the tolerances
+    # the gain scales as P_S^2 and an intensity as P_S: so do the (relative) tolerances
     best = cands[gains >= gains.max() - 1e-15 * p_success**2]
     for level in range(best.shape[1]):
         best = best[best[:, level] <= best[:, level].min() + 1e-12 * p_success]

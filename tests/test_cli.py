@@ -10,6 +10,7 @@ import pytest
 import coherence_forge
 from coherence_forge import (
     TWO_QUBIT_SPECTRUM,
+    EnergySpectrum,
     FilterFamily,
     FilterTarget,
     QState,
@@ -35,7 +36,7 @@ from coherence_forge.cli import (
     write_frontier_svg,
 )
 from coherence_forge.oracle import MAX_GRID_POINTS, MAX_TAIL_ROWS, grid_search
-from coherence_forge.statecore import filter_from_text, qstate_to_text
+from coherence_forge.statecore import filter_to_text, qstate_to_text
 from coherence_forge.synthesis import MAX_SAMPLE_POINTS
 from exact_reference import assert_energy_optimum, knapsack_mean_energy
 
@@ -124,7 +125,9 @@ class TestFilterCommand:
             str(path),
         )
         assert code == EXIT_OK
-        written = filter_from_text(path.read_text())
+        written = optimal_filter(product_pure_state(0.1, 2), TWO_QUBIT_SPECTRUM,
+                                 FilterTarget.COHERENCE, 0.28)
+        assert path.read_text() == filter_to_text(written)
         assert np.allclose(written.coeffs, [1 / 3, 1, 1, 1], atol=1e-12)
 
     def test_tsallis_target_reads_a_state_file(self, capsys, tmp_path):
@@ -213,7 +216,10 @@ class TestFilterCommand:
         )
         assert (code, err) == (EXIT_OK, "")
         levels = [float(x) for x in spectrum.split(",")]
-        coeffs = filter_from_text(out_path.read_text()).coeffs
+        filt = optimal_filter(product_pure_state(0.1, 2), EnergySpectrum(levels),
+                              FilterTarget.ENERGY, float(ps))
+        assert out_path.read_text() == filter_to_text(filt)
+        coeffs = filt.coeffs
         pops = product_pure_state(0.1, 2).populations
         assert_energy_optimum(pops, levels, coeffs, float(ps), 1e-12)
         energy = float(out.split("output mean energy = ")[1].split()[0])
@@ -633,23 +639,6 @@ class TestOracleCommand:
         )
         assert code == EXIT_USAGE
 
-    def test_infeasible_tolerance_exits_2(self, capsys):
-        code, _, _ = run(
-            capsys,
-            "oracle",
-            "--p",
-            "0.1",
-            "--ps",
-            "0.155",
-            "--target",
-            "energy",
-            "--grid-step",
-            "0.5",
-            "--tolerance",
-            "1e-9",
-        )
-        assert code == EXIT_DOMAIN
-
 
 class TestEnvironment:
     def test_threads_env_fallback(self, capsys, tmp_path, monkeypatch):
@@ -728,21 +717,16 @@ class TestBadInputs:
         assert "finite" in err
 
     @pytest.mark.parametrize(
-        "option, value, message",
+        "ps, message",
         [
-            ("--ps", "nan", "P_S must be a finite number"),
-            ("--ps", "1.5", "P_S exceeds 1"),
-            ("--ps", "0", "P_S must be positive"),
-            ("--tolerance", "nan", "tolerance must be a positive finite number"),
-            ("--tolerance", "inf", "tolerance must be a positive finite number"),
-            ("--tolerance", "0", "tolerance must be a positive finite number"),
+            ("nan", "P_S must be a finite number"),
+            ("1.5", "P_S exceeds 1"),
+            ("0", "P_S must be positive"),
         ],
     )
-    def test_bad_oracle_band_exits_2(self, capsys, option, value, message):
-        args = {"--ps": "0.5", "--tolerance": "0.02", option: value}
+    def test_bad_oracle_band_exits_2(self, capsys, ps, message):
         code, out, err = run(
-            capsys, "oracle", "--p", "0.1", "--target", "energy",
-            "--ps", args["--ps"], "--tolerance", args["--tolerance"],
+            capsys, "oracle", "--p", "0.1", "--target", "energy", "--ps", ps,
         )
         assert code == EXIT_DOMAIN
         assert out == ""
@@ -921,7 +905,7 @@ class TestOnePathPerJob:
         )
         assert code == EXIT_OK
         expected = optimal_filter(self.STATE, TWO_QUBIT_SPECTRUM, FilterTarget(target), 0.3)
-        assert np.allclose(filter_from_text(out.read_text()).coeffs, expected.coeffs, atol=1e-15)
+        assert out.read_text() == filter_to_text(expected)
         assert "P_S achieved = 0.3" in text
 
     def test_oracle_checks_the_tsallis_synthesizer(self, capsys):
@@ -980,9 +964,10 @@ class TestOnePathPerJob:
 
 class TestRemovedSurface:
     """No subcommand has ``--config`` or ``--log-base``, ``iterate`` has no
-    ``--out`` (its report is its stdout) and no ``--grid-step``, and ``filter``
-    has no ``--mode`` (it always runs ``optimal_filter``). Each exits 1 with
-    one ``error:`` line and prints nothing to stdout."""
+    ``--out`` (its report is its stdout) and no ``--grid-step``, ``filter``
+    has no ``--mode`` (it always runs ``optimal_filter``), and ``oracle`` has
+    no ``--tolerance`` (its band is one grid step). Each exits 1 with one
+    ``error:`` line and prints nothing to stdout."""
 
     @pytest.mark.parametrize(
         "removed",
@@ -1020,6 +1005,14 @@ class TestRemovedSurface:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--grid-step" in err
+
+    def test_oracle_tolerance_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--p", "0.2", "--ps", "0.5", "--target", "energy",
+            "--tolerance", "0.02",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: unrecognized arguments: --tolerance 0.02\n"
 
     @pytest.mark.parametrize("mode", ["tsallis", "general", "closed-form"])
     def test_mode_exits_1(self, capsys, mode):
@@ -1085,8 +1078,9 @@ class TestNegativeLists:
 
 
 class TestWholeOrNothingOutput:
-    """Output directories are checked before any computation, and each file
-    is renamed into place whole, so a failing run leaves no new file."""
+    """Output directories are checked before any computation, and the files
+    of a run are renamed into place only once every one is written whole, so
+    a failing run leaves no new file."""
 
     OUTPUT_RUNS = [
         ["filter", "--p", "0.1", "--ps", "0.3", "--target", "energy", "--out", "{}"],
@@ -1118,6 +1112,36 @@ class TestWholeOrNothingOutput:
         assert (code, out) == (EXIT_IO, "")
         assert err == "error: [Errno 2] No such file or directory: 'missing/f.svg'\n"
         assert os.listdir() == []
+
+    def test_no_csv_when_the_svg_path_is_a_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("adir").mkdir()
+        code, out, err = run(capsys, "frontier", "--p", "0.2", "--grid", "5",
+                             "--out-csv", "f.csv", "--out-svg", "adir")
+        assert (code, out) == (EXIT_IO, "")
+        assert err == "error: [Errno 21] Is a directory: 'adir'\n"
+        assert os.listdir() == ["adir"] and os.listdir("adir") == []
+
+    def test_a_failed_second_write_keeps_the_first_file_out(self, capsys, tmp_path, monkeypatch):
+        # the CSV is written whole, then the SVG write fails: the old CSV
+        # stays, and neither temporary file is left
+        monkeypatch.chdir(tmp_path)
+        Path("f.csv").write_text("old\n")
+        write_text = Path.write_text
+
+        def full_disk(path, text, *args, **kwargs):
+            if path.name.startswith(".f.svg."):
+                write_text(path, text[:10], *args, **kwargs)
+                raise OSError(28, "No space left on device", str(path))
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        code, out, err = run(capsys, "frontier", "--p", "0.2", "--grid", "5",
+                             "--out-csv", "f.csv", "--out-svg", "f.svg")
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith("error: [Errno 28] No space left on device: ")
+        assert os.listdir() == ["f.csv"]
+        assert Path("f.csv").read_text() == "old\n"
 
     def test_a_failed_rename_keeps_the_old_file_and_no_temporary(
         self, capsys, tmp_path, monkeypatch

@@ -619,9 +619,14 @@ def test_coherence_matches_the_one_state_entropy():
             for eta in (0.0, 1e-3, 0.5, 1.0):
                 states.append(mixed_qubit_product(QubitParams(p=p, eta=eta), n))
     for state in states:
-        got = coherence(state)
+        got, want = coherence(state), _reference_coherence(state)
         assert type(got) is float
-        assert _same(got, _reference_coherence(state)), state.matrix
+        if state.dim < 8:
+            assert _same(got, want), state.matrix
+        else:
+            # 8 or more entropy terms are summed pairwise, with the dropped
+            # entries in place as 0.0 where the reference drops them
+            assert abs(got - want) <= 1e-14 and math.copysign(1.0, got) == 1.0, state.matrix
 
 
 _SCAN_P = [0.001, *np.linspace(0.05, 0.6, 12).tolist(), 0.75, 0.999]

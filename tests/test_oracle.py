@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from coherence_forge import (
     DiagonalFilter,
@@ -7,7 +11,6 @@ from coherence_forge import (
     EnergySpectrum,
     FilterFamily,
     FilterTarget,
-    InfeasibleGrid,
     QState,
     TWO_QUBIT_SPECTRUM,
     product_pure_state,
@@ -78,27 +81,56 @@ def _spectrum_for(dim):
     return EnergySpectrum(np.arange(dim, dtype=float))
 
 
-def test_infeasible_tolerance_raises():
-    with pytest.raises(InfeasibleGrid):
-        grid_search(STATE, SPECTRUM, FilterTarget.ENERGY, 0.155, grid_step=0.5, tolerance=1e-6)
-
-
 @pytest.mark.parametrize(
-    "ps, tolerance, message",
+    "ps, message",
     [
-        (float("nan"), None, "P_S must be a finite number"),
-        (1.5, None, "P_S exceeds 1"),
-        (0.0, None, "P_S must be positive"),
-        (-0.2, 0.5, "P_S must be positive"),
-        (0.5, float("nan"), "tolerance must be a positive finite number"),
-        (0.5, float("inf"), "tolerance must be a positive finite number"),
-        (0.5, -0.1, "tolerance must be a positive finite number"),
+        (float("nan"), "P_S must be a finite number"),
+        (1.5, "P_S exceeds 1"),
+        (0.0, "P_S must be positive"),
+        (-0.2, "P_S must be positive"),
+        (1e-14, "P_S below 2e-14"),
     ],
 )
-def test_rejects_bad_band_before_enumerating(ps, tolerance, message):
-    with pytest.raises(DomainError, match=message) as info:
-        grid_search(STATE, SPECTRUM, FilterTarget.ENERGY, ps, grid_step=0.02, tolerance=tolerance)
-    assert not isinstance(info.value, InfeasibleGrid)
+def test_rejects_bad_band_before_enumerating(ps, message):
+    with pytest.raises(DomainError, match=message):
+        grid_search(STATE, SPECTRUM, FilterTarget.ENERGY, ps, grid_step=0.02)
+
+
+@st.composite
+def _band_cases(draw):
+    """A random or skewed state at d <= 4, a grid step up to 0.5 and a P_S
+    anywhere in the admitted 2e-14 to 1 + 1e-12."""
+    d = draw(st.integers(2, 4))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    weights = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+    if draw(st.booleans()):  # skewed: one level holds nearly everything
+        weights = np.full(d, draw(st.floats(1e-12, 1e-3)))
+        weights[draw(st.integers(0, d - 1))] = 1.0
+    assume(weights.sum() > 1e-9)
+    phases = np.array(draw(st.lists(st.floats(0.0, 6.3), min_size=d, max_size=d)))
+    state = QState.pure(np.sqrt(weights) * np.exp(1j * phases))
+    step = draw(st.sampled_from([0.5, 0.4, 1 / 3, 0.3, 0.25, 0.2, 0.15, 0.1]))
+    ps = draw(
+        st.one_of(
+            st.floats(2e-14, 1.0 + 1e-12),
+            st.sampled_from([2e-14, 1e-9, 1.0, 1.0 + 1e-12]),
+            st.floats(-14.0, 0.0).map(lambda e: max(10.0**e, 2e-14)),
+        )
+    )
+    return state, step, ps
+
+
+@given(_band_cases())
+def test_a_grid_point_always_lies_in_the_band(case):
+    """Some grid point has a positive P_S within one grid step of any admitted
+    target, so the search always has a winner and lands within the band."""
+    state, step, ps = case
+    pops = np.clip(state.populations, 0.0, None)
+    grid_ps = np.array(list(itertools.product(_grid_axis(step), repeat=state.dim))) @ pops
+    assert ((np.abs(grid_ps - ps) <= step) & (grid_ps > 1e-12)).any()
+    res = grid_search(state, _spectrum_for(state.dim), FilterTarget.ENERGY, ps, grid_step=step)
+    assert abs(res.p_success - ps) <= step
+    assert res.p_success > 0.0
 
 
 def test_two_level_search_matches_synthesizer():
@@ -165,9 +197,8 @@ def test_rejects_a_grid_above_the_point_limit(d, step, points):
     assert _grid_axis_length(step) ** 3 <= MAX_TAIL_ROWS
     message = f"needs {points} grid points at dimension {d}; the limit is {MAX_GRID_POINTS}"
     spectrum = EnergySpectrum(np.arange(d, dtype=float))
-    with pytest.raises(DomainError, match=message) as info:
+    with pytest.raises(DomainError, match=message):
         grid_search(_random_pure(d), spectrum, FilterTarget.ENERGY, 0.5, grid_step=step)
-    assert not isinstance(info.value, InfeasibleGrid)
 
 
 @pytest.mark.parametrize("d, step", [(3, 0.01), (4, 0.02), (4, 0.04), (5, 0.1), (5, 0.2)])

@@ -32,11 +32,10 @@ from coherence_forge.statecore import (
     TRACE_TOL,
     ZERO_EIGENVALUE,
     _density_spectra,
-    _row_entropy,
+    _entropy_terms,
     apply_filter_rows,
     coherence_rows,
     diagonal_filter_rows,
-    filter_from_text,
     filter_to_text,
     qstate_from_text,
     qstate_to_text,
@@ -562,8 +561,8 @@ class TestCoherenceRowsAtEightOrMoreLevels:
 
 
 def _two_pass_coherence_rows(populations, eigenvalues):
-    """``coherence_rows`` with one ``_row_entropy`` pass per argument."""
-    gap = _row_entropy(populations) - _row_entropy(eigenvalues)
+    """``coherence_rows`` with one entropy sum per argument."""
+    gap = _entropy_terms(populations).sum(axis=1) - _entropy_terms(eigenvalues).sum(axis=1)
     return np.where(gap < 0.0, 0.0, gap)
 
 
@@ -589,8 +588,17 @@ def test_coherence_rows_equals_the_two_pass_form():
             want = _two_pass_coherence_rows(pops, eigs)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert (coherence_rows(one_hot[0], one_hot[1]) == 0.0).all()
+        zero = coherence_rows(one_hot[0], one_hot[1])
+        assert (zero == 0.0).all() and not np.signbit(zero).any()
     assert coherence_rows(np.empty((0, 3)), np.empty((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("d", [2, 7, 8, 16])
+def test_a_zero_coherence_prints_0(d):
+    # a basis state: every entropy term but one -0.0 is a dropped +0.0
+    basis = np.zeros((d, d))
+    basis[d // 2, d // 2] = 1.0
+    assert f"{coherence(QState(basis)):.12g}" == "0"
 
 
 @given(state=density_matrices(dims=(2, 3, 4, 6, 8)), data=st.data())
@@ -803,10 +811,10 @@ class TestSerialization:
         again = qstate_from_text(qstate_to_text(s))
         assert np.array_equal(again.matrix, s.matrix)
 
-    def test_filter_roundtrip(self):
+    def test_filter_text_layout(self):
+        # filter files are written for other tools and never read back
         filt = DiagonalFilter(np.array([0.5, 1.0, 0.25j, -0.3]))
-        again = filter_from_text(filter_to_text(filt))
-        assert np.array_equal(again.coeffs, filt.coeffs)
+        assert filter_to_text(filt) == "dim 4\n0.5 0 1 0 0 0.25 -0.29999999999999999 0\n"
 
     def test_qstate_text_rejects_bad_header(self):
         with pytest.raises(StateValidationError):
@@ -841,16 +849,26 @@ class TestSerialization:
         assert np.array_equal(qstate_from_text(text).matrix, s.matrix)
 
     @pytest.mark.parametrize(
-        "text",
-        ["", "# nothing\n", "dim two\n1 0\n", "dim 2\n1 0 1\n", "dim 2\n1 0\n", "dim 1\nnan 0\n"],
+        "text, message",
+        [
+            ("", "state file is empty; it must start with 'dim <d>'"),
+            ("# only a comment\n", "state file is empty; it must start with 'dim <d>'"),
+            ("rows 2\n1 0 0 0\n", "state file must start with 'dim <d>'"),
+            ("dim 2 3\n1 0 0 0\n", "state file must start with 'dim <d>'"),
+            ("dim x\n1 0 0 0\n", "'dim' needs a positive integer, got 'x'"),
+            ("dim 0\n", "'dim' needs a positive integer, got '0'"),
+            ("dim 2\n1 0 0 0\n0 0 zero 0\n",
+             "state file has a non-numeric or non-finite field in '0 0 zero 0'"),
+            ("dim 2\nnan 0 0 0\n0 0 0 0\n",
+             "state file has a non-numeric or non-finite field in 'nan 0 0 0'"),
+            ("dim 2\n1 0 0 0\n", "expected 2 matrix rows, found 1"),
+            ("dim 2\n1 0 0\n0 0 0 0\n", "matrix rows do not match the declared dimension"),
+        ],
     )
-    def test_filter_text_rejects_malformed(self, text):
-        with pytest.raises(StateValidationError):
-            filter_from_text(text)
-
-    def test_filter_text_coefficients_may_span_lines(self):
-        filt = filter_from_text("dim 2\n0.5 0\n1 0\n")
-        assert np.array_equal(filt.coeffs, np.array([0.5, 1.0], dtype=complex))
+    def test_qstate_text_messages(self, text, message):
+        with pytest.raises(StateValidationError) as info:
+            qstate_from_text(text)
+        assert str(info.value) == message
 
 
 class TestNonFiniteInputs:

@@ -150,7 +150,7 @@ LIBRARY_CASES = {
                         "process has no diagonal-filter pattern to compensate"),
     # oracle
     "oracle-spectrum-dimension": (
-        lambda: check_search_args(PAIR, THREE_LEVELS, 0.5, 0.1, None), DomainError,
+        lambda: check_search_args(PAIR, THREE_LEVELS, 0.5, 0.1), DomainError,
         "state and spectrum dimensions differ"),
     "grid-search-spectrum-dimension": (
         lambda: grid_search(PAIR, THREE_LEVELS, FilterTarget.ENERGY, 0.5, 0.1), DomainError,
