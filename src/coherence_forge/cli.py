@@ -8,7 +8,9 @@ before its file writes. CSV output uses 12 significant digits and is
 byte-deterministic for identical flags.
 Output directories are checked before any computation, and the files of a
 run are renamed into place only once every one of them is written whole, so
-a run that fails leaves no new or partial file.
+a run whose computation or writes fail leaves no new or partial file. The
+renames go one file at a time: one that fails leaves the files renamed
+before it.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ _SCAN_HEADER = "p,eta,coherence_nats,mean_energy,b_opt,input_coherence,input_ene
 def _write_files(files: Mapping[str | Path, str]) -> None:
     """Write each text to a temporary file beside the file its path names,
     and rename them over those files, in order, once every one is written;
-    a failure leaves none of them. A pipe or a terminal is written in place."""
+    a failed write leaves none of them, and a failed rename leaves those
+    renamed before it. A pipe or a terminal is written in place."""
     staged = []
     try:
         for index, (path, text) in enumerate(files.items()):

@@ -388,12 +388,15 @@ def grid_search(
     candidate in enumeration order (the P_S order of the sorted tail block
     does not decide); across heads, to the first head in enumeration order.
     The search is fully deterministic.
-    The band always holds a grid point: raising one level by one grid step
-    moves P_S by at most ``grid_step * p_j``, so stepping up the most
-    populated level, then the others, walks from a positive P_S of at most
-    one step to the trace in moves of at most one step. Every P_S that
-    :func:`check_search_args` admits (2e-14 to 1 + 1e-12) therefore lies
-    within one step of a positive grid P_S.
+    When every clipped population is at most 1, the band holds a grid point:
+    raising one level by one grid step moves P_S by at most
+    ``grid_step * p_j``, so stepping up the most populated level, then the
+    others, walks from a positive P_S of at most one step to the trace in
+    moves of at most one step, and each P_S that :func:`check_search_args`
+    admits (2e-14 to 1 + 1e-12) lies within one step of a positive grid P_S.
+    A population above 1, offset by a negative one within the state's
+    eigenvalue floor, can leave the band empty at a tiny P_S; that raises
+    ``DomainError``.
     A grid whose tail block (the last min(d, 3) intensities) has more than
     ``MAX_TAIL_ROWS`` rows, or whose ``len(axis)**d`` grid points exceed
     ``MAX_GRID_POINTS``, is rejected before anything is built.
@@ -446,6 +449,8 @@ def grid_search(
             i = int(tied[np.argmin(tail_order[lo + tied])])
         row = np.array([*head, *(col[lo + i] for col in cols)])
         winners.append((float(vals[i]), row, float(cand_ps[i])))
+    if not winners:
+        raise DomainError("no grid point lies within one grid step of the success probability")
 
     # Banded candidates are only comparable after exact projection: a lower
     # actual P_S inside the band would otherwise inflate the objective. A
@@ -457,7 +462,7 @@ def grid_search(
     # maximum, taken where a later winner does not strictly beat it.
     cand = np.array([row for _, row, _ in winners])
     dots = _row_dots(cand, pops)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         val = (p_success - (dots[:, None] - cand * pops)) / pops
     fits = (val >= -1e-12) & (val <= 1.0 + 1e-12) & (pops > 1e-14)
     frac = fits & (cand > 1e-12) & (cand < 1.0 - 1e-12)

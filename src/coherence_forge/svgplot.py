@@ -1,8 +1,9 @@
 """Minimal static SVG line plots: axes, series, legend. Byte-stable output.
 
-A y range within 1e-9 of the data's magnitude is round-off and is drawn flat,
-and tick labels carry as many significant digits (3 or more) as it takes to
-tell neighbouring labels apart."""
+A y range within 1e-9 of the data's magnitude is round-off and is drawn flat
+about its midpoint, in a frame that holds every point, and tick labels carry
+as many significant digits (3 or more) as it takes to tell neighbouring
+labels apart."""
 
 from __future__ import annotations
 
@@ -40,10 +41,13 @@ def line_plot(
     if x_hi - x_lo < 1e-30:
         x_hi = x_lo + 1.0
     # a y range within 1e-9 of the data's magnitude is round-off: it is drawn
-    # as a constant series is, at the data's value to 9 significant digits
-    if 0.0 < y_hi - y_lo <= 1e-9 * max(abs(y_lo), abs(y_hi)):
-        y_lo = y_hi = float(f"{y_lo + 0.5 * (y_hi - y_lo):.9g}")
-    pad = 0.05 * (y_hi - y_lo) or 1.0
+    # as a constant series is, about its midpoint, padded to hold every point
+    magnitude = max(abs(y_lo), abs(y_hi))
+    if y_hi - y_lo <= 1e-9 * magnitude:
+        pad = max(1.0, 1e-9 * magnitude)
+        y_lo = y_hi = y_lo + 0.5 * (y_hi - y_lo)
+    else:
+        pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R

@@ -732,6 +732,33 @@ class TestBadInputs:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "diag, code, message",
+        [
+            # population 1 + 5e-11: no grid point of step 0.5 within one step of 1e-12
+            (
+                [1.0 + 5e-11, -5e-11, 0.0, 0.0],
+                EXIT_DOMAIN,
+                "no grid point lies within one grid step of the success probability",
+            ),
+            ([1.0 + 9e-13, 0.0, 0.0, 0.0], EXIT_OK, None),
+        ],
+    )
+    def test_oracle_on_populations_above_1(self, capsys, tmp_path, diag, code, message):
+        state_path = tmp_path / "over.txt"
+        state_path.write_text(qstate_to_text(QState(np.diag(diag).astype(complex))))
+        got, out, err = run(
+            capsys, "oracle", "--state", str(state_path), "--ps", "1e-12", "--target", "energy",
+            "--grid-step", "0.5",
+        )
+        assert got == code
+        if message is None:
+            assert out.splitlines()[-1] == "PASS"
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("ps", ["-5e-13", "0"])
     def test_non_positive_ps_exits_2_where_the_range_starts_near_0(self, capsys, tmp_path, ps):
         """The full-equalization minimum is 6e-14, within round-off of 0; a

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from coherence_forge import (
@@ -120,7 +120,12 @@ def _band_cases(draw):
     return state, step, ps
 
 
+# a population of 2.2e-313 overflowed the snap's division by the populations
+_DENORMAL = QState(np.array([[1.0, 4.71706886e-157], [4.71706886e-157, 2.22507386e-313]]))
+
+
 @given(_band_cases())
+@example((_DENORMAL, 0.5, 1.0))
 def test_a_grid_point_always_lies_in_the_band(case):
     """Some grid point has a positive P_S within one grid step of any admitted
     target, so the search always has a winner and lands within the band."""
@@ -130,6 +135,26 @@ def test_a_grid_point_always_lies_in_the_band(case):
     assert ((np.abs(grid_ps - ps) <= step) & (grid_ps > 1e-12)).any()
     res = grid_search(state, _spectrum_for(state.dim), FilterTarget.ENERGY, ps, grid_step=step)
     assert abs(res.p_success - ps) <= step
+    assert res.p_success > 0.0
+
+
+# A population just above 1, held by a negative one within the eigenvalue
+# floor, and a trace of 1 + 9e-13: both are valid states.
+OVERFULL = QState(np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex))
+OVER_TRACE = QState(np.diag([1.0 + 9e-13, 0.0, 0.0, 0.0]).astype(complex))
+
+
+def test_an_empty_band_raises_a_domain_error():
+    """At step 0.5 the only positive grid P_S of OVERFULL is 0.500000000025,
+    more than one step from 1e-12."""
+    with pytest.raises(DomainError, match="no grid point lies within one grid step"):
+        grid_search(OVERFULL, SPECTRUM, FilterTarget.ENERGY, 1e-12, grid_step=0.5)
+
+
+@pytest.mark.parametrize("ps", [1e-12, 0.5, 1.0])
+def test_a_trace_above_1_keeps_a_grid_point_in_the_band(ps):
+    res = grid_search(OVER_TRACE, SPECTRUM, FilterTarget.ENERGY, ps, grid_step=0.5)
+    assert abs(res.p_success - ps) <= 0.5
     assert res.p_success > 0.0
 
 

@@ -77,3 +77,39 @@ def test_frontier_of_a_constant_energy_is_flat(tmp_path, capsys):
     svg = svg_path.read_text()
     assert len(_drawn_ys(svg)) == 1
     assert _y_labels(svg) == ["0", "0.5", "1", "1.5", "2"]
+
+
+_FRAME_TOP, _FRAME_BOTTOM = 36.0, 372.0
+
+
+def _in_frame(svg: str) -> bool:
+    return all(_FRAME_TOP <= float(y) <= _FRAME_BOTTOM for y in _drawn_ys(svg))
+
+
+@pytest.mark.parametrize("value", [1234567890123.0, -9.87e15])
+def test_round_off_at_a_large_magnitude_stays_in_the_frame(value):
+    # a span of up to 1e-9 of the magnitude, far above the 1.0 pad of a
+    # constant series, is drawn flat about its midpoint and inside the frame
+    ys = [value + abs(value) * 1e-9 * t for t in (0.0, 0.5, 1.0, 0.25)]
+    svg = _plot(ys)
+    assert _in_frame(svg)
+    labels = _y_labels(svg)
+    assert len(set(labels)) == 5
+    middle = 0.5 * (min(ys) + max(ys))
+    assert abs(float(labels[2]) - middle) <= 1e-10 * abs(value)
+
+
+def test_frontier_at_a_large_energy_scale_labels_the_data(tmp_path, capsys):
+    csv_path, svg_path = tmp_path / "f.csv", tmp_path / "f.svg"
+    code = main([
+        "frontier", "--p", "0.2", "--target", "energy", "--family", "factorized",
+        "--spectrum", "1234567890123,0,2469135780246,1234567890123",
+        "--out-csv", str(csv_path), "--out-svg", str(svg_path),
+    ])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    svg = svg_path.read_text()
+    assert _in_frame(svg)
+    energies = [float(line.split(",")[2]) for line in csv_path.read_text().splitlines()[1:]]
+    middle = 0.5 * (min(energies) + max(energies))
+    assert abs(float(_y_labels(svg)[2]) - middle) <= 1e-10 * middle
